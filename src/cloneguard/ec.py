@@ -1,10 +1,14 @@
 """Short-Weierstrass group arithmetic over the NIST P-256 curve.
 
 The public interface works on affine points (``Point``) plus a ``None``
-sentinel for the point at infinity.  Internally the hot paths (scalar
-multiplication, multi-scalar multiplication) run in Jacobian coordinates
-and only convert back to affine at the end, which keeps the modular
-inversions down to one per public call.
+sentinel for the point at infinity.  Internally every scalar
+multiplication is one multi-scalar multiplication: terms on the
+generator G go through a fixed-base table of affine multiples, and all
+other terms share one Straus pass over width-5 NAF digits whose affine
+tables of odd multiples +-P, +-3P, ..., +-15P are normalised with a single
+simultaneous inversion.  The accumulator runs in Jacobian coordinates
+and converts back to affine once at the end, so a call costs at most
+two field inversions.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -27,7 +31,9 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
-_WINDOW = 4  # window width (bits) for all windowed multiplication
+_WINDOW = 4  # window width (bits) of the fixed-base generator table
+_WNAF_WIDTH = 5  # NAF width of the variable-base multi-scalar kernel
+_WNAF_HALF = 1 << (_WNAF_WIDTH - 1)  # digits are odd with |d| < _WNAF_HALF
 
 
 class InvalidPointError(ValueError):
@@ -95,7 +101,7 @@ def point_neg(point: Point | None) -> Point | None:
 def point_add(p1: Point | None, p2: Point | None) -> Point | None:
     """Affine group law (chord/tangent).  Inputs are validated.
 
-    This is the plain reference path; the windowed multipliers below use
+    This is the plain reference path; the multipliers below use
     Jacobian internals instead and are checked against it in the tests.
     """
     _require_on_curve(p1)
@@ -245,44 +251,82 @@ def scalar_mul(k: int, point: Point | None) -> Point | None:
 
     Reducing the scalar is exact for every valid public input: the group
     order is the prime n with cofactor 1, so all finite curve points have
-    order n.
+    order n.  A one-term ``multi_scalar_mul``, so the generator goes
+    through the fixed-base table and every other point through the wNAF
+    kernel.
     """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    _require_on_curve(point)
-    if point is None:
-        return None
-    k %= N
-    if k == 0:
-        return None
-    if point == G:
-        return _to_affine(_fixed_base_mul(k))
-    # Generic 4-bit window over Jacobian coordinates.
-    table = [(point.x, point.y, 1)]
-    for _ in range(2 ** _WINDOW - 2):
-        table.append(_jadd_affine(table[-1], point.x, point.y))
-    acc = None
-    for w in range((k.bit_length() + _WINDOW - 1) // _WINDOW - 1, -1, -1):
-        if acc is not None:
-            acc = _jdbl(acc)
-            acc = _jdbl(acc)
-            acc = _jdbl(acc)
-            acc = _jdbl(acc)
-        d = (k >> (_WINDOW * w)) & 15
-        if d:
-            acc = _jadd(acc, table[d - 1])
-    return _to_affine(acc)
+    return multi_scalar_mul(((k, point),))
+
+
+def _wnaf(k: int):
+    """Width-5 NAF of k >= 0: yield (position, digit) for each nonzero digit.
+
+    Positions ascend and are at least _WNAF_WIDTH apart, every digit is
+    odd with |digit| < _WNAF_HALF, and sum(digit << position) == k.  The
+    highest position is at most k.bit_length().
+    """
+    position = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        d = k & (2 * _WNAF_HALF - 1)
+        if d > _WNAF_HALF:
+            d -= 2 * _WNAF_HALF
+        yield position, d
+        k -= d
+
+
+def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
+    """Affine [-15P, ..., -3P, -P, P, 3P, ..., 15P] for every point.
+
+    Digit d of the wNAF picks entry (d + 15) >> 1.  The positive
+    multiples are built in Jacobian coordinates, then all their Z
+    coordinates are inverted together with Montgomery's simultaneous
+    inversion trick (one field inversion plus three multiplications per
+    entry).  Adding 2P to (2j-1)P never doubles or cancels: that would
+    need (2j-3)P or (2j+1)P to be infinity, and P has the prime order n.
+    """
+    half = _WNAF_HALF // 2
+    entries = []
+    for point in points:
+        first = (point.x, point.y, 1)
+        twice = _jdbl(first)
+        entries.append(first)
+        for _ in range(half - 1):
+            entries.append(_jadd(entries[-1], twice))
+    prefix = []
+    running = 1
+    for _, _, z in entries:
+        prefix.append(running)
+        running = running * z % P
+    inv = pow(running, -1, P)
+    affine = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        x, y, z = entries[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        affine[i] = (x * zi2 % P, y * zi2 % P * zi % P)
+    tables = []
+    for start in range(0, len(affine), half):
+        positive = affine[start:start + half]
+        tables.append([(x, P - y) for x, y in reversed(positive)] + positive)
+    return tables
 
 
 def multi_scalar_mul(pairs) -> Point | None:
-    """Compute sum(k_i * P_i) with one shared double-and-add pass.
+    """Compute sum(k_i * P_i) exactly.  Every k_i >= 0; an empty input is infinity.
 
-    Straus interleaving: every point gets a 4-bit window table, the
-    accumulator is doubled once per window position for the whole batch.
-    Produces exactly the value of folding ``scalar_mul``/``point_add``
-    (all arithmetic here is exact), just with far fewer doublings.
-    An empty input yields the point at infinity.
+    Terms whose base is G have their scalars summed and go through the
+    fixed-base table.  The other terms share one Straus pass over width-5
+    NAF digits (Moeller, SAC 2001): each base gets an affine table of its
+    odd multiples +-P, +-3P, ..., +-15P (a negation is (x, p - y)), all
+    tables of the call normalised with one simultaneous inversion, so the
+    main loop is one Jacobian doubling per bit position plus one mixed
+    addition per nonzero digit.
     """
+    g_scalar = 0
     terms = []
     for k, point in pairs:
         if k < 0:
@@ -290,53 +334,39 @@ def multi_scalar_mul(pairs) -> Point | None:
         _require_on_curve(point)
         if point is None:
             continue
+        if point == G:
+            g_scalar += k
+            continue
         k %= N
         if k:
             terms.append((k, point))
-    if not terms:
-        return None
-    tables = []
-    for _, point in terms:
-        tbl = [(point.x, point.y, 1)]
-        for _ in range(2 ** _WINDOW - 2):
-            tbl.append(_jadd_affine(tbl[-1], point.x, point.y))
-        tables.append(tbl)
-    top = max(k.bit_length() for k, _ in terms)
     acc = None
-    for w in range((top + _WINDOW - 1) // _WINDOW - 1, -1, -1):
-        if acc is not None:
+    if terms:
+        tables = _odd_multiple_tables([point for _, point in terms])
+        adds: list[list[tuple[int, int]]] = [
+            [] for _ in range(max(k.bit_length() for k, _ in terms) + 1)]
+        for (k, _), table in zip(terms, tables):
+            for position, d in _wnaf(k):
+                adds[position].append(table[(d + _WNAF_HALF - 1) >> 1])
+        for position in range(len(adds) - 1, -1, -1):
             acc = _jdbl(acc)
-            acc = _jdbl(acc)
-            acc = _jdbl(acc)
-            acc = _jdbl(acc)
-        shift = _WINDOW * w
-        for (k, _), tbl in zip(terms, tables):
-            d = (k >> shift) & 15
-            if d:
-                acc = _jadd(acc, tbl[d - 1])
-    return _to_affine(acc)
+            for x, y in adds[position]:
+                acc = _jadd_affine(acc, x, y)
+    return _to_affine(_jadd(acc, _fixed_base_mul(g_scalar % N)))
 
 
 # === Validation ===
 
 
-def validate_public_key(q: Point | None, *, check_order: bool = True) -> bool:
-    """Check that q is a usable public key.
+def validate_public_key(q: Point | None) -> bool:
+    """Check that q is a usable public key: finite and on the curve.
 
-    Rejects the point at infinity and off-curve coordinates, then checks
-    n * q == infinity.  With cofactor 1 the group order is the prime n,
-    so every finite on-curve point already has order n and the scalar
-    multiplication can be skipped by passing ``check_order=False`` —
-    callers in batch paths use that shortcut, which rejects exactly the
-    same set of inputs.
+    No order check is needed.  ``validate_curve_security`` enforces
+    cofactor h = 1, so the group of curve points has the prime order n
+    and every finite on-curve point already has order n; n * q would be
+    infinity for every q this function accepts.
     """
-    if q is None:
-        return False
-    if not is_on_curve(q):
-        return False
-    if check_order and scalar_mul(N, q) is not None:
-        return False
-    return True
+    return q is not None and is_on_curve(q)
 
 
 @dataclass(frozen=True)

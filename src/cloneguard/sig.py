@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ec import B, G, INFINITY, N, P, Point, is_on_curve, multi_scalar_mul, scalar_mul, validate_public_key
+from .ec import (B, G, INFINITY, N, P, Point, is_on_curve, multi_scalar_mul, point_neg, scalar_mul,
+                 validate_public_key)
 
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
@@ -132,11 +133,18 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
         sum(lambda_i * R_i)
             == (sum(lambda_i * u1_i) mod n) * G + sum(lambda_i * u2_i mod n) * Q_i
 
-    evaluated as a single multi-scalar multiplication (the R terms are
-    folded in negated, so acceptance means the combined sum is the point
-    at infinity).  Structurally broken items — off-curve or infinite R,
-    out-of-range scalars, unusable public keys — reject the batch before
-    the equation is evaluated.
+    evaluated as one multi-scalar multiplication that must give the point
+    at infinity:
+
+        sum(lambda_i * (-R_i)) + (sum(lambda_i * u1_i) mod n) * G
+            + sum(lambda_i * u2_i mod n) * Q_i
+
+    lambda_i multiplies the negated point -R_i (rather than n - lambda_i
+    multiplying R_i), so the R terms carry randomizer_bits-bit scalars
+    with few wNAF digits; the G term goes through the fixed-base table.
+    Structurally broken items — off-curve or infinite R, out-of-range
+    scalars, unusable public keys — reject the batch before the equation
+    is evaluated.
 
     Returns a single accept/reject for the whole batch; callers that
     need to locate an offender fall back to ``verify_each``.
@@ -150,9 +158,7 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
             return False
         if not (1 <= sig.R.x % N < N and 1 <= sig.s < N):
             return False
-        # Cofactor-1 shortcut: on-curve and finite already implies
-        # order n, so the full order check is redundant here.
-        if not validate_public_key(public, check_order=False):
+        if not validate_public_key(public):
             return False
 
     pairs = []
@@ -164,7 +170,7 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
         u1 = e * w % N
         u2 = sig.R.x % N * w % N
         u1_sum = (u1_sum + lam * u1) % N
-        pairs.append((N - lam % N, sig.R))  # -lambda_i * R_i
+        pairs.append((lam, point_neg(sig.R)))
         pairs.append((lam * u2 % N, public))
     pairs.append((u1_sum, G))
     return multi_scalar_mul(pairs) is INFINITY

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard.ec import (A, B, G, INFINITY, N, P, P256, DomainParams,
-                           InvalidPointError, Point, is_on_curve, multi_scalar_mul,
+                           InvalidPointError, Point, _wnaf, is_on_curve, multi_scalar_mul,
                            point_add, point_neg, scalar_mul, validate_curve_security,
                            validate_public_key)
 
@@ -157,12 +157,30 @@ def test_multi_scalar_mul_empty_and_trivial():
 
 def test_multi_scalar_mul_matches_fold():
     rng = random.Random(13)
+    cases = []
     for trial in range(8):
         size = rng.randrange(1, 26)
-        pairs = [(rng.randrange(0, N), random_point(rng)) for _ in range(size)]
+        cases.append([(rng.randrange(0, N), random_point(rng)) for _ in range(size)])
+    k = rng.randrange(1, N)
+    q = random_point(rng)
+    cases += [
+        # G among the terms, G twice, and G terms that cancel.
+        [(k, q), (rng.randrange(0, N), G)],
+        [(k, G), (rng.randrange(0, N), G), (k, q)],
+        [(k, G), (N - k, G)],
+        # A point next to its negation, and a repeated point: the
+        # accumulator meets the added point's negation or the point itself.
+        [(k, q), (k, point_neg(q))],
+        [(k, q), (k, q)],
+        [(k, q), (k, point_neg(q)), (2 ** 64 - 1, q)],
+        # Scalars 0, N - 1 and values >= N.
+        [(0, q), (N - 1, q), (N - 1, G)],
+        [(N, q), (N + k, q), (2 * N - 1, G), (2 ** 300 + 7, q)],
+    ]
+    for pairs in cases:
         folded = None
         for k, pt in pairs:
-            folded = point_add(folded, scalar_mul(k, pt))
+            folded = point_add(folded, oracle_mul(k % N, pt))
         assert multi_scalar_mul(pairs) == folded
 
 
@@ -178,15 +196,24 @@ def test_multi_scalar_mul_matches_fold_property(cases):
     assert multi_scalar_mul(pairs) == folded
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=N - 1))
+def test_wnaf_recoding(k):
+    digits = list(_wnaf(k))
+    assert sum(d << i for i, d in digits) == k
+    assert all(d % 2 == 1 and abs(d) <= 15 for _, d in digits)
+    positions = [i for i, _ in digits]
+    assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
+    assert not positions or positions[-1] <= k.bit_length()
+
+
 def test_validate_public_key():
     rng = random.Random(5)
     good = random_point(rng)
     assert validate_public_key(good)
-    assert validate_public_key(good, check_order=False)
     assert not validate_public_key(INFINITY)
     off = Point(good.x, (good.y + 1) % P)
     assert not validate_public_key(off)
-    assert not validate_public_key(off, check_order=False)
 
 
 def test_curve_security_p256_passes():

@@ -145,6 +145,19 @@ def test_batch_rejects_structural_garbage():
         batch_verify(items, rng, randomizer_bits=0)
 
 
+def test_batch_rejects_negated_nonce_point():
+    # -R has the same x as R, so the classic check accepts it; the batch
+    # equation must not, whatever sign the folded lambda_i * (-R_i) has.
+    rng = random.Random(27)
+    items = make_items(rng, 8)
+    message, star, public = items[5]
+    negated = StarSignature(Point(star.R.x, P - star.R.y), star.s)
+    assert verify_classic(message, negated.to_classic(), public)
+    items[5] = (message, negated, public)
+    assert not batch_verify(items, rng)
+    assert not batch_verify([items[5]], rng)
+
+
 def test_batch_mixed_with_valid_items_still_rejects():
     rng = random.Random(26)
     items = make_items(rng, 8)

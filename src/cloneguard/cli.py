@@ -39,7 +39,6 @@ _FIELD_PARSERS = {
     "num_clones": _parse_int,
     "environment": str,
     "area_side": float,
-    "comm_radius": float,
     "rwp_speed_min": float,
     "rwp_speed_max": float,
     "rwp_pause_min": float,

@@ -202,13 +202,9 @@ class LbsStore:
         self.contexts: dict[int, ContextInformation] = {}
         self.public_keys: dict[int, Point] = {}
         self.proofs: dict[int, LocationProof] = {}
-        self.verifier_ids: list[int] = []
 
     def register_public_key(self, device_id: int, public: Point) -> None:
         self.public_keys[device_id] = public
-
-    def register_verifiers(self, verifier_ids: Sequence[int]) -> None:
-        self.verifier_ids = sorted(verifier_ids)
 
     def store_context(self, ci: ContextInformation) -> None:
         self.contexts[ci.device_id] = ci

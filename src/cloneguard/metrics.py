@@ -54,37 +54,26 @@ QUOTED_DEVICE_BUDGET_BYTES = 73
 VERIFIER_TRACK_BYTES = 2 + 8
 
 
-@dataclass(frozen=True)
-class MessageLogEntry:
-    round_no: int
-    from_role: str
-    to_role: str
-    category: str
-    payload_bytes: int
-    latency_ms: float
-    t_ms: float  # simulated timestamp after delivery
-
-
 class MetricsSink:
-    """Collects the message log, simulated clock, and wall-clock timers."""
+    """Counts messages, runs the simulated clock, and holds wall-clock timers."""
 
     def __init__(self) -> None:
-        self.entries: list[MessageLogEntry] = []
+        # (sender role, category) -> messages sent; bytes follow from WIRE_BYTES
+        self.counts: dict[tuple[str, str], int] = {}
         self.clock_ms = 0.0
         self.op_seconds: dict[str, list[float]] = {}
 
-    def log(self, round_no: int, from_role: str, to_role: str, category: str,
-            latency_ms: float) -> MessageLogEntry:
-        """Log one message; the simulated clock advances by its latency."""
+    def log(self, from_role: str, category: str, latency_ms: float) -> float:
+        """Count one message; the simulated clock advances by its latency.
+
+        Returns the simulated delivery time.
+        """
         if category not in WIRE_BYTES:
             raise ValueError(f"unknown message category: {category}")
         self.clock_ms += latency_ms
-        entry = MessageLogEntry(round_no=round_no, from_role=from_role,
-                                to_role=to_role, category=category,
-                                payload_bytes=WIRE_BYTES[category],
-                                latency_ms=latency_ms, t_ms=self.clock_ms)
-        self.entries.append(entry)
-        return entry
+        key = (from_role, category)
+        self.counts[key] = self.counts.get(key, 0) + 1
+        return self.clock_ms
 
     @contextmanager
     def timer(self, name: str):
@@ -100,24 +89,23 @@ class MetricsSink:
     def message_counts(self) -> dict[str, dict[str, int]]:
         """Sender role -> category -> count."""
         out: dict[str, dict[str, int]] = {}
-        for entry in self.entries:
-            out.setdefault(entry.from_role, {}).setdefault(entry.category, 0)
-            out[entry.from_role][entry.category] += 1
+        for (role, category), count in self.counts.items():
+            out.setdefault(role, {})[category] = count
         return out
 
     def byte_counts(self) -> dict[str, dict[str, int]]:
         """Sender role -> category -> payload bytes."""
         out: dict[str, dict[str, int]] = {}
-        for entry in self.entries:
-            out.setdefault(entry.from_role, {}).setdefault(entry.category, 0)
-            out[entry.from_role][entry.category] += entry.payload_bytes
+        for (role, category), count in self.counts.items():
+            out.setdefault(role, {})[category] = count * WIRE_BYTES[category]
         return out
 
     def total_messages(self) -> int:
-        return len(self.entries)
+        return sum(self.counts.values())
 
     def total_bytes(self) -> int:
-        return sum(entry.payload_bytes for entry in self.entries)
+        return sum(count * WIRE_BYTES[category]
+                   for (_, category), count in self.counts.items())
 
 
 def expected_tree_messages(degree: int, height: int) -> int:
@@ -167,7 +155,7 @@ class SimulationReport:
     total_messages: int
     total_bytes: int
     storage_bytes: dict[str, int]
-    confidence_rounds: list[dict[str, dict[str, float]]]
+    verifier_confidence: dict[str, dict[str, float]]  # cohort id -> scores
     wall_clock_seconds: dict[str, list[float]] = field(default_factory=dict)
 
     def to_canonical_dict(self) -> dict:
@@ -198,7 +186,7 @@ class SimulationReport:
                 "quoted_budget_bytes": QUOTED_DEVICE_BUDGET_BYTES,
                 "matches_quoted_budget": DEVICE_STORAGE_BYTES == QUOTED_DEVICE_BUDGET_BYTES,
             },
-            "confidence_rounds": self.confidence_rounds,
+            "verifier_confidence": self.verifier_confidence,
         }
 
     def to_canonical_json(self) -> str:

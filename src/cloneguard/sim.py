@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import context as ctx
 from . import metrics as met
@@ -59,7 +59,6 @@ class NetworkConfig:
     num_clones: int | None = None
     environment: str = "sparse"
     area_side: float = 256.0
-    comm_radius: float = 1.0
     rwp_speed_min: float = 1.0
     rwp_speed_max: float = 5.0
     rwp_pause_min: float = 0.0
@@ -114,8 +113,6 @@ class NetworkConfig:
         if not 0.0 < cfg.area_side <= 256.0:
             problems.append(f"area_side ({cfg.area_side}) must be in (0, 256] to stay "
                             "addressable by the context fixed-point encoding")
-        if cfg.comm_radius < 0.0:
-            problems.append("comm_radius must be non-negative")
         if not 0.0 <= cfg.rwp_speed_min <= cfg.rwp_speed_max:
             problems.append("rwp speed range must satisfy 0 <= min <= max")
         if not 0.0 <= cfg.rwp_pause_min <= cfg.rwp_pause_max:
@@ -185,8 +182,6 @@ class SimulationState:
     trust: TrustState
     sink: met.MetricsSink
     round_no: int = 0
-    graph: dict[int, list[int]] = field(default_factory=dict)
-    confidence_rounds: list[dict[str, dict[str, float]]] = field(default_factory=list)
 
     def targets(self) -> list[Node]:
         """Prover-role physical nodes, clones included, in index order."""
@@ -203,11 +198,12 @@ def _zone(x: float, y: float) -> str:
 def init_network(config: NetworkConfig) -> SimulationState:
     """Build the device population and run the registration phase.
 
-    Verifiers are chosen by trust ranking; with no history yet every
-    device scores the neutral default, so the cohort is the lowest
-    device ids — reproducible by construction.  Every device then senses
-    its initial context, registers its public key, and stores the record
-    with the location store.
+    The verifier cohort is chosen here, once, by trust ranking, and
+    keeps its role for the whole run.  With no history yet every device
+    scores the neutral default, so the cohort is the lowest device ids —
+    reproducible by construction.  Every device then senses its initial
+    context, registers its public key, and stores the record with the
+    location store.
     """
     config.validate()
     cfg = config.resolve()
@@ -222,7 +218,6 @@ def init_network(config: NetworkConfig) -> SimulationState:
 
     sink = met.MetricsSink()
     lbs = ctx.LbsStore()
-    lbs.register_verifiers(sorted(verifier_ids))
 
     nodes = []
     with sink.timer("keygen"):
@@ -249,12 +244,12 @@ def init_network(config: NetworkConfig) -> SimulationState:
     for node in nodes:
         ci = ctx.sense_context(node.device_id, 0, node.position(), node.activity)
         node.current_ci = ci
-        sink.log(0, node.role, node.role, "sense", cfg.latency_ms)
+        sink.log(node.role, "sense", cfg.latency_ms)
         lbs.register_public_key(node.device_id, node.keypair.public)
-        sink.log(0, node.role, ROLE_LBS, "register", cfg.latency_ms)
+        sink.log(node.role, "register", cfg.latency_ms)
         lbs.store_context(ci)
-        sink.log(0, node.role, ROLE_LBS, "store", cfg.latency_ms)
-        sink.log(0, ROLE_LBS, node.role, "ack", cfg.latency_ms)
+        sink.log(node.role, "store", cfg.latency_ms)
+        sink.log(ROLE_LBS, "ack", cfg.latency_ms)
     return state
 
 
@@ -290,20 +285,6 @@ def mobility_step(state: SimulationState) -> None:
         else:
             node.x += dx / dist * node.speed
             node.y += dy / dist * node.speed
-
-
-def build_graph(state: SimulationState) -> dict[int, list[int]]:
-    """Unit-disk connectivity: nodes within comm_radius are neighbours."""
-    radius = state.config.comm_radius
-    nodes = state.nodes
-    graph: dict[int, list[int]] = {node.idx: [] for node in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if ctx.euclidean_distance(a.position(), b.position()) <= radius:
-                graph[a.idx].append(b.idx)
-                graph[b.idx].append(a.idx)
-    state.graph = graph
-    return graph
 
 
 def inject_clones(state: SimulationState, count: int | None = None) -> list[Node]:
@@ -352,15 +333,13 @@ def run_detection_round(state: SimulationState) -> RoundResult:
     Phase B: targets are split round-robin across the verifier cohort
     and handled in proof batches: request, response, verifier-side
     observation, store lookup, then the two-stage proof verification.
-    Phase C: confirmed interactions feed the trust state and the round's
-    confidence snapshot is recorded.
+    Each confirmed honest prover records an interaction with, and
+    feedback about, its verifier in the trust state.
     """
     cfg = state.config
     sink = state.sink
     state.round_no += 1
     tick = state.round_no
-
-    build_graph(state)
 
     # Phase A — sensing and storing.
     for node in state.nodes:
@@ -368,10 +347,10 @@ def run_detection_round(state: SimulationState) -> RoundResult:
             continue
         ci = ctx.sense_context(node.device_id, tick, node.position(), node.activity)
         node.current_ci = ci
-        sink.log(tick, node.role, node.role, "sense", cfg.latency_ms)
+        sink.log(node.role, "sense", cfg.latency_ms)
         state.lbs.store_context(ci)
-        sink.log(tick, node.role, ROLE_LBS, "store", cfg.latency_ms)
-        sink.log(tick, ROLE_LBS, node.role, "ack", cfg.latency_ms)
+        sink.log(node.role, "store", cfg.latency_ms)
+        sink.log(ROLE_LBS, "ack", cfg.latency_ms)
 
     # Phase B — proof collection and verification, per verifier batch.
     targets = state.targets()
@@ -394,9 +373,8 @@ def run_detection_round(state: SimulationState) -> RoundResult:
 
             request_ts = {}
             for target in batch:
-                entry = sink.log(tick, ROLE_VERIFIER, target.role, "proof_request",
-                                 cfg.latency_ms)
-                request_ts[target.idx] = entry.t_ms
+                request_ts[target.idx] = sink.log(ROLE_VERIFIER, "proof_request",
+                                                  cfg.latency_ms)
 
             proofs = {}
             with sink.timer("sign"):
@@ -404,16 +382,15 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                     proofs[target.idx] = ctx.generate_proof(
                         target.presented_ci(), target.keypair.private, nonce_rng,
                         request_pending=True)
-                    sink.log(tick, target.role, ROLE_VERIFIER, "proof_response",
-                             cfg.latency_ms)
+                    sink.log(target.role, "proof_response", cfg.latency_ms)
 
             batch_pres = []
             for target in batch:
                 observed = ctx.sense_context(target.device_id, tick,
                                              target.position(), target.activity)
-                sink.log(tick, ROLE_VERIFIER, ROLE_VERIFIER, "sense", cfg.latency_ms)
-                sink.log(tick, ROLE_VERIFIER, ROLE_LBS, "ci_check", cfg.latency_ms)
-                sink.log(tick, ROLE_LBS, ROLE_VERIFIER, "ack", cfg.latency_ms)
+                sink.log(ROLE_VERIFIER, "sense", cfg.latency_ms)
+                sink.log(ROLE_VERIFIER, "ci_check", cfg.latency_ms)
+                sink.log(ROLE_LBS, "ack", cfg.latency_ms)
                 pres = ctx.ProofPresentation(proof=proofs[target.idx], observed=observed)
                 batch_pres.append(pres)
                 presentations[target.idx] = pres
@@ -427,8 +404,7 @@ def run_detection_round(state: SimulationState) -> RoundResult:
             for target, verdict in zip(batch, batch_verdicts):
                 verdicts[target.idx] = verdict
                 if verdict is ctx.Verdict.CONFIRMED:
-                    sink.log(tick, ROLE_VERIFIER, target.role, "verify_confirm",
-                             cfg.latency_ms)
+                    sink.log(ROLE_VERIFIER, "verify_confirm", cfg.latency_ms)
                     state.lbs.store_proof(proofs[target.idx])
                     if target.role == ROLE_PROVER:
                         zone = _zone(verifier.x, verifier.y)
@@ -437,8 +413,8 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                         state.trust.record_feedback(target.device_id,
                                                     verifier.device_id, 1.0)
                 else:
-                    entry = sink.log(tick, ROLE_VERIFIER, ROLE_LBS,
-                                     "compromise_report", cfg.latency_ms)
+                    reported_ms = sink.log(ROLE_VERIFIER, "compromise_report",
+                                           cfg.latency_ms)
                     if target.role == ROLE_CLONE:
                         detections.append(met.DetectionRecord(
                             clone_idx=target.idx,
@@ -446,17 +422,9 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                             device_id=target.device_id,
                             case=verdict.value,
                             round_no=tick,
-                            detection_time_ms=entry.t_ms - request_ts[target.idx]))
+                            detection_time_ms=reported_ms - request_ts[target.idx]))
                     else:
                         false_positives += 1
-
-    # Phase C — trust bookkeeping.
-    snapshot = state.trust.finish_round()
-    state.confidence_rounds.append({
-        str(dev): {"implicit": rec.implicit, "explicit": rec.explicit,
-                   "total": rec.total}
-        for dev, rec in sorted(snapshot.items())
-    })
 
     return RoundResult(round_no=tick, verdicts=verdicts, presentations=presentations,
                        detections=detections, false_positives=false_positives)
@@ -467,7 +435,9 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
 
     A clone counts as detected from the first round that flags it; the
     detection probability is detected / injected (trivially 1.0 for a
-    clone-free baseline).
+    clone-free baseline).  Trust is scored once, after the last round:
+    the report carries each verifier's implicit, explicit and total
+    confidence.
     """
     state = init_network(config)
     cfg = state.config
@@ -501,6 +471,13 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
         "lbs": state.lbs.storage_bytes(),
         "verifier_tracked_provers": tracked,
     }
+    confidence = state.trust.snapshot()
+    cohort = [confidence[node.device_id] for node in state.verifiers()]
+    verifier_confidence = {
+        str(rec.device_id): {"implicit": rec.implicit, "explicit": rec.explicit,
+                             "total": rec.total}
+        for rec in cohort
+    }
 
     return met.SimulationReport(
         config=cfg.to_dict(),
@@ -514,6 +491,6 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
         total_messages=state.sink.total_messages(),
         total_bytes=state.sink.total_bytes(),
         storage_bytes=storage,
-        confidence_rounds=state.confidence_rounds,
+        verifier_confidence=verifier_confidence,
         wall_clock_seconds=dict(state.sink.op_seconds),
     )

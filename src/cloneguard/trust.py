@@ -147,13 +147,13 @@ def select_verifiers(records: Iterable[ConfidenceRecord], count: int) -> list[in
 
 
 class TrustState:
-    """Rolling confidence bookkeeping for a device population.
+    """Confidence bookkeeping for a device population.
 
     The simulator feeds it two kinds of evidence after each detection
     round: direct interactions (rater worked with subject at a location
-    and scored the outcome) and explicit feedback entries.  Confidence
-    records are recomputed from scratch at every ``finish_round`` so the
-    scores always reflect the full history.
+    and scored the outcome) and explicit feedback entries.  Nothing is
+    scored until asked: ``snapshot`` computes every device's record from
+    the full history on demand, and ``select`` ranks that snapshot.
     """
 
     def __init__(self, device_ids: Sequence[int],
@@ -165,12 +165,6 @@ class TrustState:
         self._history: dict[tuple[int, int], dict[str, list[float]]] = {}
         # subject -> accumulated feedback entries
         self._feedback: dict[int, list[FeedbackEntry]] = {}
-        self._records: dict[int, ConfidenceRecord] = {
-            dev: ConfidenceRecord(dev, DEFAULT_CONFIDENCE, DEFAULT_CONFIDENCE,
-                                  total_confidence(DEFAULT_CONFIDENCE, DEFAULT_CONFIDENCE,
-                                                   alpha, beta))
-            for dev in self.device_ids
-        }
 
     def record_interaction(self, rater: int, subject: int, location: str, score: float) -> None:
         """Log a direct interaction; the location's recent score shifts to previous."""
@@ -185,34 +179,29 @@ class TrustState:
             FeedbackEntry(rater=rater, subject=subject, score=clamp01(score),
                           level_weight=level_weight))
 
-    def _implicit_for(self, subject: int) -> float:
-        per_rater = []
-        for (rater, subj), locations in sorted(self._history.items()):
-            if subj != subject:
-                continue
+    def snapshot(self) -> dict[int, ConfidenceRecord]:
+        """Every device's record, computed from the full history.
+
+        Implicit confidence is the mean, over raters in ascending id
+        order, of each rater's per-location score for the subject; a
+        subject nobody has rated scores the neutral default.
+        """
+        rater_scores: dict[int, list[float]] = {}  # subject -> one score per rater
+        for (_, subject), locations in sorted(self._history.items()):
             observations = [
                 LocationObservation(location=loc, previous=slot[0], recent=slot[1])
                 for loc, slot in sorted(locations.items())
             ]
-            per_rater.append(implicit_confidence(observations))
-        if not per_rater:
-            return DEFAULT_CONFIDENCE
-        return sum(per_rater) / len(per_rater)
-
-    def finish_round(self) -> dict[int, ConfidenceRecord]:
-        """Recompute every device's record; returns the fresh snapshot."""
+            rater_scores.setdefault(subject, []).append(implicit_confidence(observations))
         records = {}
         for dev in self.device_ids:
-            implicit = self._implicit_for(dev)
+            scores = rater_scores.get(dev)
+            implicit = sum(scores) / len(scores) if scores else DEFAULT_CONFIDENCE
             explicit = explicit_confidence(self._feedback.get(dev, []))
             records[dev] = ConfidenceRecord(
                 device_id=dev, implicit=implicit, explicit=explicit,
                 total=total_confidence(implicit, explicit, self.alpha, self.beta))
-        self._records = records
-        return dict(records)
-
-    def snapshot(self) -> dict[int, ConfidenceRecord]:
-        return dict(self._records)
+        return records
 
     def select(self, count: int) -> list[int]:
-        return select_verifiers(self._records.values(), count)
+        return select_verifiers(self.snapshot().values(), count)

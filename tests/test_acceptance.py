@@ -355,7 +355,6 @@ def test_criterion_8_trust_model(capsys):
                     state.record_interaction(rater, subject, "zone",
                                              rng.uniform(0.0, 1.2))
                     state.record_feedback(rater, subject, rng.uniform(0.0, 1.0))
-            state.finish_round()
             for record in state.snapshot().values():
                 assert 0.0 <= record.implicit <= 1.0
                 assert 0.0 <= record.explicit <= 1.0

@@ -59,6 +59,14 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_removed_comm_radius_key_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("num_devices = 100\ncomm_radius = 1.0\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "old.cfg:2: unknown key 'comm_radius'" in capsys.readouterr().err
+
+
 # --- run ---
 
 

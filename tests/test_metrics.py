@@ -35,12 +35,13 @@ def test_device_storage_budget():
 
 def test_sink_clock_advances_per_message():
     sink = MetricsSink()
-    e1 = sink.log(1, "prover", "verifier", "proof_response", 1.5)
-    e2 = sink.log(1, "verifier", "lbs", "ci_check", 1.5)
-    assert e1.t_ms == 1.5
-    assert e2.t_ms == 3.0
-    assert e1.payload_bytes == 99
-    assert e2.payload_bytes == 2
+    t1 = sink.log("prover", "proof_response", 1.5)
+    t2 = sink.log("verifier", "ci_check", 1.5)
+    assert t1 == 1.5
+    assert t2 == 3.0
+    assert sink.clock_ms == 3.0
+    assert sink.byte_counts() == {"prover": {"proof_response": 99},
+                                  "verifier": {"ci_check": 2}}
     assert sink.total_messages() == 2
     assert sink.total_bytes() == 101
 
@@ -48,14 +49,16 @@ def test_sink_clock_advances_per_message():
 def test_sink_rejects_unknown_category():
     sink = MetricsSink()
     with pytest.raises(ValueError):
-        sink.log(1, "prover", "verifier", "gossip", 1.0)
+        sink.log("prover", "gossip", 1.0)
+    assert sink.clock_ms == 0.0
+    assert sink.total_messages() == 0
 
 
 def test_sink_count_tables():
     sink = MetricsSink()
     for _ in range(3):
-        sink.log(1, "prover", "verifier", "proof_response", 1.0)
-    sink.log(1, "verifier", "lbs", "ci_check", 1.0)
+        sink.log("prover", "proof_response", 1.0)
+    sink.log("verifier", "ci_check", 1.0)
     assert sink.message_counts() == {"prover": {"proof_response": 3},
                                      "verifier": {"ci_check": 1}}
     assert sink.byte_counts() == {"prover": {"proof_response": 297},
@@ -135,7 +138,7 @@ def _tiny_report(num_devices=100, total_messages=1000, seed=1, tracked=3):
         total_messages=total_messages,
         total_bytes=6930,
         storage_bytes={"device_bytes": 81, "verifier_tracked_provers": tracked},
-        confidence_rounds=[],
+        verifier_confidence={},
         wall_clock_seconds={"sign": [0.001]},
     )
 

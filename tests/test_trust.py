@@ -168,7 +168,7 @@ def test_trust_state_accumulates_evidence():
 
     state.record_interaction(rater=3, subject=0, location="z0_0", score=1.0)
     state.record_feedback(rater=3, subject=0, score=1.0)
-    snap = state.finish_round()
+    snap = state.snapshot()
     assert snap[0].total > DEFAULT_CONFIDENCE
     assert snap[1].total == DEFAULT_CONFIDENCE
 
@@ -178,11 +178,11 @@ def test_trust_state_accumulates_evidence():
 def test_trust_state_recent_shifts_to_previous():
     state = TrustState(range(3))
     state.record_interaction(1, 0, "z", 1.0)
-    first = state.finish_round()[0].implicit
+    first = state.snapshot()[0].implicit
     # previous=default, recent=1.0 -> (0.5 + 1.0) / 2
     assert first == pytest.approx((DEFAULT_CONFIDENCE + 1.0) / 2, abs=TOL)
     state.record_interaction(1, 0, "z", 1.0)
-    second = state.finish_round()[0].implicit
+    second = state.snapshot()[0].implicit
     assert second == pytest.approx(1.0, abs=TOL)
 
 
@@ -193,9 +193,73 @@ def test_trust_state_fifty_rounds_stays_bounded():
             for subject in range(3):
                 state.record_interaction(rater, subject, f"z{round_no % 4}", 1.0)
                 state.record_feedback(rater, subject, 1.0)
-        snap = state.finish_round()
+        snap = state.snapshot()
         assert all(0.0 <= rec.implicit <= 1.0 for rec in snap.values())
         assert all(0.0 <= rec.explicit <= 1.0 for rec in snap.values())
         assert all(0.0 <= rec.total <= 1.0 for rec in snap.values())
-    final = state.finish_round()
+    final = state.snapshot()
     assert final[0].total == pytest.approx(1.0, abs=1e-9)
+
+
+def oracle_snapshot(device_ids, interactions, feedback, alpha, beta):
+    """Brute force, one subject at a time: replay that subject's evidence
+    from scratch and score it with the public formulas."""
+    out = {}
+    for dev in device_ids:
+        per_rater = []
+        for rater in sorted({r for r, subject, _, _ in interactions if subject == dev}):
+            slots: dict[str, list[float]] = {}
+            for r, subject, location, score in interactions:
+                if (r, subject) == (rater, dev):
+                    slot = slots.setdefault(location, [DEFAULT_CONFIDENCE, DEFAULT_CONFIDENCE])
+                    slot[:] = [slot[1], clamp01(score)]
+            per_rater.append(implicit_confidence(
+                [LocationObservation(loc, *slots[loc]) for loc in sorted(slots)]))
+        implicit = sum(per_rater) / len(per_rater) if per_rater else DEFAULT_CONFIDENCE
+        explicit = explicit_confidence(
+            [FeedbackEntry(rater, subject, clamp01(score), weight)
+             for rater, subject, score, weight in feedback if subject == dev])
+        out[dev] = ConfidenceRecord(dev, implicit, explicit,
+                                    total_confidence(implicit, explicit, alpha, beta))
+    return out
+
+
+def check_against_oracle(interactions, feedback, alpha, beta):
+    state = TrustState(range(6), alpha, beta)
+    for rater, subject, location, score in interactions:
+        state.record_interaction(rater, subject, location, score)
+    for rater, subject, score, weight in feedback:
+        state.record_feedback(rater, subject, score, weight)
+    expected = oracle_snapshot(range(6), interactions, feedback, alpha, beta)
+    assert state.snapshot() == expected  # float equality: bit for bit
+    assert state.select(3) == select_verifiers(expected.values(), 3)
+
+
+LOCATIONS = ["z0_0", "z0_1", "z1_0", "z3_2", "z7_7"]
+WEIGHTS = [(0.5, 0.5), (0.3, 0.6), (1.0, 0.0), (0.0, 1.0)]
+raters = st.integers(min_value=0, max_value=7)
+subjects = st.integers(min_value=0, max_value=7)  # 6 and 7 are not scored devices
+raw_scores = st.floats(min_value=-0.25, max_value=1.25, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(raters, subjects, st.sampled_from(LOCATIONS), raw_scores),
+                max_size=40),
+       st.lists(st.tuples(raters, subjects, raw_scores,
+                          st.floats(min_value=0.01, max_value=5.0)), max_size=20),
+       st.sampled_from(WEIGHTS))
+def test_snapshot_matches_per_subject_oracle(interactions, feedback, weights):
+    check_against_oracle(interactions, feedback, *weights)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from(WEIGHTS))
+def test_snapshot_matches_oracle_on_dense_histories(rng, weights):
+    # Every pair collects several interactions over several locations in
+    # arbitrary order, so summing in any other order than the oracle's
+    # would show in the low bits.
+    interactions = [(rng.randrange(8), rng.randrange(8), rng.choice(LOCATIONS),
+                     rng.uniform(-0.25, 1.25)) for _ in range(300)]
+    feedback = [(rng.randrange(8), rng.randrange(8), rng.uniform(-0.25, 1.25),
+                 rng.uniform(0.01, 5.0)) for _ in range(60)]
+    check_against_oracle(interactions, feedback, *weights)

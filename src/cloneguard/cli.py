@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 
+from . import ec
 from . import metrics as met
 from . import sig as sigmod
 from .sim import ConfigError, NetworkConfig, run_experiment
@@ -213,6 +214,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _bench_keygen(out_dir: str, devices: int, seed: int) -> None:
     rng = random.Random(seed)
+    ec.scalar_mul(1, ec.G)  # build the lazy generator table before any timing
     rows = []
     for device_id in range(devices):
         start = time.perf_counter()

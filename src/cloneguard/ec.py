@@ -3,12 +3,13 @@
 The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
 multiplication is one multi-scalar multiplication: terms on the
-generator G go through a fixed-base table of affine multiples, and all
-other terms share one Straus pass over width-5 NAF digits whose affine
-tables of odd multiples +-P, +-3P, ..., +-15P are normalised with a single
-simultaneous inversion.  The accumulator runs in Jacobian coordinates
-and converts back to affine once at the end, so a call costs at most
-two field inversions.
+generator G go through a fixed-base table of affine multiples indexed by
+signed 7-bit digits (at most 37 mixed additions and no doublings), and
+all other terms share one Straus pass over width-5 NAF digits whose
+affine tables of odd multiples +-P, +-3P, ..., +-15P are normalised with
+a single simultaneous inversion.  The accumulator runs in Jacobian
+coordinates and converts back to affine once at the end, so a call costs
+at most two field inversions.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -31,7 +32,8 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
-_WINDOW = 4  # window width (bits) of the fixed-base generator table
+_GEN_WIDTH = 7  # digit width (bits) of the signed fixed-base generator table
+_GEN_HALF = 1 << (_GEN_WIDTH - 1)  # generator digits lie in [-_GEN_HALF + 1, _GEN_HALF]
 _WNAF_WIDTH = 5  # NAF width of the variable-base multi-scalar kernel
 _WNAF_HALF = 1 << (_WNAF_WIDTH - 1)  # digits are odd with |d| < _WNAF_HALF
 
@@ -209,40 +211,49 @@ def _to_affine(pt) -> Point | None:
 
 
 # === Fixed-base table for the generator ===
-# _GEN_TABLE[w][d-1] holds (d << 4w) * G in affine form, so a fixed-base
-# multiplication is at most 64 mixed additions and no doublings.  Built
-# lazily with the affine reference addition, which keeps the table
-# independent of the Jacobian code it accelerates.
+# _GEN_TABLE[w][d-1] holds (d << 7w) * G as an affine (x, y) pair for
+# d = 1 .. 64, over 37 rows: a scalar below 2^256 recodes into 37 signed
+# 7-bit digits in [-63, 64] (Brickell, Gordon, McCurley & Wilson,
+# EUROCRYPT 1992), and a negative digit adds (x, p - y).  The top row
+# covers bits 252-258, where the digit is at most 15 plus a carry, so
+# no carry leaves it.  A fixed-base multiplication is at most 37 mixed
+# additions and no doublings.  Built lazily with the affine reference
+# addition, which keeps the table independent of the Jacobian code it
+# accelerates.
 
-_GEN_TABLE: list[list[Point]] | None = None
+_GEN_TABLE: list[list[tuple[int, int]]] | None = None
 
 
-def _gen_table() -> list[list[Point]]:
+def _gen_table() -> list[list[tuple[int, int]]]:
     global _GEN_TABLE
     if _GEN_TABLE is None:
         table = []
         base: Point | None = G
-        for _ in range(256 // _WINDOW):
+        for _ in range((256 + _GEN_WIDTH - 1) // _GEN_WIDTH):
             row = [base]
-            for _ in range(2 ** _WINDOW - 2):
+            for _ in range(_GEN_HALF - 1):
                 row.append(point_add(row[-1], base))
-            table.append(row)  # type: ignore[arg-type]
-            base = point_add(row[-1], base)
+            table.append([(pt.x, pt.y) for pt in row])  # type: ignore[union-attr]
+            base = point_add(row[-1], row[-1])
         _GEN_TABLE = table
     return _GEN_TABLE
 
 
 def _fixed_base_mul(k: int):
-    table = _gen_table()
+    """k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row."""
     acc = None
-    w = 0
-    while k:
-        d = k & 15
-        if d:
-            pt = table[w][d - 1]
-            acc = _jadd_affine(acc, pt.x, pt.y)
-        k >>= 4
-        w += 1
+    for row in _gen_table():
+        if not k:
+            break
+        d = k & (2 * _GEN_HALF - 1)
+        k >>= _GEN_WIDTH
+        if d > _GEN_HALF:
+            x, y = row[2 * _GEN_HALF - d - 1]
+            acc = _jadd_affine(acc, x, P - y)
+            k += 1
+        elif d:
+            x, y = row[d - 1]
+            acc = _jadd_affine(acc, x, y)
     return acc
 
 
@@ -277,15 +288,35 @@ def _wnaf(k: int):
         k -= d
 
 
+def batch_inverse(values: list[int], modulus: int) -> list[int]:
+    """Inverses of nonzero residues modulo a prime, with one modular inversion.
+
+    Montgomery's simultaneous inversion trick: invert the product of all
+    values once, then peel the inverses off right to left with two
+    multiplications each.
+    """
+    prefix = []
+    running = 1
+    for value in values:
+        prefix.append(running)
+        running = running * value % modulus
+    inv = pow(running, -1, modulus)
+    inverses = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        inverses[i] = inv * prefix[i] % modulus
+        inv = inv * values[i] % modulus
+    return inverses
+
+
 def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
     """Affine [-15P, ..., -3P, -P, P, 3P, ..., 15P] for every point.
 
     Digit d of the wNAF picks entry (d + 15) >> 1.  The positive
     multiples are built in Jacobian coordinates, then all their Z
-    coordinates are inverted together with Montgomery's simultaneous
-    inversion trick (one field inversion plus three multiplications per
-    entry).  Adding 2P to (2j-1)P never doubles or cancels: that would
-    need (2j-3)P or (2j+1)P to be infinity, and P has the prime order n.
+    coordinates are inverted together by ``batch_inverse`` (one field
+    inversion plus three multiplications per entry).  Adding 2P to
+    (2j-1)P never doubles or cancels: that would need (2j-3)P or (2j+1)P
+    to be infinity, and P has the prime order n.
     """
     half = _WNAF_HALF // 2
     entries = []
@@ -295,19 +326,10 @@ def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
         entries.append(first)
         for _ in range(half - 1):
             entries.append(_jadd(entries[-1], twice))
-    prefix = []
-    running = 1
-    for _, _, z in entries:
-        prefix.append(running)
-        running = running * z % P
-    inv = pow(running, -1, P)
-    affine = [None] * len(entries)
-    for i in range(len(entries) - 1, -1, -1):
-        x, y, z = entries[i]
-        zi = inv * prefix[i] % P
-        inv = inv * z % P
+    affine = []
+    for (x, y, _), zi in zip(entries, batch_inverse([z for _, _, z in entries], P)):
         zi2 = zi * zi % P
-        affine[i] = (x * zi2 % P, y * zi2 % P * zi % P)
+        affine.append((x * zi2 % P, y * zi2 % P * zi % P))
     tables = []
     for start in range(0, len(affine), half):
         positive = affine[start:start + half]

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ec import (B, G, INFINITY, N, P, Point, is_on_curve, multi_scalar_mul, point_neg, scalar_mul,
-                 validate_public_key)
+from .ec import (B, G, INFINITY, N, P, Point, batch_inverse, is_on_curve, multi_scalar_mul,
+                 point_neg, scalar_mul, validate_public_key)
 
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
@@ -142,6 +142,7 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
     lambda_i multiplies the negated point -R_i (rather than n - lambda_i
     multiplying R_i), so the R terms carry randomizer_bits-bit scalars
     with few wNAF digits; the G term goes through the fixed-base table.
+    The s_i are inverted together, with one modular inversion per batch.
     Structurally broken items — off-curve or infinite R, out-of-range
     scalars, unusable public keys — reject the batch before the equation
     is evaluated.
@@ -163,10 +164,10 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
 
     pairs = []
     u1_sum = 0
-    for message, sig, public in items:
+    inverses = batch_inverse([sig.s for _, sig, _ in items], N)
+    for (message, sig, public), w in zip(items, inverses):
         lam = rng.randrange(1, (1 << randomizer_bits) + 1)
         e = hash_to_scalar(message)
-        w = pow(sig.s, -1, N)
         u1 = e * w % N
         u2 = sig.R.x % N * w % N
         u1_sum = (u1_sum + lam * u1) % N
@@ -213,8 +214,11 @@ def signature_to_bytes(sig: StarSignature) -> bytes:
 def signature_from_bytes(data: bytes) -> StarSignature:
     if len(data) != SIGNATURE_BYTES:
         raise ValueError(f"signature must be {SIGNATURE_BYTES} bytes")
-    return StarSignature(R=point_from_bytes(data[:PUBLIC_KEY_BYTES]),
-                         s=int.from_bytes(data[PUBLIC_KEY_BYTES:], "big"))
+    big_r = point_from_bytes(data[:PUBLIC_KEY_BYTES])
+    s = int.from_bytes(data[PUBLIC_KEY_BYTES:], "big")
+    if not 1 <= s < N:
+        raise ValueError("signature scalar s out of range")
+    return StarSignature(R=big_r, s=s)
 
 
 def private_to_bytes(d: int) -> bytes:
@@ -224,4 +228,7 @@ def private_to_bytes(d: int) -> bytes:
 def private_from_bytes(data: bytes) -> int:
     if len(data) != PRIVATE_KEY_BYTES:
         raise ValueError(f"private key must be {PRIVATE_KEY_BYTES} bytes")
-    return int.from_bytes(data, "big")
+    d = int.from_bytes(data, "big")
+    if not 1 <= d < N:
+        raise ValueError("private key out of range")
+    return d

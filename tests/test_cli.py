@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from cloneguard import ec
+from cloneguard import sig as sigmod
 from cloneguard.cli import (check_report_invariants, main, parse_config_file,
                             ConfigFileError)
 from cloneguard.sim import NetworkConfig, run_experiment
@@ -145,6 +147,22 @@ def test_bench_keygen_writes_timing_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     assert all(float(r["seconds"]) > 0 for r in rows)
+
+
+def test_bench_keygen_builds_generator_table_before_timing(tmp_path, monkeypatch):
+    # The lazy table build must not land in the first timed keygen.
+    monkeypatch.setattr(ec, "_GEN_TABLE", None)
+    table_built_at_call = []
+    real_generate = sigmod.generate_keypair
+
+    def recording_generate(rng):
+        table_built_at_call.append(ec._GEN_TABLE is not None)
+        return real_generate(rng)
+
+    monkeypatch.setattr(sigmod, "generate_keypair", recording_generate)
+    code = main(["bench", "keygen", "--devices", "2", "--out", str(tmp_path / "bench")])
+    assert code == 0
+    assert table_built_at_call == [True, True]
 
 
 def test_bench_batch_reports_speedup(tmp_path, capsys):

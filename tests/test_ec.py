@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloneguard.ec import (A, B, G, INFINITY, N, P, P256, DomainParams,
-                           InvalidPointError, Point, _wnaf, is_on_curve, multi_scalar_mul,
-                           point_add, point_neg, scalar_mul, validate_curve_security,
-                           validate_public_key)
+from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
+                           InvalidPointError, Point, _gen_table, _wnaf, batch_inverse,
+                           is_on_curve, multi_scalar_mul, point_add, point_neg, scalar_mul,
+                           validate_curve_security, validate_public_key)
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -147,6 +147,39 @@ def test_scalar_mul_output_on_curve(k):
     assert is_on_curve(scalar_mul(k, G))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=N - 1))
+def test_fixed_base_matches_oracle(k):
+    assert scalar_mul(k, G) == oracle_mul(k, G)
+
+
+def test_fixed_base_signed_digit_edges():
+    def windows(*values):
+        # Scalar whose 7-bit windows, lowest first, hold ``values``.
+        return sum(v << (_GEN_WIDTH * w) for w, v in enumerate(values))
+
+    cases = [
+        64, 65, 127, 128,                     # largest digit, smallest carry, -1, a zero window
+        windows(0, 64), windows(0, 65), windows(5, 127, 3),
+        windows(*[64] * 36), windows(*[65] * 36),
+        2 ** 252 - 1,                         # 36 all-ones windows: one carry into the top row
+        (15 << 252) | (127 << 245),           # top digit 15 plus a carry: 16
+        N - 1, N - 2, (N - 1) // 2, 2 ** 255,
+    ]
+    for k in cases:
+        assert k < N
+        assert scalar_mul(k, G) == oracle_mul(k, G), hex(k)
+
+
+def test_fixed_base_table_entries():
+    table = _gen_table()
+    assert len(table) == 37 and all(len(row) == 64 for row in table)
+    for w in (0, 1, 18, 35, 36):
+        for d in (1, 2, 63, 64):
+            expected = oracle_mul(d << (_GEN_WIDTH * w), G)
+            assert table[w][d - 1] == (expected.x, expected.y)
+
+
 def test_multi_scalar_mul_empty_and_trivial():
     assert multi_scalar_mul([]) is INFINITY
     assert multi_scalar_mul([(1, G)]) == G
@@ -176,6 +209,10 @@ def test_multi_scalar_mul_matches_fold():
         # Scalars 0, N - 1 and values >= N.
         [(0, q), (N - 1, q), (N - 1, G)],
         [(N, q), (N + k, q), (2 * N - 1, G), (2 ** 300 + 7, q)],
+        # G terms below N each whose sum reaches N or more.
+        [(N - 1, G), (1, G)],
+        [(N - 1, G), (N - 1, G), (k, q)],
+        [(N - 5, G), (2 ** 252 - 1, G), (k, q), (3, G)],
     ]
     for pairs in cases:
         folded = None
@@ -205,6 +242,15 @@ def test_wnaf_recoding(k):
     positions = [i for i, _ in digits]
     assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
     assert not positions or positions[-1] <= k.bit_length()
+
+
+def test_batch_inverse_matches_pow():
+    rng = random.Random(21)
+    for modulus in (P, N):
+        values = [1, modulus - 1, 2] + [rng.randrange(1, modulus) for _ in range(25)]
+        assert batch_inverse(values, modulus) == [pow(v, -1, modulus) for v in values]
+        assert batch_inverse([5], modulus) == [pow(5, -1, modulus)]
+    assert batch_inverse([], P) == []
 
 
 def test_validate_public_key():

@@ -203,6 +203,20 @@ def test_point_decode_rejects_garbage():
         signature_from_bytes(b"\x00" * 64)
 
 
+def test_scalar_decoders_reject_out_of_range():
+    star = sign(b"range", 7, random.Random(8))
+    r_bytes = point_to_bytes(star.R)
+    for s in (0, N, 2 ** 256 - 1):
+        with pytest.raises(ValueError):
+            signature_from_bytes(r_bytes + s.to_bytes(32, "big"))
+    for s in (1, N - 1):
+        assert signature_from_bytes(r_bytes + s.to_bytes(32, "big")).s == s
+    for d in (0, N):
+        with pytest.raises(ValueError):
+            private_from_bytes(d.to_bytes(32, "big"))
+    assert private_from_bytes((N - 1).to_bytes(32, "big")) == N - 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=N - 1), st.binary(min_size=0, max_size=64))
 def test_roundtrip_property(private, message):

@@ -1,7 +1,8 @@
 """Wire decoders on arbitrary bytes: a clean ValueError or an exact round trip.
 
 Every point that decodes must also lie on the curve: a byte round trip
-alone cannot see a wrong y, since only its parity is re-encoded.
+alone cannot see a wrong y, since only its parity is re-encoded.  Every
+signature scalar that decodes must lie in [1, n).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,7 @@ def test_signature_decoder_fuzz(data):
     signature = decodes_cleanly(signature_from_bytes, signature_to_bytes, data)
     if signature is not None:
         assert_on_curve(signature.R)
+        assert 1 <= signature.s < N
 
 
 @settings(max_examples=300)
@@ -85,3 +87,4 @@ def test_proof_decoder_fuzz(data):
     proof = decodes_cleanly(LocationProof.from_bytes, LocationProof.to_bytes, data)
     if proof is not None:
         assert_on_curve(proof.signature.R)
+        assert 1 <= proof.signature.s < N

@@ -2,14 +2,14 @@
 
 The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
-multiplication is one multi-scalar multiplication: terms on the
-generator G go through a fixed-base table of affine multiples indexed by
-signed 7-bit digits (at most 37 mixed additions and no doublings), and
-all other terms share one Straus pass over width-5 NAF digits whose
-affine tables of odd multiples +-P, +-3P, ..., +-15P are normalised with
-a single simultaneous inversion.  The accumulator runs in Jacobian
-coordinates and converts back to affine once at the end, so a call costs
-at most two field inversions.
+multiplication is one multi-scalar multiplication.  Terms off the
+generator G share one Straus pass over width-5 NAF digits, with affine
+tables of odd multiples +-P, +-3P, ..., +-15P; then the G terms add one
+signed 7-bit digit per row of a fixed-base table of affine multiples (at
+most 37 additions, no doublings) into the same Jacobian accumulator.
+Every addition is mixed Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT
+1998).  A call costs at most three field inversions: one for the tables'
+2P, one to normalise the tables, one back to affine at the end.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -145,37 +145,6 @@ def _jdbl(pt):
     return x3, y3, z3
 
 
-def _jadd(p1, p2):
-    # add-2007-bl with explicit doubling/cancellation handling.
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2 * z2z2 % P
-    s2 = y2 * z1 * z1z1 % P
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
-    if h == 0:
-        if r == 0:
-            return _jdbl(p1)
-        return None
-    hh = h * h % P
-    hhh = h * hh % P
-    v = u1 * hh % P
-    x3 = (r * r - hhh - 2 * v) % P
-    y3 = (r * (v - x3) - s1 * hhh) % P
-    z3 = z1 * z2 % P * h % P
-    if z3 == 0:
-        return None
-    return x3, y3, z3
-
-
 def _jadd_affine(p1, ax, ay):
     # Mixed addition: p1 Jacobian, (ax, ay) affine (Z2 = 1).
     if p1 is None:
@@ -239,9 +208,8 @@ def _gen_table() -> list[list[tuple[int, int]]]:
     return _GEN_TABLE
 
 
-def _fixed_base_mul(k: int):
-    """k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row."""
-    acc = None
+def _fixed_base_mul(k: int, acc):
+    """acc + k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row."""
     for row in _gen_table():
         if not k:
             break
@@ -311,21 +279,24 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
 def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
     """Affine [-15P, ..., -3P, -P, P, 3P, ..., 15P] for every point.
 
-    Digit d of the wNAF picks entry (d + 15) >> 1.  The positive
-    multiples are built in Jacobian coordinates, then all their Z
-    coordinates are inverted together by ``batch_inverse`` (one field
-    inversion plus three multiplications per entry).  Adding 2P to
-    (2j-1)P never doubles or cancels: that would need (2j-3)P or (2j+1)P
-    to be infinity, and P has the prime order n.
+    Digit d of the wNAF picks entry (d + 15) >> 1.  Each 2P is affine,
+    from the tangent slope 3(x^2 - 1) / 2y (a = -3) with every 2y inverted
+    by one ``batch_inverse``; y != 0, as the prime-order group has no
+    point of order 2.  The positive multiples grow by mixed additions of
+    2P, then a second ``batch_inverse`` normalises all their Z coordinates.
+    Adding 2P to (2j-1)P never doubles or cancels: that would need
+    (2j-3)P or (2j+1)P to be infinity, and P has the prime order n.
     """
     half = _WNAF_HALF // 2
     entries = []
-    for point in points:
-        first = (point.x, point.y, 1)
-        twice = _jdbl(first)
-        entries.append(first)
+    for point, inv in zip(points, batch_inverse([2 * point.y for point in points], P)):
+        x, y = point.x, point.y
+        slope = 3 * (x - 1) * (x + 1) * inv % P
+        tx = (slope * slope - 2 * x) % P
+        ty = (slope * (x - tx) - y) % P
+        entries.append((x, y, 1))
         for _ in range(half - 1):
-            entries.append(_jadd(entries[-1], twice))
+            entries.append(_jadd_affine(entries[-1], tx, ty))
     affine = []
     for (x, y, _), zi in zip(entries, batch_inverse([z for _, _, z in entries], P)):
         zi2 = zi * zi % P
@@ -340,13 +311,13 @@ def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
 def multi_scalar_mul(pairs) -> Point | None:
     """Compute sum(k_i * P_i) exactly.  Every k_i >= 0; an empty input is infinity.
 
-    Terms whose base is G have their scalars summed and go through the
-    fixed-base table.  The other terms share one Straus pass over width-5
-    NAF digits (Moeller, SAC 2001): each base gets an affine table of its
-    odd multiples +-P, +-3P, ..., +-15P (a negation is (x, p - y)), all
-    tables of the call normalised with one simultaneous inversion, so the
-    main loop is one Jacobian doubling per bit position plus one mixed
-    addition per nonzero digit.
+    Terms off G share one Straus pass over width-5 NAF digits (Moeller,
+    SAC 2001): each base gets an affine table of its odd multiples +-P,
+    +-3P, ..., +-15P (a negation is (x, p - y)), so the main loop is one
+    Jacobian doubling per bit position plus one mixed addition per nonzero
+    digit.  Terms whose base is G have their scalars summed, and the
+    fixed-base table adds that multiple into the Straus accumulator.  Every
+    addition is mixed; a call does at most three field inversions.
     """
     g_scalar = 0
     terms = []
@@ -374,7 +345,7 @@ def multi_scalar_mul(pairs) -> Point | None:
             acc = _jdbl(acc)
             for x, y in adds[position]:
                 acc = _jadd_affine(acc, x, y)
-    return _to_affine(_jadd(acc, _fixed_base_mul(g_scalar % N)))
+    return _to_affine(_fixed_base_mul(g_scalar % N, acc))
 
 
 # === Validation ===

@@ -3,7 +3,7 @@
 Two clocks live here and are deliberately kept apart:
 
 * the simulated clock — every logged protocol message advances it by
-  that message's modelled latency, and detection times are differences
+  the sink's per-hop latency, and detection times are differences
   of simulated timestamps.  Fully deterministic under a fixed seed.
 * wall-clock operation timers — ``MetricsSink.timer`` measures how long
   the cryptography actually takes on this machine.  Real and therefore
@@ -55,22 +55,26 @@ VERIFIER_TRACK_BYTES = 2 + 8
 
 
 class MetricsSink:
-    """Counts messages, runs the simulated clock, and holds wall-clock timers."""
+    """Counts messages, runs the simulated clock, and holds wall-clock timers.
 
-    def __init__(self) -> None:
+    Every message takes the same per-hop latency, ``latency_ms``.
+    """
+
+    def __init__(self, latency_ms: float) -> None:
+        self.latency_ms = latency_ms
         # (sender role, category) -> messages sent; bytes follow from WIRE_BYTES
         self.counts: dict[tuple[str, str], int] = {}
         self.clock_ms = 0.0
         self.op_seconds: dict[str, list[float]] = {}
 
-    def log(self, from_role: str, category: str, latency_ms: float) -> float:
-        """Count one message; the simulated clock advances by its latency.
+    def log(self, from_role: str, category: str) -> float:
+        """Count one message; the simulated clock advances by the latency.
 
         Returns the simulated delivery time.
         """
         if category not in WIRE_BYTES:
             raise ValueError(f"unknown message category: {category}")
-        self.clock_ms += latency_ms
+        self.clock_ms += self.latency_ms
         key = (from_role, category)
         self.counts[key] = self.counts.get(key, 0) + 1
         return self.clock_ms

@@ -150,18 +150,11 @@ class Node:
     target_y: float = 0.0
     speed: float = 0.0
     pause_left: float = 0.0
-    current_ci: ctx.ContextInformation | None = None
-    frozen_ci: ctx.ContextInformation | None = None  # clones: the copied record
+    current_ci: ctx.ContextInformation | None = None  # clones: the copied record
     victim_idx: int | None = None
 
     def position(self) -> tuple[float, float]:
         return self.x, self.y
-
-    def presented_ci(self) -> ctx.ContextInformation:
-        """The record this node will sign when asked for a proof."""
-        ci = self.frozen_ci if self.role == ROLE_CLONE else self.current_ci
-        assert ci is not None, "node has not sensed yet"
-        return ci
 
 
 @dataclass
@@ -216,7 +209,7 @@ def init_network(config: NetworkConfig) -> SimulationState:
     verifier_ids = set(trust_state.select(cfg.num_verifiers))
     prover_ids = set(sorted(set(range(cfg.num_devices)) - verifier_ids)[:cfg.num_provers])
 
-    sink = met.MetricsSink()
+    sink = met.MetricsSink(cfg.latency_ms)
     lbs = ctx.LbsStore()
 
     nodes = []
@@ -244,12 +237,12 @@ def init_network(config: NetworkConfig) -> SimulationState:
     for node in nodes:
         ci = ctx.sense_context(node.device_id, 0, node.position(), node.activity)
         node.current_ci = ci
-        sink.log(node.role, "sense", cfg.latency_ms)
+        sink.log(node.role, "sense")
         lbs.register_public_key(node.device_id, node.keypair.public)
-        sink.log(node.role, "register", cfg.latency_ms)
+        sink.log(node.role, "register")
         lbs.store_context(ci)
-        sink.log(node.role, "store", cfg.latency_ms)
-        sink.log(ROLE_LBS, "ack", cfg.latency_ms)
+        sink.log(node.role, "store")
+        sink.log(ROLE_LBS, "ack")
     return state
 
 
@@ -317,7 +310,7 @@ def inject_clones(state: SimulationState, count: int | None = None) -> list[Node
                 break
         clone = Node(idx=len(state.nodes), device_id=victim.device_id,
                      role=ROLE_CLONE, x=x, y=y, activity=victim.activity,
-                     keypair=victim.keypair, frozen_ci=victim.current_ci,
+                     keypair=victim.keypair, current_ci=victim.current_ci,
                      victim_idx=victim.idx)
         _sample_waypoint(clone, cfg, rng)
         state.nodes.append(clone)
@@ -329,7 +322,8 @@ def run_detection_round(state: SimulationState) -> RoundResult:
     """Execute one full detection round.
 
     Phase A: every honest device senses fresh context and stores it with
-    the location store (clones stay passive — they only ever answer).
+    the location store (clones stay passive — they only ever answer, with
+    the record they copied at injection).
     Phase B: targets are split round-robin across the verifier cohort
     and handled in proof batches: request, response, verifier-side
     observation, store lookup, then the two-stage proof verification.
@@ -347,17 +341,14 @@ def run_detection_round(state: SimulationState) -> RoundResult:
             continue
         ci = ctx.sense_context(node.device_id, tick, node.position(), node.activity)
         node.current_ci = ci
-        sink.log(node.role, "sense", cfg.latency_ms)
+        sink.log(node.role, "sense")
         state.lbs.store_context(ci)
-        sink.log(node.role, "store", cfg.latency_ms)
-        sink.log(ROLE_LBS, "ack", cfg.latency_ms)
+        sink.log(node.role, "store")
+        sink.log(ROLE_LBS, "ack")
 
     # Phase B — proof collection and verification, per verifier batch.
     targets = state.targets()
     verifiers = state.verifiers()
-    assignments: dict[int, list[Node]] = {v.idx: [] for v in verifiers}
-    for pos, target in enumerate(targets):
-        assignments[verifiers[pos % len(verifiers)].idx].append(target)
 
     verdicts: dict[int, ctx.Verdict] = {}
     presentations: dict[int, ctx.ProofPresentation] = {}
@@ -366,31 +357,30 @@ def run_detection_round(state: SimulationState) -> RoundResult:
     nonce_rng = state.rngs.stream("nonces")
     batch_rng = state.rngs.stream("batch")
 
-    for verifier in verifiers:
-        assigned = assignments[verifier.idx]
+    for pos, verifier in enumerate(verifiers):
+        assigned = targets[pos::len(verifiers)]
         for start in range(0, len(assigned), cfg.batch_size):
             batch = assigned[start:start + cfg.batch_size]
 
             request_ts = {}
             for target in batch:
-                request_ts[target.idx] = sink.log(ROLE_VERIFIER, "proof_request",
-                                                  cfg.latency_ms)
+                request_ts[target.idx] = sink.log(ROLE_VERIFIER, "proof_request")
 
             proofs = {}
             with sink.timer("sign"):
                 for target in batch:
                     proofs[target.idx] = ctx.generate_proof(
-                        target.presented_ci(), target.keypair.private, nonce_rng,
+                        target.current_ci, target.keypair.private, nonce_rng,
                         request_pending=True)
-                    sink.log(target.role, "proof_response", cfg.latency_ms)
+                    sink.log(target.role, "proof_response")
 
             batch_pres = []
             for target in batch:
                 observed = ctx.sense_context(target.device_id, tick,
                                              target.position(), target.activity)
-                sink.log(ROLE_VERIFIER, "sense", cfg.latency_ms)
-                sink.log(ROLE_VERIFIER, "ci_check", cfg.latency_ms)
-                sink.log(ROLE_LBS, "ack", cfg.latency_ms)
+                sink.log(ROLE_VERIFIER, "sense")
+                sink.log(ROLE_VERIFIER, "ci_check")
+                sink.log(ROLE_LBS, "ack")
                 pres = ctx.ProofPresentation(proof=proofs[target.idx], observed=observed)
                 batch_pres.append(pres)
                 presentations[target.idx] = pres
@@ -404,7 +394,7 @@ def run_detection_round(state: SimulationState) -> RoundResult:
             for target, verdict in zip(batch, batch_verdicts):
                 verdicts[target.idx] = verdict
                 if verdict is ctx.Verdict.CONFIRMED:
-                    sink.log(ROLE_VERIFIER, "verify_confirm", cfg.latency_ms)
+                    sink.log(ROLE_VERIFIER, "verify_confirm")
                     state.lbs.store_proof(proofs[target.idx])
                     if target.role == ROLE_PROVER:
                         zone = _zone(verifier.x, verifier.y)
@@ -413,8 +403,7 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                         state.trust.record_feedback(target.device_id,
                                                     verifier.device_id, 1.0)
                 else:
-                    reported_ms = sink.log(ROLE_VERIFIER, "compromise_report",
-                                           cfg.latency_ms)
+                    reported_ms = sink.log(ROLE_VERIFIER, "compromise_report")
                     if target.role == ROLE_CLONE:
                         detections.append(met.DetectionRecord(
                             clone_idx=target.idx,

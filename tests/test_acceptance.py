@@ -7,6 +7,7 @@ budgets are asserted with generous margin over measured behavior.
 
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -294,12 +295,14 @@ def test_criterion_7_determinism(capsys, tmp_path):
     detail = {}
     with criterion(capsys, 7, detail):
         outputs = []
+        # The CLI child imports cloneguard from wherever this process found it.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         for name in ("first", "second"):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "cloneguard.cli", "run",
                  "--seed", "7", "--out", str(out)],
-                capture_output=True, text=True, timeout=300)
+                capture_output=True, text=True, timeout=300, env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "report_rep0.json").read_bytes())
         assert outputs[0] == outputs[1]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
-                           InvalidPointError, Point, _gen_table, _wnaf, batch_inverse,
-                           is_on_curve, multi_scalar_mul, point_add, point_neg, scalar_mul,
-                           validate_curve_security, validate_public_key)
+                           InvalidPointError, Point, _gen_table, _odd_multiple_tables, _wnaf,
+                           batch_inverse, is_on_curve, multi_scalar_mul, point_add, point_neg,
+                           scalar_mul, validate_curve_security, validate_public_key)
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -214,6 +214,15 @@ def test_multi_scalar_mul_matches_fold():
         [(N - 1, G), (N - 1, G), (k, q)],
         [(N - 5, G), (2 ** 252 - 1, G), (k, q), (3, G)],
     ]
+    # The G digits land one at a time on the Straus accumulator: one
+    # doubles it, the last one cancels it.  oracle_mul gives plain Points
+    # unequal to G, so these bases take the wNAF path.
+    j = rng.randrange(2, N)
+    cases += [
+        [(1, oracle_mul(2, G)), (2, G)],
+        [(1, oracle_mul(3, G)), (N - 3, G)],
+        [(k, oracle_mul(j, G)), ((N - k * j) % N, G)],
+    ]
     for pairs in cases:
         folded = None
         for k, pt in pairs:
@@ -231,6 +240,16 @@ def test_multi_scalar_mul_matches_fold_property(cases):
     for k, pt in pairs:
         folded = point_add(folded, scalar_mul(k, pt))
     assert multi_scalar_mul(pairs) == folded
+
+
+def test_odd_multiple_tables_entries():
+    rng = random.Random(31)
+    points = [random_point(rng), random_point(rng)]
+    for point, table in zip(points, _odd_multiple_tables(points)):
+        assert len(table) == 16
+        for d in range(-15, 16, 2):
+            expected = oracle_mul(d % N, point)
+            assert table[(d + 15) >> 1] == (expected.x, expected.y), d
 
 
 @settings(max_examples=200, deadline=None)

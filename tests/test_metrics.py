@@ -34,9 +34,9 @@ def test_device_storage_budget():
 
 
 def test_sink_clock_advances_per_message():
-    sink = MetricsSink()
-    t1 = sink.log("prover", "proof_response", 1.5)
-    t2 = sink.log("verifier", "ci_check", 1.5)
+    sink = MetricsSink(1.5)
+    t1 = sink.log("prover", "proof_response")
+    t2 = sink.log("verifier", "ci_check")
     assert t1 == 1.5
     assert t2 == 3.0
     assert sink.clock_ms == 3.0
@@ -47,18 +47,18 @@ def test_sink_clock_advances_per_message():
 
 
 def test_sink_rejects_unknown_category():
-    sink = MetricsSink()
+    sink = MetricsSink(1.0)
     with pytest.raises(ValueError):
-        sink.log("prover", "gossip", 1.0)
+        sink.log("prover", "gossip")
     assert sink.clock_ms == 0.0
     assert sink.total_messages() == 0
 
 
 def test_sink_count_tables():
-    sink = MetricsSink()
+    sink = MetricsSink(1.0)
     for _ in range(3):
-        sink.log("prover", "proof_response", 1.0)
-    sink.log("verifier", "ci_check", 1.0)
+        sink.log("prover", "proof_response")
+    sink.log("verifier", "ci_check")
     assert sink.message_counts() == {"prover": {"proof_response": 3},
                                      "verifier": {"ci_check": 1}}
     assert sink.byte_counts() == {"prover": {"proof_response": 297},
@@ -66,7 +66,7 @@ def test_sink_count_tables():
 
 
 def test_sink_timer_records_wall_clock():
-    sink = MetricsSink()
+    sink = MetricsSink(1.0)
     with sink.timer("sign"):
         pass
     with sink.timer("sign"):

@@ -179,14 +179,14 @@ def test_inject_clones_marks_provers_with_distinct_positions():
         assert clone.idx in prover_idxs
         victim = state.nodes[clone.victim_idx]
         assert clone.keypair.private == victim.keypair.private
-        assert clone.frozen_ci is not None
+        assert clone.current_ci is not None
         # the copied record never quantizes to the clone's own position
         own_view = dataclasses.replace(
-            clone.frozen_ci,
+            clone.current_ci,
             loc_x=min(round(clone.x * 256), 0xFFFF),
             loc_y=min(round(clone.y * 256), 0xFFFF))
-        assert (own_view.loc_x, own_view.loc_y) != (clone.frozen_ci.loc_x,
-                                                    clone.frozen_ci.loc_y)
+        assert (own_view.loc_x, own_view.loc_y) != (clone.current_ci.loc_x,
+                                                    clone.current_ci.loc_y)
 
 
 def test_inject_clone_count_follows_config():

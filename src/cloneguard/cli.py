@@ -136,6 +136,11 @@ def _gather_overrides(args: argparse.Namespace) -> dict:
     return values
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def check_report_invariants(report: met.SimulationReport) -> list[str]:
     """Structural invariants every finished run must satisfy."""
     problems = []
@@ -187,6 +192,7 @@ def _run_reps(config: NetworkConfig, reps: int, out_dir: str,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _require_positive("--reps", args.reps)
     values = _gather_overrides(args)
     config = NetworkConfig(**values)
     config.validate()
@@ -285,6 +291,8 @@ def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _require_positive("--reps", args.reps)
+    _require_positive("--devices", args.devices)
     os.makedirs(args.out, exist_ok=True)
     if args.target in ("keygen", "all"):
         _bench_keygen(args.out, args.devices, args.seed)
@@ -303,6 +311,7 @@ def _parse_list(text: str, parse, flag: str) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _require_positive("--reps", args.reps)
     base = _gather_overrides(args)
     devices_list = _parse_list(args.num_devices_list, _parse_int, "--devices")
     env_list = _parse_list(args.environment_list, str, "--env")

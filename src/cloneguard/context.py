@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import sig as sigmod
-from .ec import Point
+from .ec import Point, PrecomputedPoint, precompute, validate_public_key
 
 CI_WIRE_BYTES = 16
 PROOF_WIRE_BYTES = 2 + 32 + sigmod.SIGNATURE_BYTES  # 99
@@ -196,15 +196,38 @@ class LbsStore:
     Context records follow last-write-wins per device id; proofs keep a
     first-come-first-served queue of depth one per device id (the latest
     accepted proof replaces the previous one).
+
+    Next to each registered key the store keeps, once that key has been
+    verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
+    its eight positive odd multiples, which every later verification
+    under that key reuses.  Registering a key drops the id's table, so
+    keys must change through ``register_public_key``.  The tables are a
+    verifier-side cache and not part of ``storage_bytes``.
     """
 
     def __init__(self) -> None:
         self.contexts: dict[int, ContextInformation] = {}
         self.public_keys: dict[int, Point] = {}
+        self.key_tables: dict[int, PrecomputedPoint] = {}
         self.proofs: dict[int, LocationProof] = {}
 
     def register_public_key(self, device_id: int, public: Point) -> None:
         self.public_keys[device_id] = public
+        self.key_tables.pop(device_id, None)
+
+    def verification_keys(self, device_ids: Sequence[int]) -> list[sigmod.PublicKey]:
+        """The registered keys of ``device_ids``, as tables where the key is usable.
+
+        Tables missing for these ids are built in one ``precompute`` call
+        and kept.  A key that is infinite or off the curve gets no table
+        and is returned as registered, for the signature checks to refuse.
+        """
+        missing = {device_id: self.public_keys[device_id] for device_id in device_ids
+                   if device_id not in self.key_tables
+                   and validate_public_key(self.public_keys[device_id])}
+        self.key_tables.update(zip(missing, precompute(list(missing.values()))))
+        return [self.key_tables.get(device_id, self.public_keys[device_id])
+                for device_id in device_ids]
 
     def store_context(self, ci: ContextInformation) -> None:
         self.contexts[ci.device_id] = ci
@@ -252,7 +275,10 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     Stage 2 (signatures): survivors are batch-verified in chunks of
     ``batch_size``.  A clean chunk confirms everyone in it; a dirty one
     falls back to individual verification, and the failing signatures
-    are COMPROMISED_SIGNATURE.
+    are COMPROMISED_SIGNATURE.  Both paths verify under
+    ``lbs.verification_keys``: the first call that verifies a key builds
+    its table (one pass for all of a call's new keys), and later calls
+    reuse it.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.
@@ -262,13 +288,11 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     """
     verdicts: list[Verdict | None] = [None] * len(presentations)
     survivors: list[int] = []
-    items: list[sigmod.BatchItem] = []
 
     for idx, pres in enumerate(presentations):
         claimed = pres.proof.prover_id
         stored = lbs.get_context(claimed)
-        public = lbs.public_keys.get(claimed)
-        if stored is None or public is None:
+        if stored is None or lbs.public_keys.get(claimed) is None:
             verdicts[idx] = Verdict.NOT_REGISTERED
             continue
         if not ci_matches(stored, pres.observed):
@@ -278,7 +302,11 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
             verdicts[idx] = Verdict.COMPROMISED_CONTEXT
             continue
         survivors.append(idx)
-        items.append((pres.proof.ci_digest, pres.proof.signature, public))
+
+    keys = lbs.verification_keys([presentations[idx].proof.prover_id for idx in survivors])
+    items: list[sigmod.BatchItem] = [
+        (presentations[idx].proof.ci_digest, presentations[idx].proof.signature, public)
+        for idx, public in zip(survivors, keys)]
 
     for start in range(0, len(survivors), batch_size):
         chunk_idx = survivors[start:start + batch_size]

@@ -4,12 +4,18 @@ The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
 multiplication is one multi-scalar multiplication.  Terms off the
 generator G share one Straus pass over width-5 NAF digits, with affine
-tables of odd multiples +-P, +-3P, ..., +-15P; then the G terms add one
+tables of the positive odd multiples P, 3P, ..., 15P (a negative digit
+adds the negation (x, p - y) of an entry); then the G terms add one
 signed 7-bit digit per row of a fixed-base table of affine multiples (at
 most 37 additions, no doublings) into the same Jacobian accumulator.
 Every addition is mixed Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT
 1998).  A call costs at most three field inversions: one for the tables'
 2P, one to normalise the tables, one back to affine at the end.
+
+A base that recurs across calls, such as a registered public key, can be
+passed as a ``PrecomputedPoint``: the point with its table, built once by
+``precompute``.  The MSM then uses that table as it is and builds tables
+only for its plain ``Point`` bases.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -92,6 +98,11 @@ def is_on_curve(point: Point | None) -> bool:
 def _require_on_curve(point: Point | None) -> None:
     if not is_on_curve(point):
         raise InvalidPointError(f"point is not on the curve: {point}")
+
+
+def _require_finite(point: Point | None) -> None:
+    if point is None or not is_on_curve(point):
+        raise InvalidPointError(f"not a finite curve point: {point}")
 
 
 def point_neg(point: Point | None) -> Point | None:
@@ -276,14 +287,15 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
     return inverses
 
 
-def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
-    """Affine [-15P, ..., -3P, -P, P, 3P, ..., 15P] for every point.
+def _odd_multiple_tables(points: list[Point]) -> list[tuple[tuple[int, int], ...]]:
+    """Affine (P, 3P, 5P, ..., 15P) for every point.
 
-    Digit d of the wNAF picks entry (d + 15) >> 1.  Each 2P is affine,
-    from the tangent slope 3(x^2 - 1) / 2y (a = -3) with every 2y inverted
-    by one ``batch_inverse``; y != 0, as the prime-order group has no
-    point of order 2.  The positive multiples grow by mixed additions of
-    2P, then a second ``batch_inverse`` normalises all their Z coordinates.
+    Only the positive half is stored: an odd wNAF digit d > 0 picks entry
+    d >> 1, and a negative one adds (x, p - y) of entry -d >> 1.  Each 2P
+    is affine, from the tangent slope 3(x^2 - 1) / 2y (a = -3) with every
+    2y inverted by one ``batch_inverse``; y != 0, as the prime-order group
+    has no point of order 2.  The multiples grow by mixed additions of 2P,
+    then a second ``batch_inverse`` normalises all their Z coordinates.
     Adding 2P to (2j-1)P never doubles or cancels: that would need
     (2j-3)P or (2j+1)P to be infinity, and P has the prime order n.
     """
@@ -301,46 +313,86 @@ def _odd_multiple_tables(points: list[Point]) -> list[list[tuple[int, int]]]:
     for (x, y, _), zi in zip(entries, batch_inverse([z for _, _, z in entries], P)):
         zi2 = zi * zi % P
         affine.append((x * zi2 % P, y * zi2 % P * zi % P))
-    tables = []
-    for start in range(0, len(affine), half):
-        positive = affine[start:start + half]
-        tables.append([(x, P - y) for x, y in reversed(positive)] + positive)
-    return tables
+    return [tuple(affine[start:start + half]) for start in range(0, len(affine), half)]
+
+
+@dataclass(frozen=True, slots=True)
+class PrecomputedPoint:
+    """A finite on-curve point with its wNAF table (P, 3P, ..., 15P).
+
+    Build these with ``precompute``.  ``multi_scalar_mul`` accepts one
+    anywhere it accepts a base ``Point`` and reads ``table`` instead of
+    building it, so a base that recurs across calls pays for its table
+    once.
+    """
+
+    point: Point
+    table: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _require_finite(self.point)
+        if len(self.table) != _WNAF_HALF // 2:
+            raise ValueError(f"table must hold {_WNAF_HALF // 2} odd multiples")
+
+
+def precompute(points: list[Point]) -> list[PrecomputedPoint]:
+    """Tables for many finite on-curve points, sharing their field inversions."""
+    for point in points:
+        _require_finite(point)
+    return [PrecomputedPoint(point, table)
+            for point, table in zip(points, _odd_multiple_tables(points))]
 
 
 def multi_scalar_mul(pairs) -> Point | None:
     """Compute sum(k_i * P_i) exactly.  Every k_i >= 0; an empty input is infinity.
 
     Terms off G share one Straus pass over width-5 NAF digits (Moeller,
-    SAC 2001): each base gets an affine table of its odd multiples +-P,
-    +-3P, ..., +-15P (a negation is (x, p - y)), so the main loop is one
-    Jacobian doubling per bit position plus one mixed addition per nonzero
-    digit.  Terms whose base is G have their scalars summed, and the
-    fixed-base table adds that multiple into the Straus accumulator.  Every
-    addition is mixed; a call does at most three field inversions.
+    SAC 2001): each base has an affine table of its odd multiples P, 3P,
+    ..., 15P, and a negative digit adds the negation (x, p - y) of an
+    entry, so the main loop is one Jacobian doubling per bit position plus
+    one mixed addition per nonzero digit.  A ``PrecomputedPoint`` base
+    brings its table; every plain ``Point`` base gets one built here, all
+    of them in one ``_odd_multiple_tables`` call.  Terms whose base is the
+    plain ``Point`` G have their scalars summed, and the fixed-base table
+    adds that multiple into the Straus accumulator.  Every addition is
+    mixed; a call does at most three field inversions.
     """
     g_scalar = 0
     terms = []
-    for k, point in pairs:
+    fresh = []
+    for k, base in pairs:
         if k < 0:
             raise ValueError("scalar must be non-negative")
-        _require_on_curve(point)
-        if point is None:
-            continue
-        if point == G:
-            g_scalar += k
-            continue
+        if isinstance(base, PrecomputedPoint):
+            table = base.table
+        else:
+            _require_on_curve(base)
+            if base is None:
+                continue
+            if base == G:
+                g_scalar += k
+                continue
+            table = None
         k %= N
-        if k:
-            terms.append((k, point))
+        if not k:
+            continue
+        if table is None:
+            fresh.append(base)
+        terms.append((k, table))
     acc = None
     if terms:
-        tables = _odd_multiple_tables([point for _, point in terms])
+        built = iter(_odd_multiple_tables(fresh))
         adds: list[list[tuple[int, int]]] = [
             [] for _ in range(max(k.bit_length() for k, _ in terms) + 1)]
-        for (k, _), table in zip(terms, tables):
+        for k, table in terms:
+            if table is None:
+                table = next(built)
             for position, d in _wnaf(k):
-                adds[position].append(table[(d + _WNAF_HALF - 1) >> 1])
+                if d > 0:
+                    adds[position].append(table[d >> 1])
+                else:
+                    x, y = table[-d >> 1]
+                    adds[position].append((x, P - y))
         for position in range(len(adds) - 1, -1, -1):
             acc = _jdbl(acc)
             for x, y in adds[position]:

@@ -10,6 +10,10 @@ Batch verification uses small-exponent randomization: each signature is
 weighted by a fresh random multiplier before the combined equation is
 evaluated in a single multi-scalar multiplication.  A batch containing
 any invalid signature passes with probability at most 2^-randomizer_bits.
+
+Every verifier takes the public key either as a plain ``Point`` or as an
+``ec.PrecomputedPoint`` that carries the key's multi-scalar table; the
+checks on the key run on the underlying point either way.
 """
 
 from __future__ import annotations
@@ -19,14 +23,21 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ec import (B, G, INFINITY, N, P, Point, batch_inverse, is_on_curve, multi_scalar_mul,
-                 point_neg, scalar_mul, validate_public_key)
+from .ec import (B, G, INFINITY, N, P, Point, PrecomputedPoint, batch_inverse, is_on_curve,
+                 multi_scalar_mul, point_neg, scalar_mul, validate_public_key)
 
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
 SIGNATURE_BYTES = PUBLIC_KEY_BYTES + 32  # compressed R + s
 
 DEFAULT_RANDOMIZER_BITS = 64
+
+PublicKey = Point | PrecomputedPoint
+
+
+def _key_point(public: PublicKey | None) -> Point | None:
+    """The affine point behind a public key in either form."""
+    return public.point if isinstance(public, PrecomputedPoint) else public
 
 
 def hash_to_scalar(message: bytes) -> int:
@@ -83,11 +94,11 @@ def sign(message: bytes, private: int, rng: random.Random) -> StarSignature:
         return StarSignature(R=big_r, s=s)
 
 
-def verify_classic(message: bytes, sig: Signature, public: Point) -> bool:
+def verify_classic(message: bytes, sig: Signature, public: PublicKey) -> bool:
     """Classic ECDSA verification: recompute X and compare x(X) mod n to r."""
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         return False
-    if public is INFINITY or not is_on_curve(public):
+    if not validate_public_key(_key_point(public)):
         return False
     e = hash_to_scalar(message)
     w = pow(sig.s, -1, N)
@@ -99,7 +110,7 @@ def verify_classic(message: bytes, sig: Signature, public: Point) -> bool:
     return x_pt.x % N == sig.r
 
 
-def verify_star(message: bytes, sig: StarSignature, public: Point) -> bool:
+def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
     """ECDSA* verification: recompute the nonce point and compare it to R.
 
     Strictly stronger than the classic check — full point equality
@@ -111,7 +122,7 @@ def verify_star(message: bytes, sig: StarSignature, public: Point) -> bool:
     r = sig.R.x % N
     if not (1 <= r < N and 1 <= sig.s < N):
         return False
-    if public is INFINITY or not is_on_curve(public):
+    if not validate_public_key(_key_point(public)):
         return False
     e = hash_to_scalar(message)
     w = pow(sig.s, -1, N)
@@ -120,7 +131,7 @@ def verify_star(message: bytes, sig: StarSignature, public: Point) -> bool:
     return multi_scalar_mul([(u1, G), (u2, public)]) == sig.R
 
 
-BatchItem = tuple[bytes, StarSignature, Point]
+BatchItem = tuple[bytes, StarSignature, PublicKey]
 
 
 def batch_verify(items: Sequence[BatchItem], rng: random.Random,
@@ -159,7 +170,7 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
             return False
         if not (1 <= sig.R.x % N < N and 1 <= sig.s < N):
             return False
-        if not validate_public_key(public):
+        if not validate_public_key(_key_point(public)):
             return False
 
     pairs = []

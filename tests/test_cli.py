@@ -208,6 +208,26 @@ def test_sweep_rejects_unreachable_cell_upfront(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+# --- non-positive counts ---
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--reps", "0"], "--reps"),
+    (["run", "--reps", "-2"], "--reps"),
+    (["bench", "sign", "--reps", "0"], "--reps"),
+    (["bench", "batch", "--reps", "-1"], "--reps"),
+    (["bench", "keygen", "--devices", "0"], "--devices"),
+    (["sweep", "--devices", "100", "--reps", "0"], "--reps"),
+])
+def test_non_positive_counts_are_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and f"{flag} must be at least 1" in err
+    assert not out.exists()
+
+
 # --- report invariants ---
 
 

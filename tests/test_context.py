@@ -13,7 +13,7 @@ from cloneguard.context import (CI_WIRE_BYTES, PROOF_WIRE_BYTES, TIME_MAX,
                                 ProofPresentation, ProofRejected, Verdict, ci_matches,
                                 encode_activity, euclidean_distance, generate_proof,
                                 sense_context, verify_proof_batch)
-from cloneguard.ec import N
+from cloneguard.ec import N, P, Point, PrecomputedPoint
 from cloneguard.sig import StarSignature, generate_keypair, verify_star
 
 
@@ -301,3 +301,93 @@ def test_batch_and_individual_paths_agree():
         individual = verify_proof_batch(presentations, world.lbs, random.Random(trial),
                                         batch_size=4, use_batch=False)
         assert batched == individual
+
+
+def _labelled_presentations(world):
+    """Presentations of every label, each with the verdict it must draw."""
+    rng = world.rng
+    labelled = [(world.honest_presentation(i), Verdict.CONFIRMED) for i in range(8)]
+    forged_ci = world.cis[1]
+    forged = generate_proof(forged_ci, world.keypairs[4].private, rng, request_pending=True)
+    labelled.append((ProofPresentation(forged, forged_ci), Verdict.COMPROMISED_SIGNATURE))
+    fresh_ci = world.cis[2]
+    old_ci = dataclasses.replace(fresh_ci, time=fresh_ci.time - 5)
+    stale = generate_proof(old_ci, world.keypairs[2].private, rng, request_pending=True)
+    labelled.append((ProofPresentation(stale, fresh_ci), Verdict.COMPROMISED_CONTEXT))
+    ci = world.cis[3]
+    moved = dataclasses.replace(ci, loc_x=(ci.loc_x + 900) % 0xFFFF)
+    proof = generate_proof(ci, world.keypairs[3].private, rng, request_pending=True)
+    labelled.append((ProofPresentation(proof, moved), Verdict.COMPROMISED_CONTEXT))
+    ghost_ci = sense_context(99, world.tick, (30.0, 30.0), "sensing")
+    ghost = generate_proof(ghost_ci, generate_keypair(rng).private, rng, request_pending=True)
+    labelled.append((ProofPresentation(ghost, ghost_ci), Verdict.NOT_REGISTERED))
+    rng.shuffle(labelled)
+    return [p for p, _ in labelled], [v for _, v in labelled]
+
+
+def test_cached_key_tables_give_the_same_verdicts():
+    world = World(8, seed=5, tick=10)
+    presentations, expected = _labelled_presentations(world)
+    # Only presentations that reach the signature stage build tables.
+    stopped = [p for p, v in zip(presentations, expected)
+               if v in (Verdict.COMPROMISED_CONTEXT, Verdict.NOT_REGISTERED)]
+    verify_proof_batch(stopped, world.lbs, random.Random(1))
+    assert world.lbs.key_tables == {}
+    verify_proof_batch(presentations, world.lbs, random.Random(1), batch_size=5)
+    cached = world.lbs.key_tables
+    assert set(cached) == set(range(8))
+    assert all(isinstance(t, PrecomputedPoint) and t.point == world.lbs.public_keys[d]
+               for d, t in cached.items())
+    built = dict(cached)
+
+    fresh = LbsStore()
+    for device_id, public in world.lbs.public_keys.items():
+        fresh.register_public_key(device_id, public)
+        fresh.store_context(world.cis[device_id])
+    for batch_size in (1, 4, 25):
+        for use_batch in (True, False):
+            warm = verify_proof_batch(presentations, world.lbs, random.Random(2),
+                                      batch_size=batch_size, use_batch=use_batch)
+            cold = verify_proof_batch(presentations, fresh, random.Random(2),
+                                      batch_size=batch_size, use_batch=use_batch)
+            assert warm == cold == expected
+    # Later calls reuse the very same tables rather than rebuilding them.
+    assert world.lbs.key_tables == built
+    assert all(world.lbs.key_tables[d] is table for d, table in built.items())
+
+
+def test_replacing_a_key_drops_its_table():
+    world = World(6, seed=6, tick=10)
+    presentations = [world.honest_presentation(i) for i in range(6)]
+    assert verify_proof_batch(presentations, world.lbs, world.rng) == [Verdict.CONFIRMED] * 6
+    old_table = world.lbs.key_tables[2]
+
+    new_key = generate_keypair(world.rng)
+    world.lbs.register_public_key(2, new_key.public)
+    assert 2 not in world.lbs.key_tables and 1 in world.lbs.key_tables
+    under_old = presentations[2]
+    under_new = ProofPresentation(
+        generate_proof(world.cis[2], new_key.private, world.rng, request_pending=True),
+        world.cis[2])
+    for use_batch in (True, False):
+        verdicts = verify_proof_batch(presentations + [under_new], world.lbs,
+                                      random.Random(3), use_batch=use_batch)
+        expected = [Verdict.CONFIRMED] * 7
+        expected[2] = Verdict.COMPROMISED_SIGNATURE
+        assert verdicts == expected
+        assert verify_proof_batch([under_old], world.lbs, random.Random(4),
+                                  use_batch=use_batch) == [Verdict.COMPROMISED_SIGNATURE]
+        assert verify_proof_batch([under_new], world.lbs, random.Random(4),
+                                  use_batch=use_batch) == [Verdict.CONFIRMED]
+    assert world.lbs.key_tables[2].point == new_key.public
+    assert world.lbs.key_tables[2] != old_table
+
+
+def test_unusable_registered_key_gets_no_table():
+    world = World(3, seed=7)
+    public = world.lbs.public_keys[1]
+    world.lbs.register_public_key(1, Point(public.x, (public.y + 1) % P))  # off the curve
+    verdicts = verify_proof_batch([world.honest_presentation(i) for i in range(3)],
+                                  world.lbs, world.rng)
+    assert verdicts == [Verdict.CONFIRMED, Verdict.COMPROMISED_SIGNATURE, Verdict.CONFIRMED]
+    assert set(world.lbs.key_tables) == {0, 2}

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
-                           InvalidPointError, Point, _gen_table, _odd_multiple_tables, _wnaf,
-                           batch_inverse, is_on_curve, multi_scalar_mul, point_add, point_neg,
-                           scalar_mul, validate_curve_security, validate_public_key)
+                           InvalidPointError, Point, PrecomputedPoint, _gen_table,
+                           _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
+                           multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
+                           validate_curve_security, validate_public_key)
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -223,9 +224,28 @@ def test_multi_scalar_mul_matches_fold():
         [(1, oracle_mul(3, G)), (N - 3, G)],
         [(k, oracle_mul(j, G)), ((N - k * j) % N, G)],
     ]
+    # Precomputed bases bring their own tables: mixed with plain bases
+    # and G, the same key twice (and next to its plain self), a
+    # precomputed G (it takes the wNAF path, not the fixed-base one), and
+    # scalars 0, N - 1 and >= N.
+    q2, q3 = random_point(rng), random_point(rng)
+    pre_q, pre_q2, pre_g = precompute([q, q2, G])
+    cases += [
+        [(k, pre_q), (rng.randrange(0, N), q3), (rng.randrange(0, N), G),
+         (rng.randrange(0, N), pre_q2)],
+        [(k, pre_q), (k, pre_q)],
+        [(k, pre_q), (N - k, pre_q), (2 ** 64 - 1, q)],
+        [(k, pre_q), (N - k, q)],
+        [(k, pre_g), (N - k, G)],
+        [(k, pre_g), (k, G), (k, pre_q)],
+        [(0, pre_q), (N - 1, pre_q2), (N, pre_q), (N + k, pre_q2), (2 ** 300 + 7, pre_q)],
+        [(0, pre_q), (0, pre_g)],
+    ]
     for pairs in cases:
         folded = None
         for k, pt in pairs:
+            if isinstance(pt, PrecomputedPoint):
+                pt = pt.point
             folded = point_add(folded, oracle_mul(k % N, pt))
         assert multi_scalar_mul(pairs) == folded
 
@@ -246,10 +266,27 @@ def test_odd_multiple_tables_entries():
     rng = random.Random(31)
     points = [random_point(rng), random_point(rng)]
     for point, table in zip(points, _odd_multiple_tables(points)):
-        assert len(table) == 16
-        for d in range(-15, 16, 2):
-            expected = oracle_mul(d % N, point)
-            assert table[(d + 15) >> 1] == (expected.x, expected.y), d
+        assert len(table) == 8
+        for d in range(1, 16, 2):
+            expected = oracle_mul(d, point)
+            assert table[d >> 1] == (expected.x, expected.y), d
+    assert _odd_multiple_tables([]) == []
+
+
+def test_precompute_holds_the_tables_and_refuses_unusable_points():
+    rng = random.Random(37)
+    points = [random_point(rng), random_point(rng), G]
+    precomputed = precompute(points)
+    assert [pre.point for pre in precomputed] == points
+    assert [pre.table for pre in precomputed] == _odd_multiple_tables(points)
+    off = Point(G.x, (G.y + 1) % P)
+    for bad in (INFINITY, off):
+        with pytest.raises(InvalidPointError):
+            precompute([G, bad])
+        with pytest.raises(InvalidPointError):
+            PrecomputedPoint(bad, precomputed[0].table)
+    with pytest.raises(ValueError):
+        PrecomputedPoint(G, precomputed[0].table[:7])
 
 
 @settings(max_examples=200, deadline=None)

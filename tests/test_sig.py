@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloneguard.ec import G, INFINITY, N, P, Point, scalar_mul
+from cloneguard.ec import G, INFINITY, N, P, Point, precompute, scalar_mul
 from cloneguard.sig import (SIGNATURE_BYTES, PUBLIC_KEY_BYTES, KeyPair, Signature,
                             StarSignature, batch_verify, generate_keypair,
                             hash_to_scalar, point_from_bytes, point_to_bytes,
@@ -164,6 +164,50 @@ def test_batch_mixed_with_valid_items_still_rejects():
     message, star, public = items[2]
     items[2] = (b"different message", star, public)
     assert not batch_verify(items, rng)
+
+
+def _tampered(star):
+    """The signature, then copies with one bit of s or of R flipped."""
+    yield star
+    for bit in (0, 1, 100, 255):
+        yield StarSignature(star.R, star.s ^ (1 << bit))
+    for bit in (0, 7, 200):
+        try:
+            flipped = point_from_bytes(point_to_bytes(Point(star.R.x ^ (1 << bit), star.R.y)))
+        except ValueError:
+            continue  # x ^ bit is not an x coordinate on the curve
+        yield StarSignature(flipped, star.s)
+    yield StarSignature(Point(star.R.x, star.R.y ^ 1), star.s)  # off the curve
+    yield StarSignature(Point(star.R.x, P - star.R.y), star.s)  # the parity bit: -R
+
+
+def test_precomputed_keys_verify_like_plain_points():
+    rng = random.Random(28)
+    items = make_items(rng, 6)
+    keys = precompute([public for _, _, public in items])
+    accepted = rejected = 0
+    for i, (message, star, public) in enumerate(items):
+        for variant in _tampered(star):
+            classic = variant.to_classic()
+            ok = verify_star(message, variant, public)
+            assert verify_star(message, variant, keys[i]) == ok
+            assert verify_classic(message, classic, keys[i]) == verify_classic(
+                message, classic, public)
+            plain = list(items)
+            plain[i] = (message, variant, public)
+            cached = [(m, sig, key) for (m, sig, _), key in zip(plain, keys)]
+            seed = rng.randrange(2 ** 32)
+            assert batch_verify(cached, random.Random(seed)) == batch_verify(
+                plain, random.Random(seed)) == ok
+            assert verify_each(cached) == verify_each(plain)
+            accepted += ok
+            rejected += not ok
+        # Under another key's table, every form refuses.
+        other = keys[(i + 1) % len(keys)]
+        assert not verify_star(message, star, other)
+        assert not verify_classic(message, star.to_classic(), other)
+        assert not batch_verify([(message, star, other)], rng)
+    assert accepted == len(items) and rejected >= 5 * len(items)
 
 
 def test_hash_to_scalar_range():

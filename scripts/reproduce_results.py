@@ -5,7 +5,7 @@ Drives the cloneguard CLI end to end and leaves everything under
 results/ (or --out):
 
   detection/   sparse and dense detection runs across seeds
-  bench/       keygen / sign / batch-verification timings
+  bench/       batch-verification timings (ECDSA* batches vs one-by-one ECDSA)
   sweep/       device-count sweep with the traffic-scaling summary
 
 Wall-clock timings vary with the host; detection results, message
@@ -43,7 +43,7 @@ def main() -> int:
          "--rounds", "2", "--seed", str(args.seed0), "--reps", str(args.seeds),
          "--out", os.path.join(detection_dir, "dense")])
 
-    run(["bench", "all", "--out", os.path.join(args.out, "bench")])
+    run(["bench", "--out", os.path.join(args.out, "bench")])
 
     sweep_dir = os.path.join(args.out, "sweep")
     run(["sweep", "--devices", "100,200,300,400,500", "--env", "sparse",

@@ -16,8 +16,8 @@ import random
 import statistics
 import sys
 import time
+import typing
 
-from . import ec
 from . import metrics as met
 from . import sig as sigmod
 from .sim import ConfigError, NetworkConfig, run_experiment
@@ -33,25 +33,11 @@ def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
-_FIELD_PARSERS = {
-    "num_devices": _parse_int,
-    "num_provers": _parse_int,
-    "num_verifiers": _parse_int,
-    "num_clones": _parse_int,
-    "environment": str,
-    "area_side": float,
-    "rwp_speed_min": float,
-    "rwp_speed_max": float,
-    "rwp_pause_min": float,
-    "rwp_pause_max": float,
-    "rounds": _parse_int,
-    "seed": _parse_int,
-    "batch_size": _parse_int,
-    "randomizer_bits": _parse_int,
-    "latency_ms": float,
-    "trust_alpha": float,
-    "trust_beta": float,
-}
+# Config-file keys are NetworkConfig's fields, parsed by their annotated
+# type; an ``int | None`` field takes an int, since None is only a default.
+_PARSER_BY_HINT = {int: _parse_int, int | None: _parse_int, float: float, str: str}
+_FIELD_PARSERS = {name: _PARSER_BY_HINT[hint]
+                  for name, hint in typing.get_type_hints(NetworkConfig).items()}
 
 
 def parse_config_file(path: str) -> dict:
@@ -105,10 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--env", choices=("sparse", "dense"), dest="environment")
     run.add_argument("--batch-size", type=int, dest="batch_size")
 
-    bench = commands.add_parser("bench", help="micro-benchmark the cryptography")
-    bench.add_argument("target", choices=("keygen", "sign", "batch", "all"))
-    bench.add_argument("--devices", type=int, default=100,
-                       help="keypairs to generate for 'keygen' (default: 100)")
+    bench = commands.add_parser(
+        "bench", help="time batch verification against one-by-one ECDSA")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--out", default="out")
@@ -204,11 +188,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     met.write_overhead_csvs(os.path.join(args.out, "overhead_messages.csv"),
                             os.path.join(args.out, "overhead_bytes.csv"), reports)
     met.write_storage_csv(os.path.join(args.out, "storage.csv"), reports[0])
-    op_seconds: dict[str, list[float]] = {}
-    for report in reports:
-        for name, samples in report.wall_clock_seconds.items():
-            op_seconds.setdefault(name, []).extend(samples)
-    met.write_op_timing_csv(os.path.join(args.out, "op_timing.csv"), op_seconds)
 
     problems = [p for report in reports for p in check_report_invariants(report)]
     if problems:
@@ -216,35 +195,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"invariant violated: {problem}", file=sys.stderr)
         return 1
     return 0
-
-
-def _bench_keygen(out_dir: str, devices: int, seed: int) -> None:
-    rng = random.Random(seed)
-    ec.scalar_mul(1, ec.G)  # build the lazy generator table before any timing
-    rows = []
-    for device_id in range(devices):
-        start = time.perf_counter()
-        sigmod.generate_keypair(rng)
-        rows.append((device_id, time.perf_counter() - start))
-    met.write_keygen_timing_csv(os.path.join(out_dir, "keygen_timing.csv"), rows)
-    times = [seconds for _, seconds in rows]
-    print(f"keygen: {devices} devices, median {statistics.median(times) * 1e3:.3f} ms, "
-          f"total {sum(times):.3f} s")
-
-
-def _bench_sign(out_dir: str, reps: int, seed: int) -> None:
-    rng = random.Random(seed)
-    keypair = sigmod.generate_keypair(rng)
-    rows = []
-    for rep in range(reps):
-        for i in range(20):
-            message = f"bench-sign-{rep}-{i}".encode()
-            start = time.perf_counter()
-            sigmod.sign(message, keypair.private, rng)
-            rows.append(("sign", rep, time.perf_counter() - start))
-    met.write_op_timing_csv(os.path.join(out_dir, "sign_timing.csv"),
-                            {"sign": [seconds for _, _, seconds in rows]})
-    print(f"sign: median {statistics.median(s for _, _, s in rows) * 1e3:.3f} ms")
 
 
 def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
@@ -292,14 +242,8 @@ def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     _require_positive("--reps", args.reps)
-    _require_positive("--devices", args.devices)
     os.makedirs(args.out, exist_ok=True)
-    if args.target in ("keygen", "all"):
-        _bench_keygen(args.out, args.devices, args.seed)
-    if args.target in ("sign", "all"):
-        _bench_sign(args.out, args.reps, args.seed)
-    if args.target in ("batch", "all"):
-        _bench_batch(args.out, args.reps, args.seed)
+    _bench_batch(args.out, args.reps, args.seed)
     return 0
 
 

@@ -406,10 +406,12 @@ def multi_scalar_mul(pairs) -> Point | None:
 def validate_public_key(q: Point | None) -> bool:
     """Check that q is a usable public key: finite and on the curve.
 
-    No order check is needed.  ``validate_curve_security`` enforces
-    cofactor h = 1, so the group of curve points has the prime order n
-    and every finite on-curve point already has order n; n * q would be
-    infinity for every q this function accepts.
+    No order check is needed.  The module constant ``H = 1`` is P-256's
+    cofactor, so the group of curve points has the prime order n and
+    every finite on-curve point already has order n; n * q would be
+    infinity for every q this function accepts.  Nothing checks ``H`` at
+    run time: acceptance criterion 6 runs ``validate_curve_security`` on
+    ``P256``, whose ``cofactor_one`` check is what holds it to 1.
     """
     return q is not None and is_on_curve(q)
 

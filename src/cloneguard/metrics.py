@@ -1,25 +1,20 @@
-"""Message accounting, timing capture, scaling checks, and exports.
+"""Message accounting, the simulated clock, scaling checks, and exports.
 
-Two clocks live here and are deliberately kept apart:
-
-* the simulated clock — every logged protocol message advances it by
-  the sink's per-hop latency, and detection times are differences
-  of simulated timestamps.  Fully deterministic under a fixed seed.
-* wall-clock operation timers — ``MetricsSink.timer`` measures how long
-  the cryptography actually takes on this machine.  Real and therefore
-  noisy; they are exported to their own CSVs and never enter the
-  canonical JSON report.
+The simulated clock lives here: every logged protocol message advances
+it by the sink's per-hop latency, and detection times are differences
+of simulated timestamps, so they are fully deterministic under a fixed
+seed.  How long the cryptography takes on a real machine is measured
+from outside the package, by ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from . import context as ctx
 from . import sig as sigmod
@@ -55,7 +50,7 @@ VERIFIER_TRACK_BYTES = 2 + 8
 
 
 class MetricsSink:
-    """Counts messages, runs the simulated clock, and holds wall-clock timers.
+    """Counts messages and runs the simulated clock.
 
     Every message takes the same per-hop latency, ``latency_ms``.
     """
@@ -65,7 +60,6 @@ class MetricsSink:
         # (sender role, category) -> messages sent; bytes follow from WIRE_BYTES
         self.counts: dict[tuple[str, str], int] = {}
         self.clock_ms = 0.0
-        self.op_seconds: dict[str, list[float]] = {}
 
     def log(self, from_role: str, category: str) -> float:
         """Count one message; the simulated clock advances by the latency.
@@ -78,15 +72,6 @@ class MetricsSink:
         key = (from_role, category)
         self.counts[key] = self.counts.get(key, 0) + 1
         return self.clock_ms
-
-    @contextmanager
-    def timer(self, name: str):
-        """Wall-clock timer for a named operation (seconds)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.op_seconds.setdefault(name, []).append(time.perf_counter() - start)
 
     # --- aggregations ---
 
@@ -143,9 +128,8 @@ class DetectionRecord:
 class SimulationReport:
     """Everything a finished experiment run reports.
 
-    ``wall_clock_seconds`` holds the measured crypto timings and is the
-    one field excluded from the canonical JSON, which must be
-    byte-identical across runs of the same (config, seed).
+    The canonical JSON must be byte-identical across runs of the same
+    (config, seed).
     """
 
     config: dict
@@ -160,7 +144,6 @@ class SimulationReport:
     total_bytes: int
     storage_bytes: dict[str, int]
     verifier_confidence: dict[str, dict[str, float]]  # cohort id -> scores
-    wall_clock_seconds: dict[str, list[float]] = field(default_factory=dict)
 
     def to_canonical_dict(self) -> dict:
         return {
@@ -243,12 +226,11 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_detection_csv(path: str, reports: Sequence[SimulationReport]) -> None:
@@ -289,16 +271,3 @@ def write_batch_timing_csv(path: str, rows: Sequence[tuple[int, str, int, float]
     _write_csv(path, ["batch_size", "scheme", "rep", "seconds"],
                [[size, scheme, rep, f"{seconds:.6f}"] for size, scheme, rep, seconds in rows])
 
-
-def write_keygen_timing_csv(path: str, rows: Sequence[tuple[int, float]]) -> None:
-    """Rows: (device_id, seconds)."""
-    _write_csv(path, ["device_id", "seconds"],
-               [[device_id, f"{seconds:.6f}"] for device_id, seconds in rows])
-
-
-def write_op_timing_csv(path: str, op_seconds: Mapping[str, Sequence[float]]) -> None:
-    rows = []
-    for name in sorted(op_seconds):
-        for rep, seconds in enumerate(op_seconds[name]):
-            rows.append([name, rep, f"{seconds:.6f}"])
-    _write_csv(path, ["operation", "rep", "seconds"], rows)

@@ -10,8 +10,7 @@ the store, and batch-verify the signatures.
 Determinism contract: the same (config, seed) produces the same report
 byte for byte.  All randomness flows through named streams derived from
 the seed; every loop runs in a fixed order; the simulated clock advances
-only through logged messages.  Wall-clock crypto timings are captured on
-the side and stay out of the canonical report.
+only through logged messages.
 """
 
 from __future__ import annotations
@@ -213,8 +212,7 @@ def init_network(config: NetworkConfig) -> SimulationState:
     lbs = ctx.LbsStore()
 
     nodes = []
-    with sink.timer("keygen"):
-        keypairs = [sigmod.generate_keypair(key_rng) for _ in range(cfg.num_devices)]
+    keypairs = [sigmod.generate_keypair(key_rng) for _ in range(cfg.num_devices)]
     for device_id in range(cfg.num_devices):
         if device_id in verifier_ids:
             role = ROLE_VERIFIER
@@ -367,12 +365,11 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                 request_ts[target.idx] = sink.log(ROLE_VERIFIER, "proof_request")
 
             proofs = {}
-            with sink.timer("sign"):
-                for target in batch:
-                    proofs[target.idx] = ctx.generate_proof(
-                        target.current_ci, target.keypair.private, nonce_rng,
-                        request_pending=True)
-                    sink.log(target.role, "proof_response")
+            for target in batch:
+                proofs[target.idx] = ctx.generate_proof(
+                    target.current_ci, target.keypair.private, nonce_rng,
+                    request_pending=True)
+                sink.log(target.role, "proof_response")
 
             batch_pres = []
             for target in batch:
@@ -385,11 +382,10 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                 batch_pres.append(pres)
                 presentations[target.idx] = pres
 
-            with sink.timer("verify_batch"):
-                batch_verdicts = ctx.verify_proof_batch(
-                    batch_pres, state.lbs, batch_rng,
-                    batch_size=cfg.batch_size,
-                    randomizer_bits=cfg.randomizer_bits)
+            batch_verdicts = ctx.verify_proof_batch(
+                batch_pres, state.lbs, batch_rng,
+                batch_size=cfg.batch_size,
+                randomizer_bits=cfg.randomizer_bits)
 
             for target, verdict in zip(batch, batch_verdicts):
                 verdicts[target.idx] = verdict
@@ -481,5 +477,4 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
         total_bytes=state.sink.total_bytes(),
         storage_bytes=storage,
         verifier_confidence=verifier_confidence,
-        wall_clock_seconds=dict(state.sink.op_seconds),
     )

@@ -2,16 +2,18 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
-import os
+import pathlib
+import sys
 
 import pytest
 
-from cloneguard import ec
-from cloneguard import sig as sigmod
-from cloneguard.cli import (check_report_invariants, main, parse_config_file,
-                            ConfigFileError)
+from cloneguard.cli import (build_parser, check_report_invariants, main,
+                            parse_config_file, ConfigFileError)
 from cloneguard.sim import NetworkConfig, run_experiment
+
+REPRODUCE_SCRIPT = pathlib.Path(__file__).parent.parent / "scripts" / "reproduce_results.py"
 
 
 # --- config files ---
@@ -30,6 +32,26 @@ def test_parse_config_file_values_and_comments(tmp_path):
     values = parse_config_file(str(path))
     assert values == {"num_devices": 200, "environment": "dense",
                       "num_clones": 30, "latency_ms": 2.5, "seed": 16}
+
+
+# One value per field type, written as a config file would spell it.
+_FIELD_SAMPLES = {int: ("12", 12), float: ("2.5", 2.5), str: ("dense", "dense")}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(NetworkConfig),
+                         ids=lambda f: f.name)
+def test_every_config_field_parses_to_its_type(tmp_path, field):
+    # The resolved default's type: an ``int | None`` field resolves to an int.
+    kind = type(getattr(NetworkConfig().resolve(), field.name))
+    text, expected = _FIELD_SAMPLES[kind]
+    path = tmp_path / "net.cfg"
+    path.write_text(f"{field.name} = {text}\n")
+    values = parse_config_file(str(path))
+    assert values == {field.name: expected}
+    assert type(getattr(NetworkConfig(**values), field.name)) is kind
+    if kind is int:
+        path.write_text(f"{field.name} = 0x1f\n")
+        assert parse_config_file(str(path)) == {field.name: 31}
 
 
 def test_parse_config_file_reports_line_numbers(tmp_path):
@@ -82,9 +104,9 @@ def test_run_writes_report_and_csvs(tmp_path, capsys):
     assert report["seed"] == 7
     assert report["detection_probability"] == 1.0
     assert report["false_positives"] == 0
-    for name in ("detection.csv", "overhead_messages.csv", "overhead_bytes.csv",
-                 "storage.csv", "op_timing.csv"):
-        assert (out / name).exists(), name
+    assert {p.name for p in out.iterdir()} == {
+        "report_rep0.json", "detection.csv", "overhead_messages.csv",
+        "overhead_bytes.csv", "storage.csv"}
     with open(out / "detection.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20  # every clone caught once
@@ -138,36 +160,9 @@ def test_run_unknown_flag_is_exit_2(tmp_path):
 # --- bench ---
 
 
-def test_bench_keygen_writes_timing_csv(tmp_path, capsys):
-    out = tmp_path / "bench"
-    code = main(["bench", "keygen", "--devices", "10", "--out", str(out)])
-    assert code == 0
-    assert "keygen" in capsys.readouterr().out
-    with open(out / "keygen_timing.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 10
-    assert all(float(r["seconds"]) > 0 for r in rows)
-
-
-def test_bench_keygen_builds_generator_table_before_timing(tmp_path, monkeypatch):
-    # The lazy table build must not land in the first timed keygen.
-    monkeypatch.setattr(ec, "_GEN_TABLE", None)
-    table_built_at_call = []
-    real_generate = sigmod.generate_keypair
-
-    def recording_generate(rng):
-        table_built_at_call.append(ec._GEN_TABLE is not None)
-        return real_generate(rng)
-
-    monkeypatch.setattr(sigmod, "generate_keypair", recording_generate)
-    code = main(["bench", "keygen", "--devices", "2", "--out", str(tmp_path / "bench")])
-    assert code == 0
-    assert table_built_at_call == [True, True]
-
-
 def test_bench_batch_reports_speedup(tmp_path, capsys):
     out = tmp_path / "bench"
-    code = main(["bench", "batch", "--reps", "1", "--out", str(out)])
+    code = main(["bench", "--reps", "1", "--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "speedup" in stdout
@@ -177,6 +172,39 @@ def test_bench_batch_reports_speedup(tmp_path, capsys):
     assert sizes == {5, 10, 15, 20, 25}
     schemes = {r["scheme"] for r in rows}
     assert schemes == {"ecdsa", "ecdsa_star_batch"}
+
+
+def test_bench_has_no_target_or_devices(tmp_path):
+    out = str(tmp_path / "bench")
+    assert main(["bench", "keygen", "--out", out]) == 2
+    assert main(["bench", "--devices", "5", "--out", out]) == 2
+
+
+# --- reproduce script ---
+
+
+def test_reproduce_script_sends_only_argvs_the_cli_accepts(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = build_parser()
+    sent = []
+
+    def parse_only(argv):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"cloneguard rejects {argv}")
+        sent.append(argv[0])
+        return 0
+
+    monkeypatch.setattr(script, "cli", parse_only)
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "sweep_summary.json").write_text(
+        json.dumps({"complexity": {"verdict": "linear", "per_device_ratio": 1.0}}))
+    monkeypatch.setattr(sys, "argv", ["reproduce_results.py", "--out", str(tmp_path)])
+    assert script.main() == 0
+    assert sent == ["run", "run", "bench", "sweep"]
 
 
 # --- sweep ---
@@ -214,9 +242,8 @@ def test_sweep_rejects_unreachable_cell_upfront(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["run", "--reps", "0"], "--reps"),
     (["run", "--reps", "-2"], "--reps"),
-    (["bench", "sign", "--reps", "0"], "--reps"),
-    (["bench", "batch", "--reps", "-1"], "--reps"),
-    (["bench", "keygen", "--devices", "0"], "--devices"),
+    (["bench", "--reps", "0"], "--reps"),
+    (["bench", "--reps", "-1"], "--reps"),
     (["sweep", "--devices", "100", "--reps", "0"], "--reps"),
 ])
 def test_non_positive_counts_are_exit_2(tmp_path, capsys, argv, flag):

@@ -65,16 +65,6 @@ def test_sink_count_tables():
                                   "verifier": {"ci_check": 2}}
 
 
-def test_sink_timer_records_wall_clock():
-    sink = MetricsSink(1.0)
-    with sink.timer("sign"):
-        pass
-    with sink.timer("sign"):
-        pass
-    assert len(sink.op_seconds["sign"]) == 2
-    assert all(t >= 0.0 for t in sink.op_seconds["sign"])
-
-
 # --- verification-tree message count ---
 
 
@@ -139,17 +129,15 @@ def _tiny_report(num_devices=100, total_messages=1000, seed=1, tracked=3):
         total_bytes=6930,
         storage_bytes={"device_bytes": 81, "verifier_tracked_provers": tracked},
         verifier_confidence={},
-        wall_clock_seconds={"sign": [0.001]},
     )
 
 
-def test_report_canonical_json_is_stable_and_excludes_wall_clock():
+def test_report_canonical_json_is_stable():
     report = _tiny_report()
     text = report.to_canonical_json()
     assert text == report.to_canonical_json()
     assert text.endswith("\n")
     data = json.loads(text)
-    assert "wall_clock_seconds" not in data
     assert data["storage_reference"]["per_device_bytes"] == 81
     assert data["storage_reference"]["quoted_budget_bytes"] == 73
     assert data["storage_reference"]["matches_quoted_budget"] is False

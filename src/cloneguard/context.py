@@ -135,14 +135,14 @@ def ci_matches(stored: ContextInformation, presented: ContextInformation,
 
 def _digest_matches_store(digest: bytes, stored: ContextInformation,
                           time_tolerance: int = TIME_TOLERANCE) -> bool:
-    # The signed record may sit a tick away from the stored one; try the
-    # stored record at each tolerated time offset.
-    for delta in range(-time_tolerance, time_tolerance + 1):
-        time = stored.time + delta
-        if not 0 <= time <= TIME_MAX:
-            continue
-        if dataclasses.replace(stored, time=time).digest() == digest:
-            return True
+    # An honest prover signed the stored record itself, so that is tried
+    # first; the signed record may also sit a tolerated tick away from it.
+    if stored.digest() == digest:
+        return True
+    for delta in range(1, time_tolerance + 1):
+        for time in (stored.time - delta, stored.time + delta):
+            if 0 <= time <= TIME_MAX and dataclasses.replace(stored, time=time).digest() == digest:
+                return True
     return False
 
 
@@ -272,19 +272,22 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     (allowing one tick of sensing skew); any disagreement is
     COMPROMISED_CONTEXT.
 
-    Stage 2 (signatures): survivors are batch-verified in chunks of
-    ``batch_size``.  A clean chunk confirms everyone in it; a dirty one
-    falls back to individual verification, and the failing signatures
-    are COMPROMISED_SIGNATURE.  Both paths verify under
+    Stage 2 (signatures): survivors are verified in chunks of
+    ``batch_size`` by ``sig.verify_batch``.  A clean chunk confirms
+    everyone in it with one batch check; a dirty one is bisected, and the
+    signatures that fail their individual check are
+    COMPROMISED_SIGNATURE.  Both paths verify under
     ``lbs.verification_keys``: the first call that verifies a key builds
     its table (one pass for all of a call's new keys), and later calls
     reuse it.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.
-    ``use_batch=False`` forces the individual path; the verdicts are the
-    same either way (the batch path is an accelerator, not a different
-    decision rule).
+    ``use_batch=False`` forces the individual path (``sig.verify_each``);
+    the verdicts are the same either way, since the batch path flags a
+    signature only on a failed individual check and misses an invalid one
+    with probability at most 2^-randomizer_bits per batch check on its
+    path (see ``sig.verify_batch``).
     """
     verdicts: list[Verdict | None] = [None] * len(presentations)
     survivors: list[int] = []
@@ -309,13 +312,10 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
         for idx, public in zip(survivors, keys)]
 
     for start in range(0, len(survivors), batch_size):
-        chunk_idx = survivors[start:start + batch_size]
         chunk = items[start:start + batch_size]
-        if use_batch and sigmod.batch_verify(chunk, rng, randomizer_bits):
-            for idx in chunk_idx:
-                verdicts[idx] = Verdict.CONFIRMED
-            continue
-        for idx, ok in zip(chunk_idx, sigmod.verify_each(chunk)):
+        flags = (sigmod.verify_batch(chunk, rng, randomizer_bits) if use_batch
+                 else sigmod.verify_each(chunk))
+        for idx, ok in zip(survivors[start:start + batch_size], flags):
             verdicts[idx] = Verdict.CONFIRMED if ok else Verdict.COMPROMISED_SIGNATURE
 
     assert all(v is not None for v in verdicts)

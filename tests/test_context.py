@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cloneguard.context import (CI_WIRE_BYTES, PROOF_WIRE_BYTES, TIME_MAX,
                                 ContextInformation, LbsStore, LocationProof,
-                                ProofPresentation, ProofRejected, Verdict, ci_matches,
-                                encode_activity, euclidean_distance, generate_proof,
-                                sense_context, verify_proof_batch)
+                                ProofPresentation, ProofRejected, Verdict,
+                                _digest_matches_store, ci_matches, encode_activity,
+                                euclidean_distance, generate_proof, sense_context,
+                                verify_proof_batch)
 from cloneguard.ec import N, P, Point, PrecomputedPoint
 from cloneguard.sig import StarSignature, generate_keypair, verify_star
 
@@ -301,6 +302,73 @@ def test_batch_and_individual_paths_agree():
         individual = verify_proof_batch(presentations, world.lbs, random.Random(trial),
                                         batch_size=4, use_batch=False)
         assert batched == individual
+
+
+def test_batch_and_individual_paths_agree_on_full_batches():
+    # Chunks of 25 survivors holding 1, 2 or 5 proofs signed with another
+    # device's key, among context-stage failures: the bisection of a
+    # failed batch must find exactly what the individual path finds.
+    rng = random.Random(2525)
+    world = World(40, seed=25, tick=10)
+    for forged_count in (1, 2, 5):
+        for trial in range(2):
+            ids = rng.sample(range(40), 40)
+            forged, stale, moved = ids[:forged_count], ids[-3:-2], ids[-2:]
+            labelled = []
+            for device_id in ids[:-3]:
+                ci = world.cis[device_id]
+                if device_id in forged:
+                    other = world.keypairs[(device_id + 1) % 40].private
+                    proof = generate_proof(ci, other, world.rng, request_pending=True)
+                    labelled.append((ProofPresentation(proof, ci),
+                                     Verdict.COMPROMISED_SIGNATURE))
+                else:
+                    labelled.append((world.honest_presentation(device_id), Verdict.CONFIRMED))
+            for device_id in stale:
+                ci = world.cis[device_id]
+                old = dataclasses.replace(ci, time=ci.time - 5)
+                proof = generate_proof(old, world.keypairs[device_id].private, world.rng,
+                                       request_pending=True)
+                labelled.append((ProofPresentation(proof, ci), Verdict.COMPROMISED_CONTEXT))
+            for device_id in moved:
+                ci = world.cis[device_id]
+                displaced = dataclasses.replace(ci, loc_y=(ci.loc_y + 700) % 0xFFFF)
+                proof = generate_proof(ci, world.keypairs[device_id].private, world.rng,
+                                       request_pending=True)
+                labelled.append((ProofPresentation(proof, displaced),
+                                 Verdict.COMPROMISED_CONTEXT))
+            ghost_ci = sense_context(1000 + trial, world.tick, (20.0, 20.0), "sensing")
+            ghost = generate_proof(ghost_ci, world.keypairs[0].private, world.rng,
+                                   request_pending=True)
+            labelled.append((ProofPresentation(ghost, ghost_ci), Verdict.NOT_REGISTERED))
+            rng.shuffle(labelled)
+            presentations = [p for p, _ in labelled]
+            batched = verify_proof_batch(presentations, world.lbs, random.Random(trial),
+                                         batch_size=25, use_batch=True)
+            individual = verify_proof_batch(presentations, world.lbs, random.Random(trial),
+                                            batch_size=25, use_batch=False)
+            assert batched == individual == [v for _, v in labelled]
+
+
+def test_digest_check_hashes_the_stored_record_first(monkeypatch):
+    hashed = []
+    original = ContextInformation.digest
+
+    def counted(ci):
+        hashed.append(ci.time)
+        return original(ci)
+
+    monkeypatch.setattr(ContextInformation, "digest", counted)
+    for time in (0, 7, TIME_MAX):
+        stored = ContextInformation(3, time, 10, 20, encode_activity("sensing"))
+        hashed.clear()
+        assert _digest_matches_store(original(stored), stored)
+        assert hashed == [time]  # one hash for an honest survivor
+        for skew in (-2, -1, 1, 2):
+            if 0 <= time + skew <= TIME_MAX:
+                signed = original(dataclasses.replace(stored, time=time + skew))
+                assert _digest_matches_store(signed, stored) == (abs(skew) == 1)
+        assert not _digest_matches_store(bytes(32), stored)
 
 
 def _labelled_presentations(world):

@@ -1,17 +1,20 @@
 """Signature schemes: round trips, mutation rejection, batching, wire forms."""
 
+import functools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cloneguard import sig as sigmod
 from cloneguard.ec import G, INFINITY, N, P, Point, precompute, scalar_mul
 from cloneguard.sig import (SIGNATURE_BYTES, PUBLIC_KEY_BYTES, KeyPair, Signature,
                             StarSignature, batch_verify, generate_keypair,
                             hash_to_scalar, point_from_bytes, point_to_bytes,
                             private_from_bytes, private_to_bytes, sign,
-                            signature_from_bytes, signature_to_bytes, verify_classic,
-                            verify_each, verify_star)
+                            signature_from_bytes, signature_to_bytes, verify_batch,
+                            verify_classic, verify_each, verify_star)
 
 
 def make_items(rng, count, prefix=b"m"):
@@ -164,6 +167,103 @@ def test_batch_mixed_with_valid_items_still_rejects():
     message, star, public = items[2]
     items[2] = (b"different message", star, public)
     assert not batch_verify(items, rng)
+
+
+# --- locating the invalid items of a failed batch ---
+
+INVALID_KINDS = ("bumped_s", "other_key", "off_curve_r", "s_zero", "s_n", "off_curve_key")
+
+
+@functools.lru_cache(maxsize=None)
+def _bisect_pool():
+    """25 valid items, and per item a signature of its message under the next item's key."""
+    rng = random.Random(33)
+    keypairs = [generate_keypair(rng) for _ in range(25)]
+    messages = [b"bisect" + i.to_bytes(4, "big") for i in range(25)]
+    items = tuple((m, sign(m, k.private, rng), k.public) for m, k in zip(messages, keypairs))
+    forged = tuple(sign(m, keypairs[(i + 1) % 25].private, rng) for i, m in enumerate(messages))
+    return items, forged
+
+
+def _invalid(index, kind):
+    items, forged = _bisect_pool()
+    message, star, public = items[index]
+    if kind == "bumped_s":
+        return message, StarSignature(star.R, (star.s + 1) % N or 1), public
+    if kind == "other_key":
+        return message, forged[index], public
+    if kind == "off_curve_r":
+        return message, StarSignature(Point(star.R.x, (star.R.y + 1) % P), star.s), public
+    if kind in ("s_zero", "s_n"):
+        return message, StarSignature(star.R, 0 if kind == "s_zero" else N), public
+    return message, star, Point(public.x, (public.y + 1) % P)
+
+
+@st.composite
+def _dirty_batches(draw):
+    """(items, seed): 1-25 items, of which 0, 1, 2 or all are invalid."""
+    size = draw(st.integers(1, 25))
+    count = min(draw(st.sampled_from((0, 1, 2, size))), size)
+    bad = draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count,
+                        unique=True))
+    kinds = {index: draw(st.sampled_from(INVALID_KINDS)) for index in bad}
+    items = [_invalid(i, kinds[i]) if i in kinds else _bisect_pool()[0][i]
+             for i in range(size)]
+    return items, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_dirty_batches())
+def test_verify_batch_flags_equal_verify_each(batch):
+    items, seed = batch
+    refused = []  # ids of the items an individual check refused
+
+    def recording(chunk):
+        flags = verify_each(chunk)
+        refused.extend(id(item) for item, ok in zip(chunk, flags) if not ok)
+        return flags
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sigmod, "verify_each", recording)
+        flags = verify_batch(items, random.Random(seed))
+    assert flags == verify_each(items)
+    assert all(ok or id(item) in refused for item, ok in zip(items, flags))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """(name, item count) of each batch_verify and verify_each call, in order."""
+    calls = []
+    for name in ("batch_verify", "verify_each"):
+        def counted(*args, _name=name, _original=getattr(sigmod, name)):
+            calls.append((_name, len(args[0])))
+            return _original(*args)
+        monkeypatch.setattr(sigmod, name, counted)
+    return calls
+
+
+def test_valid_batch_costs_one_batch_check_and_its_randomizers(checks):
+    items = _bisect_pool()[0]
+    for size in (1, 2, 25):
+        checks.clear()
+        rng, alone = random.Random(size), random.Random(size)
+        assert verify_batch(items[:size], rng) == [True] * size
+        assert checks == [("batch_verify", size)]
+        assert batch_verify(items[:size], alone)
+        assert rng.getstate() == alone.getstate()
+
+
+def test_one_invalid_item_takes_logarithmically_many_checks(checks):
+    for size in (2, 3, 8, 25):
+        for index in range(size):
+            items = list(_bisect_pool()[0][:size])
+            items[index] = _invalid(index, "bumped_s")
+            checks.clear()
+            flags = verify_batch(items, random.Random(index))
+            assert flags == [i != index for i in range(size)]
+            # A batch check counts once, and verify_each once per item it checks.
+            cost = sum(1 if name == "batch_verify" else count for name, count in checks)
+            assert cost <= 2 * math.ceil(math.log2(size)) + 1, (size, index, checks)
 
 
 def _tampered(star):

@@ -128,22 +128,6 @@ def _require_positive(flag: str, value: int) -> None:
 def check_report_invariants(report: met.SimulationReport) -> list[str]:
     """Structural invariants every finished run must satisfy."""
     problems = []
-    msg_total = sum(count for cats in report.message_counts.values()
-                    for count in cats.values())
-    if msg_total != report.total_messages:
-        problems.append("message accounting: per-role counts do not sum to the total")
-    byte_total = 0
-    for role, cats in report.message_counts.items():
-        for cat, count in cats.items():
-            expected = count * met.WIRE_BYTES[cat]
-            actual = report.byte_counts.get(role, {}).get(cat, -1)
-            if actual != expected:
-                problems.append(
-                    f"byte accounting: {role}/{cat} has {actual} bytes, "
-                    f"expected {count} x {met.WIRE_BYTES[cat]}")
-            byte_total += expected
-    if byte_total != report.total_bytes:
-        problems.append("byte accounting: per-role bytes do not sum to the total")
     if report.false_positives != 0:
         problems.append(f"soundness: {report.false_positives} honest devices were flagged")
     if report.detection_probability != 1.0:
@@ -298,9 +282,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"cell {label}: {p}" for p in check_report_invariants(report))
             summary_cells.append({
                 "cell": label,
-                "num_devices": config.resolve().num_devices,
-                "environment": config.resolve().environment,
-                "batch_size": config.resolve().batch_size,
+                "num_devices": report.config["num_devices"],
+                "environment": report.config["environment"],
+                "batch_size": report.config["batch_size"],
                 "seed": report.seed,
                 "detection_probability": report.detection_probability,
                 "false_positives": report.false_positives,

@@ -118,28 +118,26 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
 
-def ci_matches(stored: ContextInformation, presented: ContextInformation,
-               time_tolerance: int = TIME_TOLERANCE) -> bool:
+def ci_matches(stored: ContextInformation, presented: ContextInformation) -> bool:
     """Compare two context records the way a verifier does.
 
     Identity, location, and activity must agree byte for byte; the time
-    fields may differ by at most ``time_tolerance`` ticks of sensing
+    fields may differ by at most ``TIME_TOLERANCE`` ticks of sensing
     skew.
     """
     return (stored.device_id == presented.device_id
             and stored.loc_x == presented.loc_x
             and stored.loc_y == presented.loc_y
             and stored.activity == presented.activity
-            and abs(stored.time - presented.time) <= time_tolerance)
+            and abs(stored.time - presented.time) <= TIME_TOLERANCE)
 
 
-def _digest_matches_store(digest: bytes, stored: ContextInformation,
-                          time_tolerance: int = TIME_TOLERANCE) -> bool:
+def _digest_matches_store(digest: bytes, stored: ContextInformation) -> bool:
     # An honest prover signed the stored record itself, so that is tried
     # first; the signed record may also sit a tolerated tick away from it.
     if stored.digest() == digest:
         return True
-    for delta in range(1, time_tolerance + 1):
+    for delta in range(1, TIME_TOLERANCE + 1):
         for time in (stored.time - delta, stored.time + delta):
             if 0 <= time <= TIME_MAX and dataclasses.replace(stored, time=time).digest() == digest:
                 return True

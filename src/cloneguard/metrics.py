@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from . import context as ctx
@@ -48,6 +48,26 @@ QUOTED_DEVICE_BUDGET_BYTES = 73
 # distance.
 VERIFIER_TRACK_BYTES = 2 + 8
 
+# The storage figures every report carries for comparison.
+STORAGE_REFERENCE = {
+    "per_device_bytes": DEVICE_STORAGE_BYTES,
+    "quoted_budget_bytes": QUOTED_DEVICE_BUDGET_BYTES,
+    "matches_quoted_budget": DEVICE_STORAGE_BYTES == QUOTED_DEVICE_BUDGET_BYTES,
+}
+
+MessageCounts = dict[str, dict[str, int]]  # sender role -> category -> count
+
+
+def byte_counts(message_counts: MessageCounts) -> MessageCounts:
+    """Sender role -> category -> payload bytes, from the message counts."""
+    return {role: {category: count * WIRE_BYTES[category]
+                   for category, count in cats.items()}
+            for role, cats in message_counts.items()}
+
+
+def total_bytes(message_counts: MessageCounts) -> int:
+    return sum(sum(cats.values()) for cats in byte_counts(message_counts).values())
+
 
 class MetricsSink:
     """Counts messages and runs the simulated clock.
@@ -75,26 +95,21 @@ class MetricsSink:
 
     # --- aggregations ---
 
-    def message_counts(self) -> dict[str, dict[str, int]]:
+    def message_counts(self) -> MessageCounts:
         """Sender role -> category -> count."""
-        out: dict[str, dict[str, int]] = {}
+        out: MessageCounts = {}
         for (role, category), count in self.counts.items():
             out.setdefault(role, {})[category] = count
         return out
 
-    def byte_counts(self) -> dict[str, dict[str, int]]:
-        """Sender role -> category -> payload bytes."""
-        out: dict[str, dict[str, int]] = {}
-        for (role, category), count in self.counts.items():
-            out.setdefault(role, {})[category] = count * WIRE_BYTES[category]
-        return out
+    def byte_counts(self) -> MessageCounts:
+        return byte_counts(self.message_counts())
 
     def total_messages(self) -> int:
         return sum(self.counts.values())
 
     def total_bytes(self) -> int:
-        return sum(count * WIRE_BYTES[category]
-                   for (_, category), count in self.counts.items())
+        return total_bytes(self.message_counts())
 
 
 def expected_tree_messages(degree: int, height: int) -> int:
@@ -128,6 +143,8 @@ class DetectionRecord:
 class SimulationReport:
     """Everything a finished experiment run reports.
 
+    ``message_counts`` is the run's only record of traffic: the byte
+    table and both totals are derived from it, never stored beside it.
     The canonical JSON must be byte-identical across runs of the same
     (config, seed).
     """
@@ -138,43 +155,29 @@ class SimulationReport:
     detections: list[DetectionRecord]
     false_positives: int
     verdict_counts: dict[str, int]
-    message_counts: dict[str, dict[str, int]]
-    byte_counts: dict[str, dict[str, int]]
-    total_messages: int
-    total_bytes: int
+    message_counts: MessageCounts
     storage_bytes: dict[str, int]
     verifier_confidence: dict[str, dict[str, float]]  # cohort id -> scores
 
+    @property
+    def byte_counts(self) -> MessageCounts:
+        return byte_counts(self.message_counts)
+
+    @property
+    def total_messages(self) -> int:
+        return sum(sum(cats.values()) for cats in self.message_counts.values())
+
+    @property
+    def total_bytes(self) -> int:
+        return total_bytes(self.message_counts)
+
     def to_canonical_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "detection_probability": self.detection_probability,
-            "detections": [
-                {
-                    "clone_idx": rec.clone_idx,
-                    "victim_idx": rec.victim_idx,
-                    "device_id": rec.device_id,
-                    "case": rec.case,
-                    "round": rec.round_no,
-                    "detection_time_ms": rec.detection_time_ms,
-                }
-                for rec in self.detections
-            ],
-            "false_positives": self.false_positives,
-            "verdict_counts": self.verdict_counts,
-            "message_counts": self.message_counts,
-            "byte_counts": self.byte_counts,
-            "total_messages": self.total_messages,
-            "total_bytes": self.total_bytes,
-            "storage_bytes": self.storage_bytes,
-            "storage_reference": {
-                "per_device_bytes": DEVICE_STORAGE_BYTES,
-                "quoted_budget_bytes": QUOTED_DEVICE_BUDGET_BYTES,
-                "matches_quoted_budget": DEVICE_STORAGE_BYTES == QUOTED_DEVICE_BUDGET_BYTES,
-            },
-            "verifier_confidence": self.verifier_confidence,
-        }
+        data = asdict(self)
+        for rec in data["detections"]:
+            rec["round"] = rec.pop("round_no")
+        data.update(byte_counts=self.byte_counts, total_messages=self.total_messages,
+                    total_bytes=self.total_bytes, storage_reference=dict(STORAGE_REFERENCE))
+        return data
 
     def to_canonical_json(self) -> str:
         """Deterministic serialization: sorted keys, fixed separators."""
@@ -246,19 +249,19 @@ def write_detection_csv(path: str, reports: Sequence[SimulationReport]) -> None:
 
 def write_overhead_csvs(messages_path: str, bytes_path: str,
                         reports: Sequence[SimulationReport]) -> None:
-    msg_totals: dict[tuple[str, str], int] = {}
-    byte_totals: dict[tuple[str, str], int] = {}
+    totals: MessageCounts = {}
     for report in reports:
         for role, cats in report.message_counts.items():
+            row = totals.setdefault(role, {})
             for cat, count in cats.items():
-                msg_totals[(role, cat)] = msg_totals.get((role, cat), 0) + count
-        for role, cats in report.byte_counts.items():
-            for cat, nbytes in cats.items():
-                byte_totals[(role, cat)] = byte_totals.get((role, cat), 0) + nbytes
-    _write_csv(messages_path, ["role", "category", "count"],
-               [[role, cat, count] for (role, cat), count in sorted(msg_totals.items())])
-    _write_csv(bytes_path, ["role", "category", "bytes"],
-               [[role, cat, nbytes] for (role, cat), nbytes in sorted(byte_totals.items())])
+                row[cat] = row.get(cat, 0) + count
+
+    def rows(table: MessageCounts) -> list[list]:
+        return sorted([role, cat, value] for role, cats in table.items()
+                      for cat, value in cats.items())
+
+    _write_csv(messages_path, ["role", "category", "count"], rows(totals))
+    _write_csv(bytes_path, ["role", "category", "bytes"], rows(byte_counts(totals)))
 
 
 def write_storage_csv(path: str, report: SimulationReport) -> None:

@@ -113,6 +113,18 @@ def verify_classic(message: bytes, sig: Signature, public: PublicKey) -> bool:
     return x_pt.x % N == sig.r
 
 
+def _well_formed(sig: StarSignature, public: PublicKey) -> bool:
+    """Whether an ECDSA* item is structurally valid, before any equation.
+
+    R is finite and on the curve, x(R) mod n and s lie in [1, n), and
+    the public key is usable.  ``verify_star`` and ``batch_verify`` both
+    refuse an item that fails here.
+    """
+    return (sig.R is not INFINITY and is_on_curve(sig.R)
+            and 1 <= sig.R.x % N and 1 <= sig.s < N
+            and validate_public_key(_key_point(public)))
+
+
 def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
     """ECDSA* verification: recompute the nonce point and compare it to R.
 
@@ -120,17 +132,12 @@ def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
     instead of reduced-x equality — which is what makes signatures
     batchable without opening the x-coordinate malleability door.
     """
-    if sig.R is INFINITY or not is_on_curve(sig.R):
-        return False
-    r = sig.R.x % N
-    if not (1 <= r < N and 1 <= sig.s < N):
-        return False
-    if not validate_public_key(_key_point(public)):
+    if not _well_formed(sig, public):
         return False
     e = hash_to_scalar(message)
     w = pow(sig.s, -1, N)
     u1 = e * w % N
-    u2 = r * w % N
+    u2 = sig.R.x % N * w % N
     return multi_scalar_mul([(u1, G), (u2, public)]) == sig.R
 
 
@@ -157,9 +164,8 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
     multiplying R_i), so the R terms carry randomizer_bits-bit scalars
     with few wNAF digits; the G term goes through the fixed-base table.
     The s_i are inverted together, with one modular inversion per batch.
-    Structurally broken items — off-curve or infinite R, out-of-range
-    scalars, unusable public keys — reject the batch before the equation
-    is evaluated.
+    An item that is not ``_well_formed`` rejects the batch before any
+    lambda is drawn.
 
     Returns a single accept/reject for the whole batch; callers that
     need to locate an offender use ``verify_batch``.
@@ -168,13 +174,8 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
         raise ValueError("batch must contain at least one signature")
     if randomizer_bits < 1:
         raise ValueError("randomizer_bits must be positive")
-    for _, sig, public in items:
-        if sig.R is INFINITY or not is_on_curve(sig.R):
-            return False
-        if not (1 <= sig.R.x % N < N and 1 <= sig.s < N):
-            return False
-        if not validate_public_key(_key_point(public)):
-            return False
+    if not all(_well_formed(sig, public) for _, sig, public in items):
+        return False
 
     pairs = []
     u1_sum = 0
@@ -215,9 +216,14 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random,
     valid item is ever flagged.  An invalid item is flagged ``True`` only
     if one of the at most ceil(log2 n) + 1 batch checks on its path
     passes, each with probability at most 2^-randomizer_bits over the
-    lambdas (which assumes ``rng`` is unpredictable to the signer).  One
-    invalid item among n costs at most 2 * ceil(log2 n) + 1 checks, the
-    first included, where a scan after the batch check costs 1 + n.
+    lambdas (which assumes ``rng`` is unpredictable to the signer).
+
+    Cost, the first check included: one invalid item among n costs at
+    most 2 * ceil(log2 n) + 1 checks, where a scan after the batch check
+    costs 1 + n.  k invalid items leave at most k failed sets per level
+    of the search, each checking at most its two halves, so they cost at
+    most 2k * ceil(log2 n) + 1 <= k * (2 * ceil(log2 n) + 1) checks,
+    which can exceed the scan's 1 + n once k >= 2.
     """
     flags = [True] * len(items)
 

@@ -159,8 +159,7 @@ class Node:
 @dataclass
 class RoundResult:
     round_no: int
-    verdicts: dict[int, ctx.Verdict]                 # target node idx -> verdict
-    presentations: dict[int, ctx.ProofPresentation]  # target node idx -> evidence
+    verdicts: dict[int, ctx.Verdict]  # target node idx -> verdict
     detections: list[met.DetectionRecord]
     false_positives: int
 
@@ -278,8 +277,8 @@ def mobility_step(state: SimulationState) -> None:
             node.y += dy / dist * node.speed
 
 
-def inject_clones(state: SimulationState, count: int | None = None) -> list[Node]:
-    """Clone ``count`` distinct victim provers into new physical nodes.
+def inject_clones(state: SimulationState) -> list[Node]:
+    """Clone ``num_clones`` distinct victim provers into new physical nodes.
 
     Each clone copies its victim's identity, key material, and current
     context record, but stands somewhere else: placement is resampled
@@ -287,8 +286,7 @@ def inject_clones(state: SimulationState, count: int | None = None) -> list[Node
     can never be context-indistinguishable at injection time.
     """
     cfg = state.config
-    if count is None:
-        count = cfg.num_clones
+    count = cfg.num_clones
     if count == 0:
         return []
     rng = state.rngs.stream("clones")
@@ -349,7 +347,6 @@ def run_detection_round(state: SimulationState) -> RoundResult:
     verifiers = state.verifiers()
 
     verdicts: dict[int, ctx.Verdict] = {}
-    presentations: dict[int, ctx.ProofPresentation] = {}
     detections: list[met.DetectionRecord] = []
     false_positives = 0
     nonce_rng = state.rngs.stream("nonces")
@@ -378,9 +375,8 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                 sink.log(ROLE_VERIFIER, "sense")
                 sink.log(ROLE_VERIFIER, "ci_check")
                 sink.log(ROLE_LBS, "ack")
-                pres = ctx.ProofPresentation(proof=proofs[target.idx], observed=observed)
-                batch_pres.append(pres)
-                presentations[target.idx] = pres
+                batch_pres.append(ctx.ProofPresentation(proof=proofs[target.idx],
+                                                        observed=observed))
 
             batch_verdicts = ctx.verify_proof_batch(
                 batch_pres, state.lbs, batch_rng,
@@ -411,8 +407,8 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                     else:
                         false_positives += 1
 
-    return RoundResult(round_no=tick, verdicts=verdicts, presentations=presentations,
-                       detections=detections, false_positives=false_positives)
+    return RoundResult(round_no=tick, verdicts=verdicts, detections=detections,
+                       false_positives=false_positives)
 
 
 def run_experiment(config: NetworkConfig) -> met.SimulationReport:
@@ -472,9 +468,6 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
         false_positives=false_positives,
         verdict_counts=verdict_counts,
         message_counts=state.sink.message_counts(),
-        byte_counts=state.sink.byte_counts(),
-        total_messages=state.sink.total_messages(),
-        total_bytes=state.sink.total_bytes(),
         storage_bytes=storage,
         verifier_confidence=verifier_confidence,
     )

@@ -1,6 +1,7 @@
 """Message accounting, storage budgets, report serialization, CSV output."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -114,6 +115,7 @@ def test_tree_messages_rejects_bad_shapes():
 
 
 def _tiny_report(num_devices=100, total_messages=1000, seed=1, tracked=3):
+    # 70 proof responses; proof requests make up the rest of the total.
     return SimulationReport(
         config={"num_devices": num_devices, "environment": "sparse", "seed": seed},
         seed=seed,
@@ -123,10 +125,8 @@ def _tiny_report(num_devices=100, total_messages=1000, seed=1, tracked=3):
                                     detection_time_ms=15.0)],
         false_positives=0,
         verdict_counts={"confirmed": 69, "compromised_context": 1},
-        message_counts={"prover": {"proof_response": 70}},
-        byte_counts={"prover": {"proof_response": 6930}},
-        total_messages=total_messages,
-        total_bytes=6930,
+        message_counts={"prover": {"proof_response": 70},
+                        "verifier": {"proof_request": total_messages - 70}},
         storage_bytes={"device_bytes": 81, "verifier_tracked_provers": tracked},
         verifier_confidence={},
     )
@@ -151,6 +151,26 @@ def test_report_detection_entries_serialize():
     [entry] = data["detections"]
     assert entry["case"] == "context_mismatch"
     assert entry["detection_time_ms"] == 15.0
+    assert entry["round"] == 1 and "round_no" not in entry
+
+
+def test_report_derives_bytes_and_totals_from_its_counts():
+    counts = {"prover": {"proof_response": 3, "sense": 2},
+              "verifier": {"proof_request": 5, "ci_check": 4},
+              "lbs": {"ack": 7}}
+    report = dataclasses.replace(_tiny_report(), message_counts=counts)
+    expected = {role: {cat: count * WIRE_BYTES[cat] for cat, count in cats.items()}
+                for role, cats in counts.items()}
+    assert report.byte_counts == expected == {
+        "prover": {"proof_response": 297, "sense": 32},
+        "verifier": {"proof_request": 20, "ci_check": 8},
+        "lbs": {"ack": 21}}
+    assert report.total_messages == 21
+    assert report.total_bytes == 378
+    data = json.loads(report.to_canonical_json())
+    assert data["message_counts"] == counts
+    assert data["byte_counts"] == expected
+    assert (data["total_messages"], data["total_bytes"]) == (21, 378)
 
 
 # --- complexity judgment ---

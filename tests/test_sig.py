@@ -266,6 +266,28 @@ def test_one_invalid_item_takes_logarithmically_many_checks(checks):
             assert cost <= 2 * math.ceil(math.log2(size)) + 1, (size, index, checks)
 
 
+def _placements(size, count):
+    """Sets of ``count`` indices: packed at the front, packed at the back,
+    spread over the whole batch, and three drawn at random."""
+    rng = random.Random(size * 10 + count)
+    return ([tuple(range(count)), tuple(range(size - count, size)),
+             tuple(i * (size - 1) // (count - 1) for i in range(count))]
+            + [tuple(sorted(rng.sample(range(size), count))) for _ in range(3)])
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("size", [8, 22, 25])
+def test_several_invalid_items_stay_within_the_stated_cost(checks, size, count):
+    for bad in _placements(size, count):
+        items = [_invalid(i, "other_key") if i in bad else item
+                 for i, item in enumerate(_bisect_pool()[0][:size])]
+        checks.clear()
+        flags = verify_batch(items, random.Random(sum(bad)))
+        cost = sum(1 if name == "batch_verify" else n for name, n in checks)
+        assert flags == verify_each(items) == [i not in bad for i in range(size)]
+        assert cost <= 2 * count * math.ceil(math.log2(size)) + 1, (size, bad, checks)
+
+
 def _tampered(star):
     """The signature, then copies with one bit of s or of R flipped."""
     yield star

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from cloneguard import context as ctx
 from cloneguard.context import ContextInformation, Verdict, ci_matches
 from cloneguard.sim import (ConfigError, NetworkConfig, init_network, inject_clones,
                             mobility_step, run_detection_round, run_experiment)
@@ -220,16 +221,34 @@ def _oracle_verdict(presentation, lbs):
     return Verdict.CONFIRMED
 
 
-def test_round_verdicts_match_independent_oracle():
+def test_round_verdicts_match_independent_oracle(monkeypatch):
+    adjudicated = []  # (presentation, verdict) of every proof the round verifies
+    original = ctx.verify_proof_batch
+
+    def recording(presentations, *args, **kwargs):
+        verdicts = original(presentations, *args, **kwargs)
+        adjudicated.extend(zip(presentations, verdicts))
+        return verdicts
+
+    monkeypatch.setattr(ctx, "verify_proof_batch", recording)
     for seed in (3, 11):
         state = init_network(NetworkConfig(seed=seed).resolve())
         inject_clones(state)
         for _ in range(2):
+            adjudicated.clear()
             result = run_detection_round(state)
-            assert set(result.verdicts) == set(result.presentations)
-            for idx, verdict in result.verdicts.items():
-                assert verdict == _oracle_verdict(result.presentations[idx],
-                                                  state.lbs), idx
+            # A verifier observes each target where it stands, so the
+            # observed record names the target it was taken from.
+            by_observation = {
+                ctx.sense_context(t.device_id, state.round_no, t.position(), t.activity): t
+                for t in state.targets()}
+            assert len(by_observation) == len(state.targets())
+            seen = [by_observation[pres.observed].idx for pres, _ in adjudicated]
+            # one pair per target, and a verdict for each
+            assert sorted(seen) == [t.idx for t in state.targets()] == sorted(result.verdicts)
+            for (pres, verdict), idx in zip(adjudicated, seen):
+                assert verdict == result.verdicts[idx]
+                assert verdict == _oracle_verdict(pres, state.lbs), idx
 
 
 def test_first_round_detects_every_clone():

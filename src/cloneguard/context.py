@@ -197,10 +197,12 @@ class LbsStore:
 
     Next to each registered key the store keeps, once that key has been
     verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
-    its eight positive odd multiples, which every later verification
-    under that key reuses.  Registering a key drops the id's table, so
-    keys must change through ``register_public_key``.  The tables are a
-    verifier-side cache and not part of ``storage_bytes``.
+    its width-6 wNAF table, the sixteen positive odd multiples P, 3P, ...,
+    31P as one flat tuple of 32 ints (about 2.2 kB per key), which every
+    later verification under that key reuses.  Registering a key drops
+    the id's table, so keys must change through ``register_public_key``.
+    The tables are a verifier-side cache and not part of
+    ``storage_bytes``.
     """
 
     def __init__(self) -> None:

@@ -3,19 +3,27 @@
 The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
 multiplication is one multi-scalar multiplication.  Terms off the
-generator G share one Straus pass over width-5 NAF digits, with affine
-tables of the positive odd multiples P, 3P, ..., 15P (a negative digit
-adds the negation (x, p - y) of an entry); then the G terms add one
-signed 7-bit digit per row of a fixed-base table of affine multiples (at
-most 37 additions, no doublings) into the same Jacobian accumulator.
-Every addition is mixed Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT
-1998).  A call costs at most three field inversions: one for the tables'
-2P, one to normalise the tables, one back to affine at the end.
+generator G share one Straus pass over wNAF digits, each base with its
+own window width w and an affine table of its positive odd multiples
+P, 3P, ..., (2^(w-1) - 1)P (a negative digit adds the negation (x, p - y)
+of an entry); then the G terms add one signed 7-bit digit per row of a
+fixed-base table of affine multiples (at most 37 additions, no
+doublings) into the same Jacobian accumulator.  Every addition is mixed
+Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT 1998).  A call costs at
+most three field inversions: one for the tables' 2P, one to normalise
+the tables, one back to affine at the end.
+
+Every table is one flat tuple of ints, (x1, y1, x3, y3, ...): odd digit
+d reads x at index |d| - 1 and y at |d|.  The generator table's rows use
+the same flat layout for the digits 1..64.
 
 A base that recurs across calls, such as a registered public key, can be
-passed as a ``PrecomputedPoint``: the point with its table, built once by
+passed as a ``PrecomputedPoint``: the point with its width-6 table
+(P, 3P, ..., 31P; 32 ints, about 2.2 kB per key), built once by
 ``precompute``.  The MSM then uses that table as it is and builds tables
-only for its plain ``Point`` bases.
+only for its plain ``Point`` bases, of width 4 for a scalar of at most
+128 bits (a batch randomizer's term) and of width 5 for a longer one:
+for a short scalar a wider table costs more to build than it saves.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -27,6 +35,7 @@ adversary can time.  Do not lift this module into production use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 # === P-256 domain parameters (SEC2 "secp256r1") ===
 
@@ -40,8 +49,10 @@ H = 1
 
 _GEN_WIDTH = 7  # digit width (bits) of the signed fixed-base generator table
 _GEN_HALF = 1 << (_GEN_WIDTH - 1)  # generator digits lie in [-_GEN_HALF + 1, _GEN_HALF]
-_WNAF_WIDTH = 5  # NAF width of the variable-base multi-scalar kernel
-_WNAF_HALF = 1 << (_WNAF_WIDTH - 1)  # digits are odd with |d| < _WNAF_HALF
+_KEY_WIDTH = 6  # wNAF width of a PrecomputedPoint's cached table
+_SHORT_BITS = 128  # a per-call table is _SHORT_WIDTH wide for scalars up to this length
+_SHORT_WIDTH = 4
+_LONG_WIDTH = 5  # ... and _LONG_WIDTH wide for longer scalars
 
 
 class InvalidPointError(ValueError):
@@ -191,20 +202,20 @@ def _to_affine(pt) -> Point | None:
 
 
 # === Fixed-base table for the generator ===
-# _GEN_TABLE[w][d-1] holds (d << 7w) * G as an affine (x, y) pair for
-# d = 1 .. 64, over 37 rows: a scalar below 2^256 recodes into 37 signed
-# 7-bit digits in [-63, 64] (Brickell, Gordon, McCurley & Wilson,
-# EUROCRYPT 1992), and a negative digit adds (x, p - y).  The top row
-# covers bits 252-258, where the digit is at most 15 plus a carry, so
-# no carry leaves it.  A fixed-base multiplication is at most 37 mixed
-# additions and no doublings.  Built lazily with the affine reference
-# addition, which keeps the table independent of the Jacobian code it
-# accelerates.
+# Row w of _GEN_TABLE is a flat tuple holding (d << 7w) * G as the affine
+# pair at indices 2d - 2 and 2d - 1 for d = 1 .. 64, over 37 rows: a
+# scalar below 2^256 recodes into 37 signed 7-bit digits in [-63, 64]
+# (Brickell, Gordon, McCurley & Wilson, EUROCRYPT 1992), and a negative
+# digit adds (x, p - y).  The top row covers bits 252-258, where the
+# digit is at most 15 plus a carry, so no carry leaves it.  A fixed-base
+# multiplication is at most 37 mixed additions and no doublings.  Built
+# lazily with the affine reference addition, which keeps the table
+# independent of the Jacobian code it accelerates.
 
-_GEN_TABLE: list[list[tuple[int, int]]] | None = None
+_GEN_TABLE: list[tuple[int, ...]] | None = None
 
 
-def _gen_table() -> list[list[tuple[int, int]]]:
+def _gen_table() -> list[tuple[int, ...]]:
     global _GEN_TABLE
     if _GEN_TABLE is None:
         table = []
@@ -213,7 +224,7 @@ def _gen_table() -> list[list[tuple[int, int]]]:
             row = [base]
             for _ in range(_GEN_HALF - 1):
                 row.append(point_add(row[-1], base))
-            table.append([(pt.x, pt.y) for pt in row])  # type: ignore[union-attr]
+            table.append(tuple(c for pt in row for c in (pt.x, pt.y)))  # type: ignore[union-attr]
             base = point_add(row[-1], row[-1])
         _GEN_TABLE = table
     return _GEN_TABLE
@@ -227,12 +238,11 @@ def _fixed_base_mul(k: int, acc):
         d = k & (2 * _GEN_HALF - 1)
         k >>= _GEN_WIDTH
         if d > _GEN_HALF:
-            x, y = row[2 * _GEN_HALF - d - 1]
-            acc = _jadd_affine(acc, x, P - y)
+            d = 2 * _GEN_HALF - d  # the digit is -d
+            acc = _jadd_affine(acc, row[2 * d - 2], P - row[2 * d - 1])
             k += 1
         elif d:
-            x, y = row[d - 1]
-            acc = _jadd_affine(acc, x, y)
+            acc = _jadd_affine(acc, row[2 * d - 2], row[2 * d - 1])
     return acc
 
 
@@ -248,21 +258,22 @@ def scalar_mul(k: int, point: Point | None) -> Point | None:
     return multi_scalar_mul(((k, point),))
 
 
-def _wnaf(k: int):
-    """Width-5 NAF of k >= 0: yield (position, digit) for each nonzero digit.
+def _wnaf(k: int, width: int):
+    """Width-``width`` NAF of k >= 0: yield (position, digit) for each nonzero digit.
 
-    Positions ascend and are at least _WNAF_WIDTH apart, every digit is
-    odd with |digit| < _WNAF_HALF, and sum(digit << position) == k.  The
+    Positions ascend and are at least ``width`` apart, every digit is odd
+    with |digit| < 2^(width - 1), and sum(digit << position) == k.  The
     highest position is at most k.bit_length().
     """
+    half = 1 << (width - 1)
     position = 0
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         position += zeros
-        d = k & (2 * _WNAF_HALF - 1)
-        if d > _WNAF_HALF:
-            d -= 2 * _WNAF_HALF
+        d = k & (2 * half - 1)
+        if d > half:
+            d -= 2 * half
         yield position, d
         k -= d
 
@@ -287,72 +298,77 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
     return inverses
 
 
-def _odd_multiple_tables(points: list[Point]) -> list[tuple[tuple[int, int], ...]]:
-    """Affine (P, 3P, 5P, ..., 15P) for every point.
+def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]]:
+    """The flat width-w table (x1, y1, x3, y3, ...) of P, 3P, ..., (2^(w-1) - 1)P per (P, w).
 
-    Only the positive half is stored: an odd wNAF digit d > 0 picks entry
-    d >> 1, and a negative one adds (x, p - y) of entry -d >> 1.  Each 2P
-    is affine, from the tangent slope 3(x^2 - 1) / 2y (a = -3) with every
-    2y inverted by one ``batch_inverse``; y != 0, as the prime-order group
-    has no point of order 2.  The multiples grow by mixed additions of 2P,
-    then a second ``batch_inverse`` normalises all their Z coordinates.
-    Adding 2P to (2j-1)P never doubles or cancels: that would need
-    (2j-3)P or (2j+1)P to be infinity, and P has the prime order n.
+    Only the positive half is stored: an odd wNAF digit d reads x at
+    index |d| - 1 and y at |d|, and a negative one adds (x, p - y).  Each
+    2P is affine, from the tangent slope 3(x^2 - 1) / 2y (a = -3) with
+    every 2y inverted by one ``batch_inverse``; y != 0, as the
+    prime-order group has no point of order 2.  The multiples grow by
+    mixed additions of 2P, then a second ``batch_inverse`` normalises all
+    their Z coordinates, whatever the tables' widths.  Adding 2P to
+    (2j-1)P never doubles or cancels: that would need (2j-3)P or (2j+1)P
+    to be infinity, and P has the prime order n.
     """
-    half = _WNAF_HALF // 2
     entries = []
-    for point, inv in zip(points, batch_inverse([2 * point.y for point in points], P)):
+    for (point, width), inv in zip(bases, batch_inverse([2 * pt.y for pt, _ in bases], P)):
         x, y = point.x, point.y
         slope = 3 * (x - 1) * (x + 1) * inv % P
         tx = (slope * slope - 2 * x) % P
         ty = (slope * (x - tx) - y) % P
         entries.append((x, y, 1))
-        for _ in range(half - 1):
+        for _ in range((1 << (width - 2)) - 1):
             entries.append(_jadd_affine(entries[-1], tx, ty))
-    affine = []
+    flat = []
     for (x, y, _), zi in zip(entries, batch_inverse([z for _, _, z in entries], P)):
         zi2 = zi * zi % P
-        affine.append((x * zi2 % P, y * zi2 % P * zi % P))
-    return [tuple(affine[start:start + half]) for start in range(0, len(affine), half)]
+        flat += (x * zi2 % P, y * zi2 % P * zi % P)
+    coords = iter(flat)
+    return [tuple(islice(coords, 1 << (width - 1))) for _, width in bases]
 
 
 @dataclass(frozen=True, slots=True)
 class PrecomputedPoint:
-    """A finite on-curve point with its wNAF table (P, 3P, ..., 15P).
+    """A finite on-curve point with its width-6 wNAF table (P, 3P, ..., 31P).
 
-    Build these with ``precompute``.  ``multi_scalar_mul`` accepts one
-    anywhere it accepts a base ``Point`` and reads ``table`` instead of
-    building it, so a base that recurs across calls pays for its table
-    once.
+    ``table`` is flat, (x1, y1, x3, y3, ..., x31, y31).  Build these with
+    ``precompute``.  ``multi_scalar_mul`` accepts one anywhere it accepts
+    a base ``Point`` and reads ``table`` instead of building it, so a base
+    that recurs across calls pays for its table once.
     """
 
     point: Point
-    table: tuple[tuple[int, int], ...]
+    table: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _require_finite(self.point)
-        if len(self.table) != _WNAF_HALF // 2:
-            raise ValueError(f"table must hold {_WNAF_HALF // 2} odd multiples")
+        if len(self.table) != 1 << (_KEY_WIDTH - 1):
+            raise ValueError(f"table must hold {1 << (_KEY_WIDTH - 2)} odd multiples")
+        if self.table[:2] != (self.point.x, self.point.y):
+            raise ValueError("table does not start with its own point")
 
 
 def precompute(points: list[Point]) -> list[PrecomputedPoint]:
     """Tables for many finite on-curve points, sharing their field inversions."""
     for point in points:
         _require_finite(point)
-    return [PrecomputedPoint(point, table)
-            for point, table in zip(points, _odd_multiple_tables(points))]
+    tables = _odd_multiple_tables([(point, _KEY_WIDTH) for point in points])
+    return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
 
 
 def multi_scalar_mul(pairs) -> Point | None:
     """Compute sum(k_i * P_i) exactly.  Every k_i >= 0; an empty input is infinity.
 
-    Terms off G share one Straus pass over width-5 NAF digits (Moeller,
-    SAC 2001): each base has an affine table of its odd multiples P, 3P,
-    ..., 15P, and a negative digit adds the negation (x, p - y) of an
-    entry, so the main loop is one Jacobian doubling per bit position plus
-    one mixed addition per nonzero digit.  A ``PrecomputedPoint`` base
-    brings its table; every plain ``Point`` base gets one built here, all
-    of them in one ``_odd_multiple_tables`` call.  Terms whose base is the
+    Terms off G share one Straus pass over wNAF digits (Moeller, SAC
+    2001), each term at its own table's width w: each base has an affine
+    table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a negative
+    digit adds the negation (x, p - y) of an entry, so the main loop is
+    one Jacobian doubling per bit position plus one mixed addition per
+    nonzero digit.  A ``PrecomputedPoint`` base brings its width-6 table;
+    every plain ``Point`` base gets one built here, of width 4 if its
+    reduced scalar has at most 128 bits and width 5 otherwise, all of
+    them in one ``_odd_multiple_tables`` call.  Terms whose base is the
     plain ``Point`` G have their scalars summed, and the fixed-base table
     adds that multiple into the Straus accumulator.  Every addition is
     mixed; a call does at most three field inversions.
@@ -365,6 +381,7 @@ def multi_scalar_mul(pairs) -> Point | None:
             raise ValueError("scalar must be non-negative")
         if isinstance(base, PrecomputedPoint):
             table = base.table
+            width = _KEY_WIDTH
         else:
             _require_on_curve(base)
             if base is None:
@@ -377,22 +394,22 @@ def multi_scalar_mul(pairs) -> Point | None:
         if not k:
             continue
         if table is None:
-            fresh.append(base)
-        terms.append((k, table))
+            width = _SHORT_WIDTH if k.bit_length() <= _SHORT_BITS else _LONG_WIDTH
+            fresh.append((base, width))
+        terms.append((k, width, table))
     acc = None
     if terms:
         built = iter(_odd_multiple_tables(fresh))
         adds: list[list[tuple[int, int]]] = [
-            [] for _ in range(max(k.bit_length() for k, _ in terms) + 1)]
-        for k, table in terms:
+            [] for _ in range(max(k.bit_length() for k, _, _ in terms) + 1)]
+        for k, width, table in terms:
             if table is None:
                 table = next(built)
-            for position, d in _wnaf(k):
+            for position, d in _wnaf(k, width):
                 if d > 0:
-                    adds[position].append(table[d >> 1])
+                    adds[position].append((table[d - 1], table[d]))
                 else:
-                    x, y = table[-d >> 1]
-                    adds[position].append((x, P - y))
+                    adds[position].append((table[-d - 1], P - table[-d]))
         for position in range(len(adds) - 1, -1, -1):
             acc = _jdbl(acc)
             for x, y in adds[position]:

@@ -102,9 +102,6 @@ class MetricsSink:
             out.setdefault(role, {})[category] = count
         return out
 
-    def byte_counts(self) -> MessageCounts:
-        return byte_counts(self.message_counts())
-
     def total_messages(self) -> int:
         return sum(self.counts.values())
 

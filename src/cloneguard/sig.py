@@ -162,7 +162,8 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
 
     lambda_i multiplies the negated point -R_i (rather than n - lambda_i
     multiplying R_i), so the R terms carry randomizer_bits-bit scalars
-    with few wNAF digits; the G term goes through the fixed-base table.
+    with few wNAF digits, on the MSM's small width-4 tables while
+    randomizer_bits <= 128; the G term goes through the fixed-base table.
     The s_i are inverted together, with one modular inversion per batch.
     An item that is not ``_well_formed`` rejects the batch before any
     lambda is drawn.

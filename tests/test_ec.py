@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cloneguard import ec
 from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
                            InvalidPointError, Point, PrecomputedPoint, _gen_table,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
                            validate_curve_security, validate_public_key)
+from cloneguard.sig import batch_verify, generate_keypair, sign
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -174,11 +176,11 @@ def test_fixed_base_signed_digit_edges():
 
 def test_fixed_base_table_entries():
     table = _gen_table()
-    assert len(table) == 37 and all(len(row) == 64 for row in table)
+    assert len(table) == 37 and all(len(row) == 128 for row in table)
     for w in (0, 1, 18, 35, 36):
         for d in (1, 2, 63, 64):
             expected = oracle_mul(d << (_GEN_WIDTH * w), G)
-            assert table[w][d - 1] == (expected.x, expected.y)
+            assert table[w][2 * d - 2:2 * d] == (expected.x, expected.y)
 
 
 def test_multi_scalar_mul_empty_and_trivial():
@@ -241,6 +243,17 @@ def test_multi_scalar_mul_matches_fold():
         [(0, pre_q), (N - 1, pre_q2), (N, pre_q), (N + k, pre_q2), (2 ** 300 + 7, pre_q)],
         [(0, pre_q), (0, pre_g)],
     ]
+    # Cached width-6 keys next to fresh terms on one point whose scalars
+    # straddle the width boundary: 128 bits (width 4) and 129 bits
+    # (width 5), the largest digit of each width, and G.
+    short, long = 2 ** 128 - 1, 2 ** 128 + 2 ** 127 + 7
+    cases += [
+        [(k, pre_q), (short, q3), (long, q3), (rng.randrange(0, N), G)],
+        [(rng.randrange(1, 2 ** 128), q3), (rng.randrange(2 ** 128, 2 ** 129), q3),
+         (rng.randrange(0, N), pre_q2), (rng.randrange(0, N), G), (k, pre_q)],
+        [(7, q3), (15, q3), (31, pre_q), (2 ** 128 - 7, q3), (2 ** 128 + 15, q3)],
+        [(short, pre_q), (N - short, q), (long, q2), (N - long, pre_q2)],
+    ]
     for pairs in cases:
         folded = None
         for k, pt in pairs:
@@ -263,13 +276,18 @@ def test_multi_scalar_mul_matches_fold_property(cases):
 
 
 def test_odd_multiple_tables_entries():
+    # Every width on its own, and all three widths in one call, which
+    # shares the two inversions across tables of different lengths.
     rng = random.Random(31)
     points = [random_point(rng), random_point(rng)]
-    for point, table in zip(points, _odd_multiple_tables(points)):
-        assert len(table) == 8
-        for d in range(1, 16, 2):
-            expected = oracle_mul(d, point)
-            assert table[d >> 1] == (expected.x, expected.y), d
+    mixed = [(points[0], 6), (points[1], 4), (points[0], 5), (G, 4)]
+    for bases in ([(pt, 4) for pt in points], [(pt, 5) for pt in points],
+                  [(pt, 6) for pt in points], mixed):
+        for (point, width), table in zip(bases, _odd_multiple_tables(bases), strict=True):
+            assert len(table) == 2 ** (width - 1)
+            for d in range(1, 2 ** (width - 1), 2):
+                expected = oracle_mul(d, point)
+                assert (table[d - 1], table[d]) == (expected.x, expected.y), (width, d)
     assert _odd_multiple_tables([]) == []
 
 
@@ -278,7 +296,8 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
     points = [random_point(rng), random_point(rng), G]
     precomputed = precompute(points)
     assert [pre.point for pre in precomputed] == points
-    assert [pre.table for pre in precomputed] == _odd_multiple_tables(points)
+    assert [pre.table for pre in precomputed] == _odd_multiple_tables(
+        [(point, 6) for point in points])
     off = Point(G.x, (G.y + 1) % P)
     for bad in (INFINITY, off):
         with pytest.raises(InvalidPointError):
@@ -286,18 +305,86 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
         with pytest.raises(InvalidPointError):
             PrecomputedPoint(bad, precomputed[0].table)
     with pytest.raises(ValueError):
-        PrecomputedPoint(G, precomputed[0].table[:7])
+        PrecomputedPoint(G, precomputed[2].table[:-2])
+    # A width-5 table of the right point is too short for a cached key.
+    with pytest.raises(ValueError):
+        PrecomputedPoint(G, _odd_multiple_tables([(G, 5)])[0])
+
+
+def test_precomputed_point_refuses_another_points_table():
+    rng = random.Random(41)
+    q, other = precompute([random_point(rng), random_point(rng)])
+    with pytest.raises(ValueError, match="own point"):
+        PrecomputedPoint(q.point, other.table)
+    # The negation's table starts at the right x but the wrong y.
+    with pytest.raises(ValueError, match="own point"):
+        PrecomputedPoint(point_neg(q.point), q.table)
+    assert PrecomputedPoint(q.point, q.table) == q
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=N - 1))
 def test_wnaf_recoding(k):
-    digits = list(_wnaf(k))
+    digits = list(_wnaf(k, 5))
     assert sum(d << i for i, d in digits) == k
     assert all(d % 2 == 1 and abs(d) <= 15 for _, d in digits)
     positions = [i for i, _ in digits]
     assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
     assert not positions or positions[-1] <= k.bit_length()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=N - 1), st.sampled_from([4, 5, 6]))
+def test_wnaf_recoding_every_width(k, width):
+    digits = list(_wnaf(k, width))
+    assert sum(d << i for i, d in digits) == k
+    assert all(d % 2 == 1 and abs(d) < 2 ** (width - 1) for _, d in digits)
+    positions = [i for i, _ in digits]
+    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+    assert not positions or positions[-1] <= k.bit_length()
+
+
+def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
+    # Counts, not timings: which width each term's recoding and table
+    # get.  A cached key is recoded at width 6 with no table built; a
+    # fresh term at width 4 up to 128 bits and width 5 beyond, each with
+    # a table of its own width; G takes neither path.
+    rng = random.Random(43)
+    q, r = random_point(rng), random_point(rng)
+    (pre_q,) = precompute([q])
+    recoded, built = [], []
+    wnaf, tables = ec._wnaf, ec._odd_multiple_tables
+
+    def counting_wnaf(k, width):
+        recoded.append((k.bit_length(), width))
+        return wnaf(k, width)
+
+    def counting_tables(bases):
+        out = tables(bases)
+        built.extend(len(table) for table in out)
+        return out
+
+    monkeypatch.setattr(ec, "_wnaf", counting_wnaf)
+    monkeypatch.setattr(ec, "_odd_multiple_tables", counting_tables)
+    u2 = (1 << 255) + 12345
+    multi_scalar_mul([(2 ** 64, r), (2 ** 128 - 1, r), (2 ** 128, r), (u2, pre_q),
+                      (u2, q), (u2, G)])
+    assert recoded == [(65, 4), (128, 4), (129, 5), (256, 6), (256, 5)]
+    assert built == [8, 8, 16, 16]
+    # batch_verify's randomizer terms are 64-bit, on fresh -R_i: width 4.
+    # Its key terms on cached tables: width 6, nothing built for them.
+    items = []
+    for i in range(3):
+        pair = generate_keypair(rng)
+        message = bytes([i])
+        items.append((message, sign(message, pair.private, rng), pair.public))
+    keys = precompute([public for _, _, public in items])
+    recoded.clear()
+    built.clear()
+    assert batch_verify([(m, s, key) for (m, s, _), key in zip(items, keys)], rng)
+    assert sorted(width for _, width in recoded) == [4, 4, 4, 6, 6, 6]
+    assert all(bits <= 65 for bits, width in recoded if width == 4)
+    assert built == [8, 8, 8]
 
 
 def test_batch_inverse_matches_pow():

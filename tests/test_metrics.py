@@ -8,7 +8,7 @@ import pytest
 
 from cloneguard.metrics import (DEVICE_STORAGE_BYTES, QUOTED_DEVICE_BUDGET_BYTES,
                                 WIRE_BYTES, DetectionRecord, MetricsSink,
-                                SimulationReport, atomic_write_text,
+                                SimulationReport, atomic_write_text, byte_counts,
                                 complexity_summary, expected_tree_messages,
                                 write_detection_csv, write_overhead_csvs)
 
@@ -41,8 +41,8 @@ def test_sink_clock_advances_per_message():
     assert t1 == 1.5
     assert t2 == 3.0
     assert sink.clock_ms == 3.0
-    assert sink.byte_counts() == {"prover": {"proof_response": 99},
-                                  "verifier": {"ci_check": 2}}
+    assert byte_counts(sink.message_counts()) == {"prover": {"proof_response": 99},
+                                                  "verifier": {"ci_check": 2}}
     assert sink.total_messages() == 2
     assert sink.total_bytes() == 101
 
@@ -62,8 +62,8 @@ def test_sink_count_tables():
     sink.log("verifier", "ci_check")
     assert sink.message_counts() == {"prover": {"proof_response": 3},
                                      "verifier": {"ci_check": 1}}
-    assert sink.byte_counts() == {"prover": {"proof_response": 297},
-                                  "verifier": {"ci_check": 2}}
+    assert byte_counts(sink.message_counts()) == {"prover": {"proof_response": 297},
+                                                  "verifier": {"ci_check": 2}}
 
 
 # --- verification-tree message count ---

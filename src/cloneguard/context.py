@@ -219,13 +219,15 @@ class LbsStore:
         """The registered keys of ``device_ids``, as tables where the key is usable.
 
         Tables missing for these ids are built in one ``precompute`` call
-        and kept.  A key that is infinite or off the curve gets no table
-        and is returned as registered, for the signature checks to refuse.
+        and kept; when none is missing, nothing is built.  A key that is
+        infinite or off the curve gets no table and is returned as
+        registered, for the signature checks to refuse.
         """
         missing = {device_id: self.public_keys[device_id] for device_id in device_ids
                    if device_id not in self.key_tables
                    and validate_public_key(self.public_keys[device_id])}
-        self.key_tables.update(zip(missing, precompute(list(missing.values()))))
+        if missing:
+            self.key_tables.update(zip(missing, precompute(list(missing.values()))))
         return [self.key_tables.get(device_id, self.public_keys[device_id])
                 for device_id in device_ids]
 

@@ -6,8 +6,8 @@ multiplication is one multi-scalar multiplication.  Terms off the
 generator G share one Straus pass over wNAF digits, each base with its
 own window width w and an affine table of its positive odd multiples
 P, 3P, ..., (2^(w-1) - 1)P (a negative digit adds the negation (x, p - y)
-of an entry); then the G terms add one signed 7-bit digit per row of a
-fixed-base table of affine multiples (at most 37 additions, no
+of an entry); then the G terms add one signed 9-bit digit per row of a
+fixed-base table of affine multiples (at most 29 additions, no
 doublings) into the same Jacobian accumulator.  Every addition is mixed
 Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT 1998).  A call costs at
 most three field inversions: one for the tables' 2P, one to normalise
@@ -15,7 +15,7 @@ the tables, one back to affine at the end.
 
 Every table is one flat tuple of ints, (x1, y1, x3, y3, ...): odd digit
 d reads x at index |d| - 1 and y at |d|.  The generator table's rows use
-the same flat layout for the digits 1..64.
+the same flat layout for the digits 1..256.
 
 A base that recurs across calls, such as a registered public key, can be
 passed as a ``PrecomputedPoint``: the point with its width-6 table
@@ -47,7 +47,7 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
-_GEN_WIDTH = 7  # digit width (bits) of the signed fixed-base generator table
+_GEN_WIDTH = 9  # digit width (bits) of the signed fixed-base generator table
 _GEN_HALF = 1 << (_GEN_WIDTH - 1)  # generator digits lie in [-_GEN_HALF + 1, _GEN_HALF]
 _KEY_WIDTH = 6  # wNAF width of a PrecomputedPoint's cached table
 _SHORT_BITS = 128  # a per-call table is _SHORT_WIDTH wide for scalars up to this length
@@ -202,15 +202,20 @@ def _to_affine(pt) -> Point | None:
 
 
 # === Fixed-base table for the generator ===
-# Row w of _GEN_TABLE is a flat tuple holding (d << 7w) * G as the affine
-# pair at indices 2d - 2 and 2d - 1 for d = 1 .. 64, over 37 rows: a
-# scalar below 2^256 recodes into 37 signed 7-bit digits in [-63, 64]
+# Row w of _GEN_TABLE is a flat tuple holding (d << 9w) * G as the affine
+# pair at indices 2d - 2 and 2d - 1 for d = 1 .. 256, over 29 rows: a
+# scalar below 2^256 recodes into 29 signed 9-bit digits in [-255, 256]
 # (Brickell, Gordon, McCurley & Wilson, EUROCRYPT 1992), and a negative
-# digit adds (x, p - y).  The top row covers bits 252-258, where the
+# digit adds (x, p - y).  The top row covers bits 252-260, where the
 # digit is at most 15 plus a carry, so no carry leaves it.  A fixed-base
-# multiplication is at most 37 mixed additions and no doublings.  Built
-# lazily with the affine reference addition, which keeps the table
-# independent of the Jacobian code it accelerates.
+# multiplication is at most 29 mixed additions and no doublings.  The
+# table holds 14,848 ints, about 1.0 MB, and is built lazily on first
+# use, in about 0.07 s: each row is a chain of mixed additions of its
+# base, normalised with one batch inversion, and the row's last entry
+# doubled is the next row's base (no multiple up to 512 of a finite
+# point is infinite: the group order n is a prime far above 512).  The
+# tests check entries against an affine double-and-add oracle.  10-bit
+# digits would save three additions for another 0.8 MB.
 
 _GEN_TABLE: list[tuple[int, ...]] | None = None
 
@@ -219,19 +224,27 @@ def _gen_table() -> list[tuple[int, ...]]:
     global _GEN_TABLE
     if _GEN_TABLE is None:
         table = []
-        base: Point | None = G
+        x, y = GX, GY
         for _ in range((256 + _GEN_WIDTH - 1) // _GEN_WIDTH):
-            row = [base]
+            multiples = [(x, y, 1)]
             for _ in range(_GEN_HALF - 1):
-                row.append(point_add(row[-1], base))
-            table.append(tuple(c for pt in row for c in (pt.x, pt.y)))  # type: ignore[union-attr]
-            base = point_add(row[-1], row[-1])
+                multiples.append(_jadd_affine(multiples[-1], x, y))
+            multiples.append(_jdbl(multiples[-1]))  # the next row's base
+            flat = _flat_affine(multiples)
+            table.append(tuple(flat[:-2]))
+            x, y = flat[-2:]
         _GEN_TABLE = table
     return _GEN_TABLE
 
 
 def _fixed_base_mul(k: int, acc):
-    """acc + k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row."""
+    """acc + k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row.
+
+    Each row takes the low 9 bits of k as a digit d; one above 256 is
+    taken as d - 512, with a carry into the next row, so every digit
+    lies in [-255, 256] and the top row's is at most 16.  At most 29
+    additions.
+    """
     for row in _gen_table():
         if not k:
             break
@@ -298,6 +311,15 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
     return inverses
 
 
+def _flat_affine(points) -> list[int]:
+    """Finite Jacobian points as one flat affine list (x1, y1, x2, y2, ...), one inversion."""
+    flat = []
+    for (x, y, _), zi in zip(points, batch_inverse([z for _, _, z in points], P)):
+        zi2 = zi * zi % P
+        flat += (x * zi2 % P, y * zi2 % P * zi % P)
+    return flat
+
+
 def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]]:
     """The flat width-w table (x1, y1, x3, y3, ...) of P, 3P, ..., (2^(w-1) - 1)P per (P, w).
 
@@ -320,11 +342,7 @@ def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]
         entries.append((x, y, 1))
         for _ in range((1 << (width - 2)) - 1):
             entries.append(_jadd_affine(entries[-1], tx, ty))
-    flat = []
-    for (x, y, _), zi in zip(entries, batch_inverse([z for _, _, z in entries], P)):
-        zi2 = zi * zi % P
-        flat += (x * zi2 % P, y * zi2 % P * zi % P)
-    coords = iter(flat)
+    coords = iter(_flat_affine(entries))
     return [tuple(islice(coords, 1 << (width - 1))) for _, width in bases]
 
 

@@ -4,8 +4,9 @@ A run builds a population of devices on a square area, hands each a
 P-256 keypair, registers everything with the location store, injects
 clone nodes that replay a victim's copied context with its stolen keys,
 and then drives detection rounds: devices sense and store fresh context,
-trust-selected verifiers request location proofs, check them against
-the store, and batch-verify the signatures.
+the verifier cohort (the lowest device ids, picked once at set-up)
+requests location proofs, checks them against the store, and
+batch-verifies the signatures.
 
 Determinism contract: the same (config, seed) produces the same report
 byte for byte.  All randomness flows through named streams derived from

@@ -8,6 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cloneguard import context
 from cloneguard.context import (CI_WIRE_BYTES, PROOF_WIRE_BYTES, TIME_MAX,
                                 ContextInformation, LbsStore, LocationProof,
                                 ProofPresentation, ProofRejected, Verdict,
@@ -459,3 +460,24 @@ def test_unusable_registered_key_gets_no_table():
                                   world.lbs, world.rng)
     assert verdicts == [Verdict.CONFIRMED, Verdict.COMPROMISED_SIGNATURE, Verdict.CONFIRMED]
     assert set(world.lbs.key_tables) == {0, 2}
+
+
+def test_verification_keys_build_only_missing_tables(monkeypatch):
+    world = World(4, seed=8)
+    public = world.lbs.public_keys[3]
+    world.lbs.register_public_key(3, Point(public.x, (public.y + 1) % P))  # off the curve
+    built = []
+    precompute = context.precompute
+
+    def counting_precompute(points):
+        built.append(list(points))
+        return precompute(points)
+
+    monkeypatch.setattr(context, "precompute", counting_precompute)
+    first = world.lbs.verification_keys([0, 1, 2, 3])
+    assert built == [[world.lbs.public_keys[d] for d in (0, 1, 2)]]
+    # Every usable key now has its table, and the unusable one never gets
+    # one: a repeat call has nothing to build and must not call precompute.
+    assert world.lbs.verification_keys([0, 1, 2, 3]) == first
+    assert world.lbs.verification_keys([2, 3]) == first[2:]
+    assert len(built) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard import ec
-from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
+from cloneguard.ec import (_GEN_HALF, _GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
                            InvalidPointError, Point, PrecomputedPoint, _gen_table,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
@@ -25,6 +25,11 @@ KNOWN_MULTIPLES = {
     1000: Point(0xB8FA1A4ACBD900B788FF1F8524CCFFF1DD2A3D6C917E4009AF604FBD406DB702,
                 0x9A5CC32D14FC837266844527481F7F06CB4FB34733B24CA92E861F72CC7CAE37),
 }
+
+
+# Rows of the signed 9-bit generator table, and so the most additions a
+# generator multiple may take.
+GEN_ROWS = 29
 
 
 # --- independent oracle: chord/tangent formulas, binary double-and-add ---
@@ -156,19 +161,29 @@ def test_fixed_base_matches_oracle(k):
     assert scalar_mul(k, G) == oracle_mul(k, G)
 
 
-def test_fixed_base_signed_digit_edges():
+def fixed_base_edge_scalars():
+    """Scalars below N whose signed generator digits hit every edge of the recoding."""
+    half, rows = _GEN_HALF, len(_gen_table())
+    ones = 2 * half - 1  # an all-ones window: the digit -1
+    top = _GEN_WIDTH * (rows - 1)  # the top row's first bit
+
     def windows(*values):
-        # Scalar whose 7-bit windows, lowest first, hold ``values``.
+        # Scalar whose generator windows, lowest first, hold ``values``.
         return sum(v << (_GEN_WIDTH * w) for w, v in enumerate(values))
 
-    cases = [
-        64, 65, 127, 128,                     # largest digit, smallest carry, -1, a zero window
-        windows(0, 64), windows(0, 65), windows(5, 127, 3),
-        windows(*[64] * 36), windows(*[65] * 36),
-        2 ** 252 - 1,                         # 36 all-ones windows: one carry into the top row
-        (15 << 252) | (127 << 245),           # top digit 15 plus a carry: 16
+    return [
+        half, half + 1, ones, 2 * half,       # largest digit, smallest carry, -1, a zero window
+        windows(0, half), windows(0, half + 1), windows(5, ones, 3),
+        windows(*[half] * (rows - 1)), windows(*[half + 1] * (rows - 1)),
+        windows(*[ones] * (rows - 1)),        # 2^252 - 1: a carry out of every row into the top
+        (15 << top) | (ones << (top - _GEN_WIDTH)),  # top digit 15 plus a carry: 16
         N - 1, N - 2, (N - 1) // 2, 2 ** 255,
     ]
+
+
+def test_fixed_base_signed_digit_edges():
+    cases = fixed_base_edge_scalars()
+    assert 2 ** 252 - 1 in cases
     for k in cases:
         assert k < N
         assert scalar_mul(k, G) == oracle_mul(k, G), hex(k)
@@ -176,11 +191,35 @@ def test_fixed_base_signed_digit_edges():
 
 def test_fixed_base_table_entries():
     table = _gen_table()
-    assert len(table) == 37 and all(len(row) == 128 for row in table)
-    for w in (0, 1, 18, 35, 36):
-        for d in (1, 2, 63, 64):
+    assert len(table) == GEN_ROWS and all(len(row) == 512 for row in table)
+    assert _GEN_WIDTH * (GEN_ROWS - 1) < 256 <= _GEN_WIDTH * GEN_ROWS
+    for w in (0, 1, GEN_ROWS // 2, GEN_ROWS - 2, GEN_ROWS - 1):
+        for d in (1, 2, _GEN_HALF - 1, _GEN_HALF):
             expected = oracle_mul(d << (_GEN_WIDTH * w), G)
             assert table[w][2 * d - 2:2 * d] == (expected.x, expected.y)
+
+
+def test_fixed_base_addition_count(monkeypatch):
+    # One mixed addition per nonzero signed 9-bit digit, at most one per
+    # row, and never a doubling.
+    counts = {"add": 0, "dbl": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ec, "_jadd_affine", counted("add", ec._jadd_affine))
+    monkeypatch.setattr(ec, "_jdbl", counted("dbl", ec._jdbl))
+    rng = random.Random(29)
+    most = 0
+    for k in fixed_base_edge_scalars() + [rng.randrange(1, N) for _ in range(50)]:
+        counts.update(add=0, dbl=0)
+        scalar_mul(k, G)
+        assert counts["add"] <= len(_gen_table()) and counts["dbl"] == 0, hex(k)
+        most = max(most, counts["add"])
+    assert most == GEN_ROWS
 
 
 def test_multi_scalar_mul_empty_and_trivial():

@@ -135,8 +135,9 @@ def check_report_invariants(report: met.SimulationReport) -> list[str]:
             f"completeness: detection probability {report.detection_probability:.3f}, "
             "injected clones went undetected")
     for rec in report.detections:
-        if rec.detection_time_ms <= 0.0:
-            problems.append(f"timing: clone {rec.clone_idx} has non-positive detection time")
+        if not rec.detection_time_ms > 0.0:  # NaN fails this too
+            problems.append(f"timing: clone {rec.clone_idx} has detection time "
+                            f"{rec.detection_time_ms}, not positive")
     return problems
 
 

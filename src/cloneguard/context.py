@@ -264,7 +264,6 @@ class ProofPresentation:
 
 def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore,
                        rng: random.Random, batch_size: int = 25,
-                       randomizer_bits: int = sigmod.DEFAULT_RANDOMIZER_BITS,
                        use_batch: bool = True) -> list[Verdict]:
     """Adjudicate a round of presented proofs.
 
@@ -288,8 +287,8 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     ``use_batch=False`` forces the individual path (``sig.verify_each``);
     the verdicts are the same either way, since the batch path flags a
     signature only on a failed individual check and misses an invalid one
-    with probability at most 2^-randomizer_bits per batch check on its
-    path (see ``sig.verify_batch``).
+    with probability at most 2^-64 per batch check on its path (see
+    ``sig.verify_batch``).
     """
     verdicts: list[Verdict | None] = [None] * len(presentations)
     survivors: list[int] = []
@@ -315,7 +314,7 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
 
     for start in range(0, len(survivors), batch_size):
         chunk = items[start:start + batch_size]
-        flags = (sigmod.verify_batch(chunk, rng, randomizer_bits) if use_batch
+        flags = (sigmod.verify_batch(chunk, rng) if use_batch
                  else sigmod.verify_each(chunk))
         for idx, ok in zip(survivors[start:start + batch_size], flags):
             verdicts[idx] = Verdict.CONFIRMED if ok else Verdict.COMPROMISED_SIGNATURE

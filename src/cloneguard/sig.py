@@ -8,8 +8,9 @@ work with.  Messages are hashed with SHA-256 throughout.
 
 Batch verification uses small-exponent randomization: each signature is
 weighted by a fresh random multiplier before the combined equation is
-evaluated in a single multi-scalar multiplication.  A batch containing
-any invalid signature passes with probability at most 2^-randomizer_bits.
+evaluated in a single multi-scalar multiplication.  The multipliers are
+``RANDOMIZER_BITS`` (64) bits wide, fixed, so a batch containing any
+invalid signature passes with probability at most 2^-64.
 ``verify_batch`` locates the invalid items of a failed batch by recursive
 bisection, with a fresh batch check per half and an individual check per
 single item.
@@ -33,7 +34,8 @@ PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
 SIGNATURE_BYTES = PUBLIC_KEY_BYTES + 32  # compressed R + s
 
-DEFAULT_RANDOMIZER_BITS = 64
+# Batch randomizer width: each lambda_i is drawn from [1, 2^64].
+RANDOMIZER_BITS = 64
 
 PublicKey = Point | PrecomputedPoint
 
@@ -144,12 +146,11 @@ def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
 BatchItem = tuple[bytes, StarSignature, PublicKey]
 
 
-def batch_verify(items: Sequence[BatchItem], rng: random.Random,
-                 randomizer_bits: int = DEFAULT_RANDOMIZER_BITS) -> bool:
+def batch_verify(items: Sequence[BatchItem], rng: random.Random) -> bool:
     """Verify a batch of ECDSA* signatures with one combined equation.
 
     Each item i gets a fresh multiplier lambda_i drawn from
-    [1, 2^randomizer_bits]; the batch is accepted iff
+    [1, 2^RANDOMIZER_BITS]; the batch is accepted iff
 
         sum(lambda_i * R_i)
             == (sum(lambda_i * u1_i) mod n) * G + sum(lambda_i * u2_i mod n) * Q_i
@@ -161,9 +162,11 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
             + sum(lambda_i * u2_i mod n) * Q_i
 
     lambda_i multiplies the negated point -R_i (rather than n - lambda_i
-    multiplying R_i), so the R terms carry randomizer_bits-bit scalars
-    with few wNAF digits, on the MSM's small width-4 tables while
-    randomizer_bits <= 128; the G term goes through the fixed-base table.
+    multiplying R_i), so every R term carries a scalar of at most 65 bits
+    with few wNAF digits and takes the MSM's small width-4 tables; the G
+    term goes through the fixed-base table.  If the batch holds an
+    invalid signature, it passes with probability at most 2^-64 over the
+    lambdas (which assumes ``rng`` is unpredictable to the signer).
     The s_i are inverted together, with one modular inversion per batch.
     An item that is not ``_well_formed`` rejects the batch before any
     lambda is drawn.
@@ -173,8 +176,6 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
     """
     if not items:
         raise ValueError("batch must contain at least one signature")
-    if randomizer_bits < 1:
-        raise ValueError("randomizer_bits must be positive")
     if not all(_well_formed(sig, public) for _, sig, public in items):
         return False
 
@@ -182,7 +183,7 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random,
     u1_sum = 0
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
     for (message, sig, public), w in zip(items, inverses):
-        lam = rng.randrange(1, (1 << randomizer_bits) + 1)
+        lam = rng.randrange(1, (1 << RANDOMIZER_BITS) + 1)
         e = hash_to_scalar(message)
         u1 = e * w % N
         u2 = sig.R.x % N * w % N
@@ -198,8 +199,7 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
     return [verify_star(message, sig, public) for message, sig, public in items]
 
 
-def verify_batch(items: Sequence[BatchItem], rng: random.Random,
-                 randomizer_bits: int = DEFAULT_RANDOMIZER_BITS) -> list[bool]:
+def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     """One validity flag per item: a batch check, bisected when it fails.
 
     The whole batch gets one ``batch_verify``; if it passes, every item
@@ -216,8 +216,8 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random,
     Soundness: every ``False`` is an individual check that failed, so no
     valid item is ever flagged.  An invalid item is flagged ``True`` only
     if one of the at most ceil(log2 n) + 1 batch checks on its path
-    passes, each with probability at most 2^-randomizer_bits over the
-    lambdas (which assumes ``rng`` is unpredictable to the signer).
+    passes, each with probability at most 2^-64 over the lambdas (which
+    assumes ``rng`` is unpredictable to the signer).
 
     Cost, the first check included: one invalid item among n costs at
     most 2 * ceil(log2 n) + 1 checks, where a scan after the batch check
@@ -230,7 +230,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random,
 
     def passes(lo: int, hi: int) -> bool:
         if hi - lo > 1:
-            return batch_verify(items[lo:hi], rng, randomizer_bits)
+            return batch_verify(items[lo:hi], rng)
         flags[lo] = verify_each(items[lo:hi])[0]
         return flags[lo]
 
@@ -248,7 +248,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random,
         if not passes(mid, hi) and hi - mid > 1:
             search(mid, hi)
 
-    if not batch_verify(items, rng, randomizer_bits):
+    if not batch_verify(items, rng):
         search(0, len(items))
     return flags
 

@@ -66,10 +66,7 @@ class NetworkConfig:
     rounds: int = 2
     seed: int = 1
     batch_size: int = 25
-    randomizer_bits: int = 64
     latency_ms: float = 1.0
-    trust_alpha: float = 0.5
-    trust_beta: float = 0.5
 
     def resolve(self) -> "NetworkConfig":
         """Fill the derived defaults; returns a fully concrete config."""
@@ -84,7 +81,9 @@ class NetworkConfig:
     def validate(self) -> None:
         """Check every constraint; raises ConfigError naming all violations."""
         cfg = self.resolve()
-        problems = []
+        problems = [f"{name} ({value}) must be finite"
+                    for name, value in dataclasses.asdict(cfg).items()
+                    if isinstance(value, float) and not math.isfinite(value)]
         if not 100 <= cfg.num_devices <= 500:
             problems.append(f"num_devices ({cfg.num_devices}) must be within [100, 500]")
         if cfg.environment not in ("sparse", "dense"):
@@ -121,15 +120,8 @@ class NetworkConfig:
             problems.append(f"rounds ({cfg.rounds}) must be within [1, {ctx.TIME_MAX}]")
         if cfg.batch_size < 1:
             problems.append("batch_size must be at least 1")
-        if cfg.randomizer_bits < 64:
-            problems.append(f"randomizer_bits ({cfg.randomizer_bits}) must be at least 64")
         if cfg.latency_ms <= 0.0:
             problems.append("latency_ms must be positive")
-        if cfg.trust_alpha < 0.0 or cfg.trust_beta < 0.0:
-            problems.append("trust_alpha and trust_beta must be non-negative")
-        if cfg.trust_alpha + cfg.trust_beta > 1.0 + 1e-9:
-            problems.append(f"trust_alpha + trust_beta ({cfg.trust_alpha} + "
-                            f"{cfg.trust_beta}) must not exceed 1")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -204,7 +196,7 @@ def init_network(config: NetworkConfig) -> SimulationState:
     key_rng = hub.stream("keys")
     mob_rng = hub.stream("mobility")
 
-    trust_state = TrustState(range(cfg.num_devices), cfg.trust_alpha, cfg.trust_beta)
+    trust_state = TrustState(range(cfg.num_devices))
     verifier_ids = set(trust_state.select(cfg.num_verifiers))
     prover_ids = set(sorted(set(range(cfg.num_devices)) - verifier_ids)[:cfg.num_provers])
 
@@ -380,9 +372,7 @@ def run_detection_round(state: SimulationState) -> RoundResult:
                                                         observed=observed))
 
             batch_verdicts = ctx.verify_proof_batch(
-                batch_pres, state.lbs, batch_rng,
-                batch_size=cfg.batch_size,
-                randomizer_bits=cfg.randomizer_bits)
+                batch_pres, state.lbs, batch_rng, batch_size=cfg.batch_size)
 
             for target, verdict in zip(batch, batch_verdicts):
                 verdicts[target.idx] = verdict

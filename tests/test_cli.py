@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -13,7 +14,8 @@ from cloneguard.cli import (build_parser, check_report_invariants, main,
                             parse_config_file, ConfigFileError)
 from cloneguard.sim import NetworkConfig, run_experiment
 
-REPRODUCE_SCRIPT = pathlib.Path(__file__).parent.parent / "scripts" / "reproduce_results.py"
+REPO_ROOT = pathlib.Path(__file__).parent.parent
+REPRODUCE_SCRIPT = REPO_ROOT / "scripts" / "reproduce_results.py"
 
 
 # --- config files ---
@@ -54,6 +56,17 @@ def test_every_config_field_parses_to_its_type(tmp_path, field):
         assert parse_config_file(str(path)) == {field.name: 31}
 
 
+def test_readme_config_example_is_valid(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "experiment.cfg"
+    path.write_text(blocks[0])
+    values = parse_config_file(str(path))
+    assert values
+    NetworkConfig(**values).validate()
+
+
 def test_parse_config_file_reports_line_numbers(tmp_path):
     path = tmp_path / "net.cfg"
     path.write_text("num_devices = 100\nnum_rounds 3\n")
@@ -83,12 +96,23 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_removed_comm_radius_key_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["comm_radius", "randomizer_bits", "trust_alpha", "trust_beta"])
+def test_removed_config_key_is_exit_2(tmp_path, capsys, key):
     path = tmp_path / "old.cfg"
-    path.write_text("num_devices = 100\ncomm_radius = 1.0\n")
+    path.write_text(f"num_devices = 100\n{key} = 1.0\n")
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "old.cfg:2: unknown key 'comm_radius'" in capsys.readouterr().err
+    assert f"old.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "net.cfg"
+    path.write_text("latency_ms = nan\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "latency_ms (nan) must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- run ---
@@ -267,6 +291,14 @@ def test_invariants_catch_false_positives():
     report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
     tampered = dataclasses.replace(report, false_positives=1)
     assert any("soundness" in p for p in check_report_invariants(tampered))
+
+
+@pytest.mark.parametrize("time_ms", [0.0, float("nan")])
+def test_invariants_catch_bad_detection_time(time_ms):
+    report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
+    bad = dataclasses.replace(report.detections[0], detection_time_ms=time_ms)
+    tampered = dataclasses.replace(report, detections=[bad] + report.detections[1:])
+    assert any("timing" in p for p in check_report_invariants(tampered))
 
 
 def test_invariants_catch_missed_detection():

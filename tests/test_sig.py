@@ -144,8 +144,6 @@ def test_batch_rejects_structural_garbage():
     assert not batch_verify([(message, star, INFINITY)], rng)
     with pytest.raises(ValueError):
         batch_verify([], rng)
-    with pytest.raises(ValueError):
-        batch_verify(items, rng, randomizer_bits=0)
 
 
 def test_batch_rejects_negated_nonce_point():

@@ -61,14 +61,24 @@ def test_config_validation_collects_all_problems():
     dict(num_clones=80),  # exceeds prover count
     dict(rounds=0),
     dict(batch_size=0),
-    dict(randomizer_bits=32),
     dict(latency_ms=0.0),
-    dict(trust_alpha=0.7, trust_beta=0.7),
     dict(area_side=300.0),
+    dict(latency_ms=float("nan")),
+    dict(latency_ms=float("inf")),
+    dict(rwp_speed_max=float("inf")),
+    dict(rwp_pause_max=float("inf")),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         NetworkConfig(**kwargs).resolve().validate()
+
+
+def test_config_names_every_non_finite_float():
+    names = [f.name for f in dataclasses.fields(NetworkConfig) if isinstance(f.default, float)]
+    with pytest.raises(ConfigError) as exc:
+        NetworkConfig(**{name: math.nan for name in names}).validate()
+    for name in names:
+        assert f"{name} (nan) must be finite" in str(exc.value)
 
 
 def test_config_zero_clones_is_a_valid_baseline():

@@ -43,6 +43,7 @@ _FIELD_PARSERS = {name: _PARSER_BY_HINT[hint]
 def parse_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` config file with line diagnostics."""
     values: dict = {}
+    first_lines: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -59,6 +60,10 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _FIELD_PARSERS:
             raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_lines:
+            raise ConfigFileError(f"{path}:{lineno}: duplicate key {key!r} "
+                                  f"(first set on line {first_lines[key]})")
+        first_lines[key] = lineno
         try:
             values[key] = _FIELD_PARSERS[key](value)
         except ValueError:

@@ -197,9 +197,11 @@ class LbsStore:
 
     Next to each registered key the store keeps, once that key has been
     verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
-    its width-6 wNAF table, the sixteen positive odd multiples P, 3P, ...,
-    31P as one flat tuple of 32 ints (about 2.2 kB per key), which every
-    later verification under that key reuses.  Registering a key drops
+    its width-7 wNAF table, the thirty-two positive odd multiples P, 3P,
+    ..., 63P as one flat tuple of 64 ints (about 4.4 kB per key), which
+    every later verification under that key reuses.  The keys missing
+    from one call are built together in six affine rounds, each with one
+    field inversion shared by all of them.  Registering a key drops
     the id's table, so keys must change through ``register_public_key``.
     The tables are a verifier-side cache and not part of
     ``storage_bytes``.

@@ -8,19 +8,29 @@ own window width w and an affine table of its positive odd multiples
 P, 3P, ..., (2^(w-1) - 1)P (a negative digit adds the negation (x, p - y)
 of an entry); then the G terms add one signed 9-bit digit per row of a
 fixed-base table of affine multiples (at most 29 additions, no
-doublings) into the same Jacobian accumulator.  Every addition is mixed
-Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT 1998).  A call costs at
-most three field inversions: one for the tables' 2P, one to normalise
-the tables, one back to affine at the end.
+doublings) into the same Jacobian accumulator.  Every addition there is
+mixed Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT 1998).
+
+The odd-multiple tables are built affine, all of a call's tables together,
+in rounds: round 1 doubles each P, and round i > 1 adds D = 2^(i-1)P to
+every odd multiple found so far and doubles D.  All the denominators of
+a round, across every table, share one field inversion (Montgomery's
+simultaneous inversion, Math. Comp. 1987), so a width-w table takes
+w - 1 rounds and an addition costs about six multiplications.  No round
+divides by zero: the group has the prime order n, so no multiple of P
+below n is infinity and no point has order 2.  A ``multi_scalar_mul``
+call costs at most five field inversions: four rounds for a width-5
+table and one back to affine at the end.
 
 Every table is one flat tuple of ints, (x1, y1, x3, y3, ...): odd digit
 d reads x at index |d| - 1 and y at |d|.  The generator table's rows use
 the same flat layout for the digits 1..256.
 
 A base that recurs across calls, such as a registered public key, can be
-passed as a ``PrecomputedPoint``: the point with its width-6 table
-(P, 3P, ..., 31P; 32 ints, about 2.2 kB per key), built once by
-``precompute``.  The MSM then uses that table as it is and builds tables
+passed as a ``PrecomputedPoint``: the point with its width-7 table
+(P, 3P, ..., 63P; 64 ints, about 4.4 kB per key), built once by
+``precompute`` in six rounds, so six inversions per call however many
+points it gets.  The MSM then uses that table as it is and builds tables
 only for its plain ``Point`` bases, of width 4 for a scalar of at most
 128 bits (a batch randomizer's term) and of width 5 for a longer one:
 for a short scalar a wider table costs more to build than it saves.
@@ -35,7 +45,6 @@ adversary can time.  Do not lift this module into production use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 # === P-256 domain parameters (SEC2 "secp256r1") ===
 
@@ -49,7 +58,7 @@ H = 1
 
 _GEN_WIDTH = 9  # digit width (bits) of the signed fixed-base generator table
 _GEN_HALF = 1 << (_GEN_WIDTH - 1)  # generator digits lie in [-_GEN_HALF + 1, _GEN_HALF]
-_KEY_WIDTH = 6  # wNAF width of a PrecomputedPoint's cached table
+_KEY_WIDTH = 7  # wNAF width of a PrecomputedPoint's cached table
 _SHORT_BITS = 128  # a per-call table is _SHORT_WIDTH wide for scalars up to this length
 _SHORT_WIDTH = 4
 _LONG_WIDTH = 5  # ... and _LONG_WIDTH wide for longer scalars
@@ -324,36 +333,65 @@ def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]
     """The flat width-w table (x1, y1, x3, y3, ...) of P, 3P, ..., (2^(w-1) - 1)P per (P, w).
 
     Only the positive half is stored: an odd wNAF digit d reads x at
-    index |d| - 1 and y at |d|, and a negative one adds (x, p - y).  Each
-    2P is affine, from the tangent slope 3(x^2 - 1) / 2y (a = -3) with
-    every 2y inverted by one ``batch_inverse``; y != 0, as the
-    prime-order group has no point of order 2.  The multiples grow by
-    mixed additions of 2P, then a second ``batch_inverse`` normalises all
-    their Z coordinates, whatever the tables' widths.  Adding 2P to
-    (2j-1)P never doubles or cancels: that would need (2j-3)P or (2j+1)P
-    to be infinity, and P has the prime order n.
+    index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
+
+    All the call's tables, whatever their widths, grow together in
+    affine rounds.  Round 1 doubles each P.  Round i > 1 adds
+    D = 2^(i-1)P to each odd multiple found so far, P, ..., (2^(i-1) - 1)P,
+    which gives (2^(i-1) + 1)P, ..., (2^i - 1)P, and doubles D for the
+    next round.  A width-w table is complete after round w - 1, which
+    skips the doubling; a width-2 table is P alone and takes no round.
+    Every denominator of a round, the x differences and the 2y of every
+    table, goes through one ``batch_inverse``, so a call makes w - 1
+    inversions for its widest table and an affine addition costs about
+    six multiplications, with no Jacobian chain to normalise afterwards.
+    No denominator is zero.  x(D) = x(mP) for an odd m < 2^(i-1) would
+    make (2^(i-1) - m)P or (2^(i-1) + m)P infinity, a multiple of P below
+    2^i; y(D) = 0 would give D order 2.  The group has the prime order n,
+    far above every multiple here, and so no point of order 2.
     """
-    entries = []
-    for (point, width), inv in zip(bases, batch_inverse([2 * pt.y for pt, _ in bases], P)):
-        x, y = point.x, point.y
-        slope = 3 * (x - 1) * (x + 1) * inv % P
-        tx = (slope * slope - 2 * x) % P
-        ty = (slope * (x - tx) - y) % P
-        entries.append((x, y, 1))
-        for _ in range((1 << (width - 2)) - 1):
-            entries.append(_jadd_affine(entries[-1], tx, ty))
-    coords = iter(_flat_affine(entries))
-    return [tuple(islice(coords, 1 << (width - 1))) for _, width in bases]
+    tables = [[point.x, point.y] for point, _ in bases]
+    steps = [(point.x, point.y) for point, _ in bases]  # D = 2^(i-1)P in round i
+    growing = [t for t, (_, width) in enumerate(bases) if width > 2]
+    i = 1
+    while growing:
+        denominators = []
+        for t in growing:
+            dx, dy = steps[t]
+            if i > 1:
+                denominators += [dx - x for x in tables[t][::2]]
+            if i < bases[t][1] - 1:
+                denominators.append(2 * dy)
+        inverses = iter(batch_inverse(denominators, P))
+        for t in growing:
+            dx, dy = steps[t]
+            if i > 1:
+                table = tables[t]
+                # inverses comes last: zip stops at the table's end
+                # without taking the next table's inverse.
+                for x, y, inv in zip(table[::2], table[1::2], inverses):
+                    slope = (dy - y) * inv % P
+                    nx = (slope * slope - x - dx) % P
+                    table += (nx, (slope * (x - nx) - y) % P)
+            if i < bases[t][1] - 1:
+                slope = 3 * (dx - 1) * (dx + 1) * next(inverses) % P
+                nx = (slope * slope - 2 * dx) % P
+                steps[t] = (nx, (slope * (dx - nx) - dy) % P)
+        i += 1
+        growing = [t for t in growing if bases[t][1] > i]
+    return [tuple(table) for table in tables]
 
 
 @dataclass(frozen=True, slots=True)
 class PrecomputedPoint:
-    """A finite on-curve point with its width-6 wNAF table (P, 3P, ..., 31P).
+    """A finite on-curve point with its width-7 wNAF table (P, 3P, ..., 63P).
 
-    ``table`` is flat, (x1, y1, x3, y3, ..., x31, y31).  Build these with
-    ``precompute``.  ``multi_scalar_mul`` accepts one anywhere it accepts
-    a base ``Point`` and reads ``table`` instead of building it, so a base
-    that recurs across calls pays for its table once.
+    ``table`` is flat, (x1, y1, x3, y3, ..., x63, y63): 64 ints, about
+    4.4 kB.  Build these with ``precompute``, whose six affine rounds
+    (one field inversion each) serve all its points at once.
+    ``multi_scalar_mul`` accepts one anywhere it accepts a base ``Point``
+    and reads ``table`` instead of building it, so a base that recurs
+    across calls pays for its table once.
     """
 
     point: Point
@@ -368,7 +406,7 @@ class PrecomputedPoint:
 
 
 def precompute(points: list[Point]) -> list[PrecomputedPoint]:
-    """Tables for many finite on-curve points, sharing their field inversions."""
+    """Tables for many finite on-curve points: six field inversions, however many points."""
     for point in points:
         _require_finite(point)
     tables = _odd_multiple_tables([(point, _KEY_WIDTH) for point in points])
@@ -383,13 +421,16 @@ def multi_scalar_mul(pairs) -> Point | None:
     table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a negative
     digit adds the negation (x, p - y) of an entry, so the main loop is
     one Jacobian doubling per bit position plus one mixed addition per
-    nonzero digit.  A ``PrecomputedPoint`` base brings its width-6 table;
+    nonzero digit.  A ``PrecomputedPoint`` base brings its width-7 table;
     every plain ``Point`` base gets one built here, of width 4 if its
     reduced scalar has at most 128 bits and width 5 otherwise, all of
-    them in one ``_odd_multiple_tables`` call.  Terms whose base is the
-    plain ``Point`` G have their scalars summed, and the fixed-base table
-    adds that multiple into the Straus accumulator.  Every addition is
-    mixed; a call does at most three field inversions.
+    them in one ``_odd_multiple_tables`` call: affine rounds, w - 1 for
+    the widest fresh table, each sharing one inversion across every
+    table.  Terms whose base is the plain ``Point`` G have their scalars
+    summed, and the fixed-base table adds that multiple into the Straus
+    accumulator.  Every addition in the main loop is mixed; a call does
+    at most five field inversions, the rounds of a width-5 table and one
+    back to affine (one alone when every base brings its table).
     """
     g_scalar = 0
     terms = []

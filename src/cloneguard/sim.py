@@ -109,9 +109,13 @@ class NetworkConfig:
         if cfg.num_clones > cfg.num_provers:
             problems.append(f"num_clones ({cfg.num_clones}) must not exceed num_provers "
                             f"({cfg.num_provers}): every clone needs a distinct victim")
-        if not 0.0 < cfg.area_side <= 256.0:
-            problems.append(f"area_side ({cfg.area_side}) must be in (0, 256] to stay "
-                            "addressable by the context fixed-point encoding")
+        if not 1 / ctx.FIXED_POINT_SCALE <= cfg.area_side <= 256.0:
+            # Below one quantisation step every position shares the
+            # victim's cell, and inject_clones could never place a clone.
+            problems.append(f"area_side ({cfg.area_side}) must be in "
+                            f"[{1 / ctx.FIXED_POINT_SCALE}, 256] to span at least one "
+                            "quantisation step and stay addressable by the context "
+                            "fixed-point encoding")
         if not 0.0 <= cfg.rwp_speed_min <= cfg.rwp_speed_max:
             problems.append("rwp speed range must satisfy 0 <= min <= max")
         if not 0.0 <= cfg.rwp_pause_min <= cfg.rwp_pause_max:

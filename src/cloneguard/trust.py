@@ -50,7 +50,7 @@ class LocationObservation:
     weight_trusted: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeedbackEntry:
     """Location feedback one device reported about another."""
 

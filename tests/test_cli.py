@@ -105,6 +105,43 @@ def test_removed_config_key_is_exit_2(tmp_path, capsys, key):
     assert f"old.cfg:2: unknown key '{key}'" in capsys.readouterr().err
 
 
+def test_duplicate_config_key_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text("seed = 1\nnum_devices = 100\nseed = 2\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "dup.cfg:3: duplicate key 'seed' (first set on line 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_area_side_below_one_quantisation_step_is_exit_2(tmp_path, capsys, monkeypatch):
+    # Such an area puts every position in the victim's cell, and clone
+    # injection would resample forever; reaching the run fails the test
+    # instead of hanging it.
+    def unreachable(config):
+        raise AssertionError("an invalid config reached run_experiment")
+
+    monkeypatch.setattr("cloneguard.cli.run_experiment", unreachable)
+    path = tmp_path / "tiny.cfg"
+    path.write_text("area_side = 0.001\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "area_side (0.001) must be in [0.00390625, 256]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smallest_area_side_run_finishes(tmp_path):
+    # Exactly one quantisation step (1/256): two cells per axis, so every
+    # clone still finds a cell other than its victim's.
+    path = tmp_path / "small.cfg"
+    path.write_text("area_side = 0.00390625\n")
+    code = main(["run", "--config", str(path), "--seed", "5", "--rounds", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
 def test_non_finite_config_value_is_exit_2(tmp_path, capsys):
     path = tmp_path / "net.cfg"
     path.write_text("latency_ms = nan\n")

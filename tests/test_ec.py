@@ -282,15 +282,17 @@ def test_multi_scalar_mul_matches_fold():
         [(0, pre_q), (N - 1, pre_q2), (N, pre_q), (N + k, pre_q2), (2 ** 300 + 7, pre_q)],
         [(0, pre_q), (0, pre_g)],
     ]
-    # Cached width-6 keys next to fresh terms on one point whose scalars
+    # Cached width-7 keys next to fresh terms on one point whose scalars
     # straddle the width boundary: 128 bits (width 4) and 129 bits
-    # (width 5), the largest digit of each width, and G.
+    # (width 5), the largest digit of each width (65 recodes to -63 at
+    # width 7), and G.
     short, long = 2 ** 128 - 1, 2 ** 128 + 2 ** 127 + 7
     cases += [
         [(k, pre_q), (short, q3), (long, q3), (rng.randrange(0, N), G)],
         [(rng.randrange(1, 2 ** 128), q3), (rng.randrange(2 ** 128, 2 ** 129), q3),
          (rng.randrange(0, N), pre_q2), (rng.randrange(0, N), G), (k, pre_q)],
         [(7, q3), (15, q3), (31, pre_q), (2 ** 128 - 7, q3), (2 ** 128 + 15, q3)],
+        [(63, pre_q), (65, pre_q2), (15, q3), (2 ** 128 + 15, q3)],
         [(short, pre_q), (N - short, q), (long, q2), (N - long, pre_q2)],
     ]
     for pairs in cases:
@@ -315,13 +317,16 @@ def test_multi_scalar_mul_matches_fold_property(cases):
 
 
 def test_odd_multiple_tables_entries():
-    # Every width on its own, and all three widths in one call, which
-    # shares the two inversions across tables of different lengths.
+    # Every width on its own, and all widths in one call, whose rounds
+    # share their inversions across tables that stop growing at
+    # different rounds.
     rng = random.Random(31)
     points = [random_point(rng), random_point(rng)]
     mixed = [(points[0], 6), (points[1], 4), (points[0], 5), (G, 4)]
-    for bases in ([(pt, 4) for pt in points], [(pt, 5) for pt in points],
-                  [(pt, 6) for pt in points], mixed):
+    every_width = [(points[1], 7), (points[0], 2), (G, 3), (points[1], 5), (points[0], 7),
+                   (G, 6), (points[1], 2), (points[0], 4), (points[1], 3)]
+    cases = [[(pt, width) for pt in points] for width in range(2, 8)] + [mixed, every_width]
+    for bases in cases:
         for (point, width), table in zip(bases, _odd_multiple_tables(bases), strict=True):
             assert len(table) == 2 ** (width - 1)
             for d in range(1, 2 ** (width - 1), 2):
@@ -330,13 +335,41 @@ def test_odd_multiple_tables_entries():
     assert _odd_multiple_tables([]) == []
 
 
+def test_odd_multiple_tables_round_count(monkeypatch):
+    # Counts, not timings: a call whose widest table is w makes w - 1
+    # affine rounds, one batch inversion each, whatever its other
+    # tables' widths and however many tables it builds, and no Jacobian
+    # addition or doubling.  A width-2 table is P alone and needs none.
+    rng = random.Random(47)
+    points = [random_point(rng) for _ in range(3)]
+    calls = {"batch_inverse": 0, "_jadd_affine": 0, "_jdbl": 0}
+    for name in calls:
+        original = getattr(ec, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ec, name, counting)
+    cases = [[(pt, width) for pt in points[:count]] for width in range(2, 8) for count in (1, 3)]
+    cases += [[(points[0], 7), (points[1], 2), (points[2], 4)],
+              [(points[0], 3), (points[1], 5), (points[2], 4), (G, 5)], []]
+    for bases in cases:
+        widest = max((width for _, width in bases), default=2)
+        for name in calls:
+            calls[name] = 0
+        _odd_multiple_tables(bases)
+        assert calls == {"batch_inverse": widest - 1 if widest > 2 else 0,
+                         "_jadd_affine": 0, "_jdbl": 0}, bases
+
+
 def test_precompute_holds_the_tables_and_refuses_unusable_points():
     rng = random.Random(37)
     points = [random_point(rng), random_point(rng), G]
     precomputed = precompute(points)
     assert [pre.point for pre in precomputed] == points
     assert [pre.table for pre in precomputed] == _odd_multiple_tables(
-        [(point, 6) for point in points])
+        [(point, 7) for point in points])
     off = Point(G.x, (G.y + 1) % P)
     for bad in (INFINITY, off):
         with pytest.raises(InvalidPointError):
@@ -385,7 +418,7 @@ def test_wnaf_recoding_every_width(k, width):
 
 def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
     # Counts, not timings: which width each term's recoding and table
-    # get.  A cached key is recoded at width 6 with no table built; a
+    # get.  A cached key is recoded at width 7 with no table built; a
     # fresh term at width 4 up to 128 bits and width 5 beyond, each with
     # a table of its own width; G takes neither path.
     rng = random.Random(43)
@@ -408,10 +441,10 @@ def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
     u2 = (1 << 255) + 12345
     multi_scalar_mul([(2 ** 64, r), (2 ** 128 - 1, r), (2 ** 128, r), (u2, pre_q),
                       (u2, q), (u2, G)])
-    assert recoded == [(65, 4), (128, 4), (129, 5), (256, 6), (256, 5)]
+    assert recoded == [(65, 4), (128, 4), (129, 5), (256, 7), (256, 5)]
     assert built == [8, 8, 16, 16]
     # batch_verify's randomizer terms are 64-bit, on fresh -R_i: width 4.
-    # Its key terms on cached tables: width 6, nothing built for them.
+    # Its key terms on cached tables: width 7, nothing built for them.
     items = []
     for i in range(3):
         pair = generate_keypair(rng)
@@ -421,7 +454,7 @@ def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
     recoded.clear()
     built.clear()
     assert batch_verify([(m, s, key) for (m, s, _), key in zip(items, keys)], rng)
-    assert sorted(width for _, width in recoded) == [4, 4, 4, 6, 6, 6]
+    assert sorted(width for _, width in recoded) == [4, 4, 4, 7, 7, 7]
     assert all(bits <= 65 for bits, width in recoded if width == 4)
     assert built == [8, 8, 8]
 

@@ -67,6 +67,8 @@ def test_config_validation_collects_all_problems():
     dict(latency_ms=float("inf")),
     dict(rwp_speed_max=float("inf")),
     dict(rwp_pause_max=float("inf")),
+    dict(area_side=0.001),  # below one quantisation step, 1/256
+    dict(area_side=0.0039),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

@@ -76,9 +76,6 @@ class ContextInformation:
     def digest(self) -> bytes:
         return hashlib.sha256(self.to_bytes()).digest()
 
-    def position(self) -> tuple[float, float]:
-        return self.loc_x / FIXED_POINT_SCALE, self.loc_y / FIXED_POINT_SCALE
-
 
 def encode_activity(activity: str) -> bytes:
     raw = activity.encode("ascii")
@@ -197,11 +194,11 @@ class LbsStore:
 
     Next to each registered key the store keeps, once that key has been
     verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
-    its width-7 wNAF table, the thirty-two positive odd multiples P, 3P,
-    ..., 63P as one flat tuple of 64 ints (about 4.4 kB per key), which
-    every later verification under that key reuses.  The keys missing
-    from one call are built together in six affine rounds, each with one
-    field inversion shared by all of them.  Registering a key drops
+    its odd-multiple table (``ec.PrecomputedPoint`` says how wide and how
+    large), which every later verification under that key reuses.  The
+    keys missing from one call are built together by one
+    ``ec.precompute`` call, whose rounds each share one field inversion
+    across all of them.  Registering a key drops
     the id's table, so keys must change through ``register_public_key``.
     The tables are a verifier-side cache and not part of
     ``storage_bytes``.
@@ -281,8 +278,9 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     signatures that fail their individual check are
     COMPROMISED_SIGNATURE.  Both paths verify under
     ``lbs.verification_keys``: the first call that verifies a key builds
-    its table (one pass for all of a call's new keys), and later calls
-    reuse it.
+    its ``ec.PrecomputedPoint`` (one pass for all of a call's new keys),
+    and later calls reuse it.  A ``batch_size`` below 1 is a
+    ``ValueError``.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.
@@ -292,6 +290,8 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     with probability at most 2^-64 per batch check on its path (see
     ``sig.verify_batch``).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     verdicts: list[Verdict | None] = [None] * len(presentations)
     survivors: list[int] = []
 

@@ -6,10 +6,10 @@ multiplication is one multi-scalar multiplication.  Terms off the
 generator G share one Straus pass over wNAF digits, each base with its
 own window width w and an affine table of its positive odd multiples
 P, 3P, ..., (2^(w-1) - 1)P (a negative digit adds the negation (x, p - y)
-of an entry); then the G terms add one signed 9-bit digit per row of a
-fixed-base table of affine multiples (at most 29 additions, no
-doublings) into the same Jacobian accumulator.  Every addition there is
-mixed Jacobian-affine (Cohen, Miyaji & Ono, ASIACRYPT 1998).
+of an entry); then the G terms add one odd digit per row of a
+fixed-base table (at most 29 additions, no doublings) into the same
+Jacobian accumulator.  Every addition there is mixed Jacobian-affine
+(Cohen, Miyaji & Ono, ASIACRYPT 1998).
 
 The odd-multiple tables are built affine, all of a call's tables together,
 in rounds: round 1 doubles each P, and round i > 1 adds D = 2^(i-1)P to
@@ -23,8 +23,11 @@ call costs at most five field inversions: four rounds for a width-5
 table and one back to affine at the end.
 
 Every table is one flat tuple of ints, (x1, y1, x3, y3, ...): odd digit
-d reads x at index |d| - 1 and y at |d|.  The generator table's rows use
-the same flat layout for the digits 1..256.
+d reads x at index |d| - 1 and y at |d|.  The generator table is 29 such
+tables, row w the width-10 table of 2^(9w) G, and a scalar reaches it
+through a regular recoding into odd 9-bit-step digits with no zero digit
+(Joye & Tunstall, AFRICACRYPT 2009), so every table in the module comes
+from the one builder.
 
 A base that recurs across calls, such as a registered public key, can be
 passed as a ``PrecomputedPoint``: the point with its width-7 table
@@ -56,8 +59,7 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
-_GEN_WIDTH = 9  # digit width (bits) of the signed fixed-base generator table
-_GEN_HALF = 1 << (_GEN_WIDTH - 1)  # generator digits lie in [-_GEN_HALF + 1, _GEN_HALF]
+_GEN_WIDTH = 9  # bits between the bases of consecutive generator table rows
 _KEY_WIDTH = 7  # wNAF width of a PrecomputedPoint's cached table
 _SHORT_BITS = 128  # a per-call table is _SHORT_WIDTH wide for scalars up to this length
 _SHORT_WIDTH = 4
@@ -156,7 +158,11 @@ def point_add(p1: Point | None, p2: Point | None) -> Point | None:
 
 # === Jacobian internals ===
 # A Jacobian triple (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3);
-# None again plays the point at infinity.
+# None again plays the point at infinity.  Neither formula below can
+# return Z = 0 from a finite point: a doubling's Z3 = 2 Y1 Z1 is zero
+# only for a point of order 2, which the prime-order group lacks, and a
+# mixed addition's Z3 = Z1 h has both factors nonzero mod p once h = 0
+# has been handled.
 
 
 def _jdbl(pt):
@@ -171,8 +177,6 @@ def _jdbl(pt):
     x3 = (alpha * alpha - 8 * beta) % P
     z3 = ((y1 + z1) * (y1 + z1) - gamma - delta) % P
     y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % P
-    if z3 == 0:
-        return None
     return x3, y3, z3
 
 
@@ -196,8 +200,6 @@ def _jadd_affine(p1, ax, ay):
     x3 = (r * r - hhh - 2 * v) % P
     y3 = (r * (v - x3) - y1 * hhh) % P
     z3 = z1 * h % P
-    if z3 == 0:
-        return None
     return x3, y3, z3
 
 
@@ -211,20 +213,19 @@ def _to_affine(pt) -> Point | None:
 
 
 # === Fixed-base table for the generator ===
-# Row w of _GEN_TABLE is a flat tuple holding (d << 9w) * G as the affine
-# pair at indices 2d - 2 and 2d - 1 for d = 1 .. 256, over 29 rows: a
-# scalar below 2^256 recodes into 29 signed 9-bit digits in [-255, 256]
-# (Brickell, Gordon, McCurley & Wilson, EUROCRYPT 1992), and a negative
-# digit adds (x, p - y).  The top row covers bits 252-260, where the
-# digit is at most 15 plus a carry, so no carry leaves it.  A fixed-base
+# Row w of _GEN_TABLE is the width-10 odd-multiple table of
+# B_w = 2^(9w) G, built by _odd_multiple_tables like every other table:
+# B_w, 3B_w, ..., 511B_w, 256 entries in 512 ints.  An odd scalar below
+# 2^261 recodes into at most 29 odd digits of |d| <= 511 with no zero
+# digit (the regular recoding of Joye & Tunstall, AFRICACRYPT 2009), and
+# a negative digit adds (x, p - y), as in Brickell, Gordon, McCurley &
+# Wilson's fixed-base method (EUROCRYPT 1992).  A fixed-base
 # multiplication is at most 29 mixed additions and no doublings.  The
-# table holds 14,848 ints, about 1.0 MB, and is built lazily on first
-# use, in about 0.07 s: each row is a chain of mixed additions of its
-# base, normalised with one batch inversion, and the row's last entry
-# doubled is the next row's base (no multiple up to 512 of a finite
-# point is infinite: the group order n is a prime far above 512).  The
-# tests check entries against an affine double-and-add oracle.  10-bit
-# digits would save three additions for another 0.8 MB.
+# table holds 14,848 ints, about 1.0 MB, and is built lazily on first use,
+# one row per call so the build's peak memory stays one row's rounds:
+# the bases come from nine Jacobian doublings each and one inversion back
+# to affine.  The tests check entries against an affine double-and-add
+# oracle.
 
 _GEN_TABLE: list[tuple[int, ...]] | None = None
 
@@ -233,38 +234,38 @@ def _gen_table() -> list[tuple[int, ...]]:
     global _GEN_TABLE
     if _GEN_TABLE is None:
         table = []
-        x, y = GX, GY
+        base = (GX, GY, 1)
         for _ in range((256 + _GEN_WIDTH - 1) // _GEN_WIDTH):
-            multiples = [(x, y, 1)]
-            for _ in range(_GEN_HALF - 1):
-                multiples.append(_jadd_affine(multiples[-1], x, y))
-            multiples.append(_jdbl(multiples[-1]))  # the next row's base
-            flat = _flat_affine(multiples)
-            table.append(tuple(flat[:-2]))
-            x, y = flat[-2:]
+            table += _odd_multiple_tables([(_to_affine(base), _GEN_WIDTH + 1)])
+            for _ in range(_GEN_WIDTH):
+                base = _jdbl(base)
         _GEN_TABLE = table
     return _GEN_TABLE
 
 
 def _fixed_base_mul(k: int, acc):
-    """acc + k * G in Jacobian form for 0 <= k < 2^256, one signed digit per row.
+    """acc + k * G in Jacobian form for 0 <= k < n, one odd digit per row.
 
-    Each row takes the low 9 bits of k as a digit d; one above 256 is
-    taken as d - 512, with a carry into the next row, so every digit
-    lies in [-255, 256] and the top row's is at most 16.  At most 29
-    additions.
+    An even k becomes k + n, which is odd and names the same multiple.
+    Each row then takes the digit d = k if k < 512 and otherwise
+    (k mod 1024) - 512, and carries (k - d) / 512, which is odd again,
+    into the next row, so every digit is odd with |d| <= 511.  As
+    k < 2n < 2^257, the 29th row's digit is at most 33 and ends it.
     """
+    if not k:
+        return acc
+    if not k & 1:
+        k += N
+    step = 1 << _GEN_WIDTH
     for row in _gen_table():
+        d = k if k < step else k % (2 * step) - step
+        k = (k - d) >> _GEN_WIDTH
+        if d > 0:
+            acc = _jadd_affine(acc, row[d - 1], row[d])
+        else:
+            acc = _jadd_affine(acc, row[-d - 1], P - row[-d])
         if not k:
             break
-        d = k & (2 * _GEN_HALF - 1)
-        k >>= _GEN_WIDTH
-        if d > _GEN_HALF:
-            d = 2 * _GEN_HALF - d  # the digit is -d
-            acc = _jadd_affine(acc, row[2 * d - 2], P - row[2 * d - 1])
-            k += 1
-        elif d:
-            acc = _jadd_affine(acc, row[2 * d - 2], row[2 * d - 1])
     return acc
 
 
@@ -318,15 +319,6 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
         inverses[i] = inv * prefix[i] % modulus
         inv = inv * values[i] % modulus
     return inverses
-
-
-def _flat_affine(points) -> list[int]:
-    """Finite Jacobian points as one flat affine list (x1, y1, x2, y2, ...), one inversion."""
-    flat = []
-    for (x, y, _), zi in zip(points, batch_inverse([z for _, _, z in points], P)):
-        zi2 = zi * zi % P
-        flat += (x * zi2 % P, y * zi2 % P * zi % P)
-    return flat
 
 
 def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]]:

@@ -200,6 +200,19 @@ def test_all_honest_batch_confirms():
     assert verdicts == [Verdict.CONFIRMED] * 30
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_is_refused(batch_size):
+    # With a survivor (an honest proof) and without one (only an
+    # unregistered prover), so the check does not hinge on stage 2.
+    world = World(2)
+    ghost_ci = sense_context(77, world.tick, (10.0, 10.0), "sensing")
+    ghost = ProofPresentation(generate_proof(ghost_ci, world.keypairs[0].private, world.rng,
+                                             request_pending=True), ghost_ci)
+    for presentations in ([world.honest_presentation(0)], [ghost]):
+        with pytest.raises(ValueError, match="batch_size"):
+            verify_proof_batch(presentations, world.lbs, world.rng, batch_size=batch_size)
+
+
 def test_clone_at_other_position_is_context_compromised():
     world = World(5)
     victim_ci = world.cis[2]

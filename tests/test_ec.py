@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard import ec
-from cloneguard.ec import (_GEN_HALF, _GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
+from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
                            InvalidPointError, Point, PrecomputedPoint, _gen_table,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
@@ -27,8 +27,8 @@ KNOWN_MULTIPLES = {
 }
 
 
-# Rows of the signed 9-bit generator table, and so the most additions a
-# generator multiple may take.
+# Rows of the generator table, one odd digit each, and so the most
+# additions a generator multiple may take.
 GEN_ROWS = 29
 
 
@@ -162,22 +162,19 @@ def test_fixed_base_matches_oracle(k):
 
 
 def fixed_base_edge_scalars():
-    """Scalars below N whose signed generator digits hit every edge of the recoding."""
-    half, rows = _GEN_HALF, len(_gen_table())
-    ones = 2 * half - 1  # an all-ones window: the digit -1
-    top = _GEN_WIDTH * (rows - 1)  # the top row's first bit
+    """Scalars below N that hit every edge of the generator's odd-digit recoding.
 
-    def windows(*values):
-        # Scalar whose generator windows, lowest first, hold ``values``.
-        return sum(v << (_GEN_WIDTH * w) for w, v in enumerate(values))
-
+    The recoding makes k odd (k + N when k is even), then takes d = k
+    when k < 512 and (k mod 1024) - 512 otherwise, carrying (k - d) / 512.
+    """
     return [
-        half, half + 1, ones, 2 * half,       # largest digit, smallest carry, -1, a zero window
-        windows(0, half), windows(0, half + 1), windows(5, ones, 3),
-        windows(*[half] * (rows - 1)), windows(*[half + 1] * (rows - 1)),
-        windows(*[ones] * (rows - 1)),        # 2^252 - 1: a carry out of every row into the top
-        (15 << top) | (ones << (top - _GEN_WIDTH)),  # top digit 15 plus a carry: 16
-        N - 1, N - 2, (N - 1) // 2, 2 ** 255,
+        1, 3, 511,                   # one row: the smallest and largest one-row digits
+        2, 512, 1024, 2 ** 255,      # even: recoded as k + N, every row used
+        513, 1023, 1025,             # two rows: 1 + 1*512, 511 + 1*512, -511 + 3*512
+        2 ** 252 - 1,                # odd with every bit set below the top row
+        (N - 1) // 2,
+        N - 2,                       # the largest odd k: no k + N step
+        N - 1,                       # recodes 2N - 1, so its last digit, 31, is the largest
     ]
 
 
@@ -190,13 +187,46 @@ def test_fixed_base_signed_digit_edges():
 
 
 def test_fixed_base_table_entries():
+    # Row w is the width-10 odd-multiple table of 2^(9w) G: odd digit d
+    # reads x at d - 1 and y at d.
     table = _gen_table()
     assert len(table) == GEN_ROWS and all(len(row) == 512 for row in table)
     assert _GEN_WIDTH * (GEN_ROWS - 1) < 256 <= _GEN_WIDTH * GEN_ROWS
     for w in (0, 1, GEN_ROWS // 2, GEN_ROWS - 2, GEN_ROWS - 1):
-        for d in (1, 2, _GEN_HALF - 1, _GEN_HALF):
+        for d in (1, 3, 255, 511):
             expected = oracle_mul(d << (_GEN_WIDTH * w), G)
-            assert table[w][2 * d - 2:2 * d] == (expected.x, expected.y)
+            assert table[w][d - 1:d + 1] == (expected.x, expected.y)
+
+
+def test_gen_table_build_counts(monkeypatch):
+    # Counts only: the generator table is 29 width-10 odd-multiple tables,
+    # one _odd_multiple_tables call per row (nine rounds, one batch
+    # inversion each), on bases nine Jacobian doublings apart, and no
+    # Jacobian addition.
+    built = _gen_table()
+    calls = {"batch_inverse": 0, "_jadd_affine": 0, "_jdbl": 0}
+    for name in calls:
+        original = getattr(ec, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ec, name, counting)
+    rows = []
+    original_tables = ec._odd_multiple_tables
+
+    def one_row_each(bases):
+        rows.append(bases)
+        return original_tables(bases)
+
+    monkeypatch.setattr(ec, "_odd_multiple_tables", one_row_each)
+    monkeypatch.setattr(ec, "_GEN_TABLE", None)
+    assert _gen_table() == built
+    assert calls == {"batch_inverse": GEN_ROWS * _GEN_WIDTH, "_jadd_affine": 0,
+                     "_jdbl": GEN_ROWS * _GEN_WIDTH}
+    assert [[width for _, width in bases] for bases in rows] == [[_GEN_WIDTH + 1]] * GEN_ROWS
+    assert rows[0][0][0] == G and rows[1][0][0] == oracle_mul(1 << _GEN_WIDTH, G)
 
 
 def test_fixed_base_addition_count(monkeypatch):

@@ -468,6 +468,27 @@ def multi_scalar_mul(pairs) -> Point | None:
     return _to_affine(_fixed_base_mul(g_scalar % N, acc))
 
 
+def multiple_index(base: Point, target: Point | None, limit: int) -> int | None:
+    """The least m in [1, limit] with m * base == target, or None; limit < n.
+
+    A walk up base, 2 base, ..., limit * base in Jacobian form, one mixed
+    addition per step and no inversion: the affine target (x, y) is the
+    triple (X, Y, Z) when X == x Z^2 and Y == y Z^3.  No step reaches
+    infinity, as base has the prime order n > limit.
+    """
+    _require_finite(base)
+    if target is None:
+        return None
+    acc = (base.x, base.y, 1)
+    for m in range(1, limit + 1):
+        x, y, z = acc
+        zz = z * z % P
+        if x == target.x * zz % P and y == target.y * zz * z % P:
+            return m
+        acc = _jadd_affine(acc, base.x, base.y)
+    return None
+
+
 # === Validation ===
 
 

@@ -230,8 +230,9 @@ def test_gen_table_build_counts(monkeypatch):
 
 
 def test_fixed_base_addition_count(monkeypatch):
-    # One mixed addition per nonzero signed 9-bit digit, at most one per
-    # row, and never a doubling.
+    # One mixed addition per odd signed 9-bit digit: the recoding leaves
+    # no zero digit, so a scalar adds once in each row until its carry
+    # runs out, at most one per row, and never doubles.
     counts = {"add": 0, "dbl": 0}
 
     def counted(name, fn):
@@ -250,6 +251,40 @@ def test_fixed_base_addition_count(monkeypatch):
         assert counts["add"] <= len(_gen_table()) and counts["dbl"] == 0, hex(k)
         most = max(most, counts["add"])
     assert most == GEN_ROWS
+
+
+def test_fixed_base_uses_every_row_for_even_and_long_scalars(monkeypatch):
+    # An even k is recoded as k + N > 2^255, and an odd k >= 2^252 keeps
+    # a carry into the last row, so both take exactly one addition per row.
+    adds = []
+
+    def counted(*args, _original=ec._jadd_affine):
+        adds.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(ec, "_jadd_affine", counted)
+    rng = random.Random(31)
+    even = [2, 4, 512, 2 ** 255, N - 1] + [2 * rng.randrange(1, N // 2) for _ in range(10)]
+    long = [2 ** 252, 2 ** 252 + 1, N - 2] + [rng.randrange(2 ** 252, N) for _ in range(10)]
+    for k in even + long:
+        adds.clear()
+        scalar_mul(k, G)
+        assert len(adds) == GEN_ROWS, hex(k)
+    adds.clear()
+    scalar_mul(1, G)
+    assert len(adds) == 1
+
+
+def test_multiple_index_walks_to_the_least_multiple():
+    base = KNOWN_MULTIPLES[5]
+    for m in (1, 2, 3, 24, 25):
+        assert ec.multiple_index(base, oracle_mul(5 * m, G), 25) == m
+    assert ec.multiple_index(base, oracle_mul(5 * 26, G), 25) is None
+    assert ec.multiple_index(base, point_neg(base), 25) is None
+    assert ec.multiple_index(base, INFINITY, 25) is None
+    assert ec.multiple_index(base, base, 0) is None
+    with pytest.raises(InvalidPointError):
+        ec.multiple_index(INFINITY, base, 25)
 
 
 def test_multi_scalar_mul_empty_and_trivial():

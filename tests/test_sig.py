@@ -286,6 +286,72 @@ def test_several_invalid_items_stay_within_the_stated_cost(checks, size, count):
         assert cost <= 2 * count * math.ceil(math.log2(size)) + 1, (size, bad, checks)
 
 
+@pytest.fixture
+def msm_calls(monkeypatch):
+    """A list that gets one entry per ``multi_scalar_mul`` call made through ``sig``."""
+    calls = []
+
+    def counted(pairs, _original=sigmod.multi_scalar_mul):
+        calls.append(len(pairs))
+        return _original(pairs)
+    monkeypatch.setattr(sigmod, "multi_scalar_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", [8, 22, 25])
+def test_one_invalid_item_costs_four_msms_at_every_placement(msm_calls, size):
+    # The failed batch check, the two sums and one individual check.
+    assert size > sigmod.SCAN_SIZE
+    for index in range(size):
+        items = list(_bisect_pool()[0][:size])
+        items[index] = _invalid(index, "other_key" if index % 2 else "bumped_s")
+        msm_calls.clear()
+        flags = verify_batch(items, random.Random(index))
+        assert flags == [i != index for i in range(size)]
+        assert len(msm_calls) == 4, (size, index, msm_calls)
+
+
+def _mixed_batch(size, bad, malformed):
+    """Forgeries at ``bad``, alternately under another key and with s bumped,
+    and an item with s = 0 at ``malformed``."""
+    items = list(_bisect_pool()[0][:size])
+    for j, index in enumerate(bad):
+        items[index] = _invalid(index, ("other_key", "bumped_s")[j % 2])
+    items[malformed] = _invalid(malformed, "s_zero")
+    return items
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_several_forgeries_and_a_malformed_item_flag_like_verify_each(count):
+    size = 25
+    for bad in _placements(size, count):
+        malformed = next(i for i in range(size - 1, -1, -1) if i not in bad)
+        items = _mixed_batch(size, bad, malformed)
+        flags = verify_batch(items, random.Random(sum(bad)))
+        assert flags == verify_each(items)
+        assert flags == [i not in bad and i != malformed for i in range(size)], bad
+
+
+@pytest.mark.parametrize("bad", [(7,), (0, 1), (3, 17, 24)])
+def test_a_lone_item_test_that_names_a_valid_item_does_not_settle_the_set(monkeypatch, bad):
+    # S2 = (b + 1) * S1 for a valid b happens with probability 2^-64 per
+    # set; force it on every set that holds a valid item.
+    size = 25
+    items = _mixed_batch(size, bad, 12)
+    expected = verify_each(items)
+    named = []
+
+    def wrong(s1, s2, lo, hi):
+        formed = [i for i in range(size) if i != 12]
+        b = next((p for p in range(lo, hi) if expected[formed[p]]), None)
+        named.append(b)
+        return b
+
+    monkeypatch.setattr(sigmod, "_lone_item", wrong)
+    assert verify_batch(items, random.Random(5)) == expected
+    assert any(b is not None for b in named)
+
+
 def _tampered(star):
     """The signature, then copies with one bit of s or of R flipped."""
     yield star

@@ -274,10 +274,10 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
 
     Stage 2 (signatures): survivors are verified in chunks of
     ``batch_size`` by ``sig.verify_batch``.  A clean chunk confirms
-    everyone in it with one batch check; in a dirty one, two
-    index-weighted sums name a lone forgery, or a bisection over those
-    sums finds several, and the signatures that fail their individual
-    check are COMPROMISED_SIGNATURE.  Both paths verify under
+    everyone in it with one batch check; in a dirty one, a randomized
+    sum and its index-weighted twin name a lone forgery, or a bisection
+    over such sums finds several, and the signatures that fail their
+    individual check are COMPROMISED_SIGNATURE.  Both paths verify under
     ``lbs.verification_keys``: the first call that verifies a key builds
     its ``ec.PrecomputedPoint`` (one pass for all of a call's new keys),
     and later calls reuse it.  A ``batch_size`` below 1 is a

@@ -1,6 +1,7 @@
 """Signature schemes: round trips, mutation rejection, batching, wire forms."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -311,6 +312,41 @@ def test_one_invalid_item_costs_four_msms_at_every_placement(msm_calls, size):
         assert len(msm_calls) == 4, (size, index, msm_calls)
 
 
+def _search_cost(size, bad):
+    """MSM calls by the cost rule of ``verify_batch``'s docstring, for
+    forgeries at ``bad`` among ``size`` well-formed items."""
+    if not bad:
+        return 1
+    if size <= sigmod.SCAN_SIZE:
+        return 1 + size
+
+    def search(lo, hi):
+        inside = [i for i in bad if lo <= i < hi]
+        if len(inside) == 1:
+            return 1
+        if hi - lo <= sigmod.SCAN_SIZE:
+            return hi - lo
+        mid = (lo + hi) // 2
+        left = sum(i < mid for i in inside)
+        if 0 < left < len(inside):
+            return 2 + search(lo, mid) + search(mid, hi)
+        return 1 + (search(lo, mid) if left else search(mid, hi))
+
+    return 3 + search(0, size)
+
+
+def test_several_invalid_items_cost_what_the_rule_says(msm_calls):
+    cases = [(size, bad) for size in (3, 4, 5, 8, 13)
+             for count in (1, 2) for bad in itertools.combinations(range(size), count)]
+    cases += [(25, bad) for count in (2, 3, 4) for bad in _placements(25, count)]
+    for size, bad in cases:
+        items = [_invalid(i, "bumped_s") if i in bad else item
+                 for i, item in enumerate(_bisect_pool()[0][:size])]
+        msm_calls.clear()
+        assert verify_batch(items, random.Random(size)) == [i not in bad for i in range(size)]
+        assert len(msm_calls) == _search_cost(size, bad), (size, bad)
+
+
 def _mixed_batch(size, bad, malformed):
     """Forgeries at ``bad``, alternately under another key and with s bumped,
     and an item with s = 0 at ``malformed``."""
@@ -339,10 +375,10 @@ def test_a_lone_item_test_that_names_a_valid_item_does_not_settle_the_set(monkey
     size = 25
     items = _mixed_batch(size, bad, 12)
     expected = verify_each(items)
+    formed = [i for i in range(size) if i != 12]
     named = []
 
     def wrong(s1, s2, lo, hi):
-        formed = [i for i in range(size) if i != 12]
         b = next((p for p in range(lo, hi) if expected[formed[p]]), None)
         named.append(b)
         return b

@@ -331,7 +331,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
         # formed[lo:hi] holds an invalid item; s1 (finite) and s2 are its sums.
         b = _lone_item(s1, s2, lo, hi)
         if b is not None:
-            flags[formed[b]] = verify_each([items[formed[b]]])[0]
+            scan([b])
             if not flags[formed[b]]:
                 return
         if hi - lo <= SCAN_SIZE:

@@ -11,7 +11,8 @@ checkouts alternate, and the one that goes first swaps from pair to
 pair, so the host's drift falls on every side alike.  The last line a
 run prints is its JSON result.  A run that exits non-zero, prints no
 JSON line or reports ``correct: false`` stops the script before it
-writes anything, and so does a checkout name given twice.
+writes anything, and so do a checkout name given twice and an empty
+seed range such as ``5-1``.
 
 The snapshot holds, per checkout and workload, each end-to-end metric's
 median, quartiles and run count, and its values in run order: seed by
@@ -56,7 +57,10 @@ def parse_seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
     return seeds
 
 

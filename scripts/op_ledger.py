@@ -52,15 +52,15 @@ def counting():
     originals = {name: getattr(ec, name) for name in
                  ("_jadd_affine", "_jdbl", "batch_inverse", "_to_affine", "_straus")
                  if hasattr(ec, name)}
-    live = [True]  # off while the kernel runs: its work is counted from its fold
+    live = True  # off while the kernel runs: its work is counted from its fold
 
     def jadd_affine(p1, ax, ay):
-        if live[0] and p1 is not None:
+        if live and p1 is not None:
             counts["mixed_additions"] += 1
         return originals["_jadd_affine"](p1, ax, ay)
 
     def jdbl(pt):
-        if live[0] and pt is not None:
+        if live and pt is not None:
             counts["doublings"] += 1
         return originals["_jdbl"](pt)
 
@@ -74,11 +74,12 @@ def counting():
         return originals["_to_affine"](pt)
 
     def straus(adds):
-        live[0] = False
+        nonlocal live
+        live = False
         try:
             result = originals["_straus"](adds)
         finally:
-            live[0] = True
+            live = True
         acc = None
         for bucket in reversed(adds):
             acc = ec._jdbl(acc)

@@ -522,10 +522,10 @@ def _straus(adds):
             hh = h * h % p
             hhh = h * hh % p
             v = x * hh % p
-            t = (r * r - hhh - 2 * v) % p
-            y = (r * (v - t) - y * hhh) % p
+            x3 = (r * r - hhh - 2 * v) % p
+            y = (r * (v - x3) - y * hhh) % p
             z = z * h % p
-            x = t
+            x = x3
     return None if inf else (x, y, z)
 
 

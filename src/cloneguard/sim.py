@@ -65,6 +65,8 @@ class NetworkConfig:
     rwp_pause_max: float = 2.0
     rounds: int = 2
     seed: int = 1
+    # A verifier sends all of its requests in one wave; batch_size only
+    # chunks the signature check in verify_proof_batch.
     batch_size: int = 25
     latency_ms: float = 1.0
 
@@ -227,17 +229,22 @@ def init_network(config: NetworkConfig) -> SimulationState:
     state = SimulationState(config=cfg, rngs=hub, nodes=nodes, lbs=lbs,
                             trust=trust_state, sink=sink)
 
-    # Registration: sense at tick 0, enrol the key, store the record.
+    # Registration: enrol the key, then sense at tick 0 and store the record.
     for node in nodes:
-        ci = ctx.sense_context(node.device_id, 0, node.position(), node.activity)
-        node.current_ci = ci
-        sink.log(node.role, "sense")
         lbs.register_public_key(node.device_id, node.keypair.public)
         sink.log(node.role, "register")
-        lbs.store_context(ci)
-        sink.log(node.role, "store")
-        sink.log(ROLE_LBS, "ack")
+        _sense_and_store(state, node, 0)
     return state
+
+
+def _sense_and_store(state: SimulationState, node: Node, tick: int) -> None:
+    """The node senses its context at ``tick`` and stores it with the location store."""
+    ci = ctx.sense_context(node.device_id, tick, node.position(), node.activity)
+    node.current_ci = ci
+    state.sink.log(node.role, "sense")
+    state.lbs.store_context(ci)
+    state.sink.log(node.role, "store")
+    state.sink.log(ROLE_LBS, "ack")
 
 
 def _sample_waypoint(node: Node, cfg: NetworkConfig, rng) -> None:
@@ -312,98 +319,87 @@ def inject_clones(state: SimulationState) -> list[Node]:
 
 
 def run_detection_round(state: SimulationState) -> RoundResult:
-    """Execute one full detection round.
+    """Execute one detection round: sense, collect, adjudicate, account.
 
-    Phase A: every honest device senses fresh context and stores it with
-    the location store (clones stay passive — they only ever answer, with
-    the record they copied at injection).
-    Phase B: targets are split round-robin across the verifier cohort
-    and handled in proof batches: request, response, verifier-side
-    observation, store lookup, then the two-stage proof verification.
+    Every honest device senses fresh context and stores it (clones stay
+    passive — they only ever answer, with the record they copied at
+    injection).  Targets are split round-robin across the verifier
+    cohort, and each verifier sends all of its requests in one wave,
+    takes every answer, observes every target and adjudicates them in
+    one ``verify_proof_batch`` call: ``batch_size`` only chunks that
+    call's signature check, and detection time counts message hops only.
     Each confirmed honest prover records an interaction with, and
     feedback about, its verifier in the trust state.
     """
-    cfg = state.config
-    sink = state.sink
     state.round_no += 1
     tick = state.round_no
+    result = RoundResult(round_no=tick, verdicts={}, detections=[], false_positives=0)
 
-    # Phase A — sensing and storing.
     for node in state.nodes:
-        if node.role == ROLE_CLONE:
-            continue
-        ci = ctx.sense_context(node.device_id, tick, node.position(), node.activity)
-        node.current_ci = ci
-        sink.log(node.role, "sense")
-        state.lbs.store_context(ci)
-        sink.log(node.role, "store")
-        sink.log(ROLE_LBS, "ack")
+        if node.role != ROLE_CLONE:
+            _sense_and_store(state, node, tick)
 
-    # Phase B — proof collection and verification, per verifier batch.
     targets = state.targets()
     verifiers = state.verifiers()
-
-    verdicts: dict[int, ctx.Verdict] = {}
-    detections: list[met.DetectionRecord] = []
-    false_positives = 0
-    nonce_rng = state.rngs.stream("nonces")
-    batch_rng = state.rngs.stream("batch")
-
     for pos, verifier in enumerate(verifiers):
         assigned = targets[pos::len(verifiers)]
-        for start in range(0, len(assigned), cfg.batch_size):
-            batch = assigned[start:start + cfg.batch_size]
+        if not assigned:
+            continue
+        requested_ms, presentations = _collect(state, assigned)
+        verdicts = ctx.verify_proof_batch(presentations, state.lbs, state.rngs.stream("batch"),
+                                          batch_size=state.config.batch_size)
+        _account(state, result, verifier, assigned, requested_ms, presentations, verdicts)
+    return result
 
-            request_ts = {}
-            for target in batch:
-                request_ts[target.idx] = sink.log(ROLE_VERIFIER, "proof_request")
 
-            proofs = {}
-            for target in batch:
-                proofs[target.idx] = ctx.generate_proof(
-                    target.current_ci, target.keypair.private, nonce_rng,
-                    request_pending=True)
-                sink.log(target.role, "proof_response")
+def _collect(state: SimulationState, assigned: list[Node]
+             ) -> tuple[list[float], list[ctx.ProofPresentation]]:
+    """Request every assigned target's proof, take each answer, observe each target.
 
-            batch_pres = []
-            for target in batch:
-                observed = ctx.sense_context(target.device_id, tick,
-                                             target.position(), target.activity)
-                sink.log(ROLE_VERIFIER, "sense")
-                sink.log(ROLE_VERIFIER, "ci_check")
-                sink.log(ROLE_LBS, "ack")
-                batch_pres.append(ctx.ProofPresentation(proof=proofs[target.idx],
-                                                        observed=observed))
+    Returns the request times and the presentations, aligned with ``assigned``.
+    """
+    sink = state.sink
+    nonce_rng = state.rngs.stream("nonces")
+    requested_ms = [sink.log(ROLE_VERIFIER, "proof_request") for _ in assigned]
+    proofs = []
+    for target in assigned:
+        proofs.append(ctx.generate_proof(target.current_ci, target.keypair.private,
+                                         nonce_rng, request_pending=True))
+        sink.log(target.role, "proof_response")
+    presentations = []
+    for target, proof in zip(assigned, proofs):
+        observed = ctx.sense_context(target.device_id, state.round_no,
+                                     target.position(), target.activity)
+        sink.log(ROLE_VERIFIER, "sense")
+        sink.log(ROLE_VERIFIER, "ci_check")
+        sink.log(ROLE_LBS, "ack")
+        presentations.append(ctx.ProofPresentation(proof=proof, observed=observed))
+    return requested_ms, presentations
 
-            batch_verdicts = ctx.verify_proof_batch(
-                batch_pres, state.lbs, batch_rng, batch_size=cfg.batch_size)
 
-            for target, verdict in zip(batch, batch_verdicts):
-                verdicts[target.idx] = verdict
-                if verdict is ctx.Verdict.CONFIRMED:
-                    sink.log(ROLE_VERIFIER, "verify_confirm")
-                    state.lbs.store_proof(proofs[target.idx])
-                    if target.role == ROLE_PROVER:
-                        zone = _zone(verifier.x, verifier.y)
-                        state.trust.record_interaction(target.device_id,
-                                                       verifier.device_id, zone, 1.0)
-                        state.trust.record_feedback(target.device_id,
-                                                    verifier.device_id, 1.0)
-                else:
-                    reported_ms = sink.log(ROLE_VERIFIER, "compromise_report")
-                    if target.role == ROLE_CLONE:
-                        detections.append(met.DetectionRecord(
-                            clone_idx=target.idx,
-                            victim_idx=target.victim_idx,
-                            device_id=target.device_id,
-                            case=verdict.value,
-                            round_no=tick,
-                            detection_time_ms=reported_ms - request_ts[target.idx]))
-                    else:
-                        false_positives += 1
-
-    return RoundResult(round_no=tick, verdicts=verdicts, detections=detections,
-                       false_positives=false_positives)
+def _account(state: SimulationState, result: RoundResult, verifier: Node,
+             assigned: list[Node], requested_ms: list[float],
+             presentations: list[ctx.ProofPresentation], verdicts: list[ctx.Verdict]) -> None:
+    """Record one verifier's verdicts: messages, detections, false positives and trust."""
+    sink = state.sink
+    zone = _zone(verifier.x, verifier.y)
+    for target, sent_ms, pres, verdict in zip(assigned, requested_ms, presentations, verdicts):
+        result.verdicts[target.idx] = verdict
+        if verdict is ctx.Verdict.CONFIRMED:
+            sink.log(ROLE_VERIFIER, "verify_confirm")
+            state.lbs.store_proof(pres.proof)
+            if target.role == ROLE_PROVER:
+                state.trust.record_interaction(target.device_id, verifier.device_id, zone, 1.0)
+                state.trust.record_feedback(target.device_id, verifier.device_id, 1.0)
+        else:
+            reported_ms = sink.log(ROLE_VERIFIER, "compromise_report")
+            if target.role == ROLE_CLONE:
+                result.detections.append(met.DetectionRecord(
+                    clone_idx=target.idx, victim_idx=target.victim_idx,
+                    device_id=target.device_id, case=verdict.value, round_no=result.round_no,
+                    detection_time_ms=reported_ms - sent_ms))
+            else:
+                result.false_positives += 1
 
 
 def run_experiment(config: NetworkConfig) -> met.SimulationReport:

@@ -305,6 +305,43 @@ def test_detection_times_scale_linearly_with_latency():
     assert base.total_bytes == slow.total_bytes
 
 
+@pytest.mark.parametrize("config", [
+    NetworkConfig(environment="sparse", seed=1, rounds=2),
+    NetworkConfig(num_devices=500, environment="dense", seed=1, rounds=1),
+], ids=["sparse-seed1-2rounds", "dense-seed1-1round"])
+def test_batch_size_only_chunks_verification(config):
+    # A verifier requests all of its targets in one wave, whatever the
+    # batch size, so verdicts, detections (their times included) and
+    # messages are the same; only the reported config differs.
+    reports = []
+    for batch_size in (1, 2, 25):
+        data = run_experiment(dataclasses.replace(config, batch_size=batch_size)
+                              ).to_canonical_dict()
+        assert data["config"].pop("batch_size") == batch_size
+        reports.append(data)
+    assert reports[0]["detections"]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_more_verifiers_than_targets(monkeypatch):
+    sizes = []
+    original = ctx.verify_proof_batch
+
+    def recording(presentations, *args, **kwargs):
+        assert presentations, "a verifier with no targets must not adjudicate"
+        sizes.append(len(presentations))
+        return original(presentations, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "verify_proof_batch", recording)
+    config = NetworkConfig(num_clones=0, num_provers=10, rounds=2)
+    assert config.num_verifiers == 30
+    report = run_experiment(config)
+    # 10 targets over 2 rounds, each adjudicated once, by one verifier of its own
+    assert sizes == [1] * 20
+    assert report.verdict_counts == {v.value: 0 for v in Verdict} | {"confirmed": 20}
+    assert report.false_positives == 0
+
+
 def test_experiment_reports_are_reproducible():
     a = run_experiment(NetworkConfig(seed=21, rounds=2).resolve())
     b = run_experiment(NetworkConfig(seed=21, rounds=2).resolve())

@@ -16,14 +16,16 @@ The counts come from outside: the script wraps ``ec._jadd_affine``,
 scenario, and the package runs unchanged.  Only operations on a finite
 accumulator count, so loading the first point of a sum is no addition
 and doubling infinity is no doubling.  The Straus kernel ``ec._straus``
-does its additions and doublings inline, so its wrapper counts them by
-folding ``_jdbl`` and ``_jadd_affine`` over the buckets it is handed,
-which is the pass the kernel writes out, and checks that the fold and
-the kernel agree.  A checkout from before the kernel has no
-``_straus``; its Straus pass calls the two wrapped formulas, so the same
-counts come out, and two checkouts can be compared.  ``sig`` keeps its
-own reference to ``batch_inverse`` for its scalar inversions mod n,
-which are not group operations and are not counted.
+is the one loop that sums an MSM, the generator's fixed-base entries
+included, and does its additions and doublings inline; so its wrapper
+counts them by folding ``_jdbl`` and ``_jadd_affine`` over the buckets
+it is handed, which is the pass the kernel writes out, and checks that
+the fold and the kernel agree.  An older checkout that sums some terms
+outside the kernel, or has no ``_straus`` at all, makes those additions
+through the wrapped formulas, so the same counts come out, and two
+checkouts can be compared.  ``sig`` keeps its own reference to
+``batch_inverse`` for its scalar inversions mod n, which are not group
+operations and are not counted.
 
 Counts are exact and do not drift with the host, so a change that moves
 one shows in ``tests/test_op_ledger.py``, which pins them.

@@ -130,6 +130,15 @@ def _require_positive(flag: str, value: int) -> None:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
+def _make_out_dir(path: str) -> None:
+    """Create an output directory, or fail as unusable input before any run starts."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {path!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def check_report_invariants(report: met.SimulationReport) -> list[str]:
     """Structural invariants every finished run must satisfy."""
     problems = []
@@ -170,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     values = _gather_overrides(args)
     config = NetworkConfig(**values)
     config.validate()
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
 
     reports = _run_reps(config, args.reps, args.out)
 
@@ -232,7 +241,7 @@ def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     _require_positive("--reps", args.reps)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     _bench_batch(args.out, args.reps, args.seed)
     return 0
 
@@ -275,14 +284,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    os.makedirs(args.out, exist_ok=True)
+    for label, _ in cells:
+        _make_out_dir(os.path.join(args.out, label))
     all_reports = []
     summary_cells = []
     invariant_problems = []
     for label, config in cells:
-        cell_dir = os.path.join(args.out, label)
-        os.makedirs(cell_dir, exist_ok=True)
-        reports = _run_reps(config, args.reps, cell_dir, label=f"{label}_rep")
+        reports = _run_reps(config, args.reps, os.path.join(args.out, label),
+                            label=f"{label}_rep")
         for report in reports:
             invariant_problems.extend(
                 f"cell {label}: {p}" for p in check_report_invariants(report))

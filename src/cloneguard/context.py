@@ -84,27 +84,33 @@ def encode_activity(activity: str) -> bytes:
     return raw.ljust(ACTIVITY_BYTES, b"\x00")
 
 
+def quantize(value: float) -> int:
+    """One coordinate in fixed point, 1/256 units, clamped to [0, COORD_MAX].
+
+    A coordinate outside the addressable area is clamped with a warning
+    rather than rejected, so a sensing glitch degrades instead of
+    crashing a round.  The top edge of a 256-unit area lands exactly one
+    quantization step past the u16 ceiling, so an overshoot of a single
+    step saturates silently.
+    """
+    fixed = round(value * FIXED_POINT_SCALE)
+    if fixed < 0 or fixed > COORD_MAX + 1:
+        # stacklevel 3 names the line that called sense_context
+        warnings.warn(f"position {value:g} outside the addressable area; clamping",
+                      stacklevel=3)
+    return min(max(fixed, 0), COORD_MAX)
+
+
 def sense_context(device_id: int, clock: float, position: tuple[float, float],
                   activity: str) -> ContextInformation:
     """Quantize a physical state into a context record.
 
-    Time saturates at the u16 ceiling; coordinates outside the
-    addressable area are clamped with a warning rather than rejected, so
-    a sensing glitch degrades instead of crashing a round.  The top edge
-    of a 256-unit area lands exactly one quantization step past the u16
-    ceiling, so an overshoot of a single step saturates silently.
+    Time saturates at the u16 ceiling, and each coordinate goes through
+    ``quantize``, the one quantizer that clone placement also uses.
     """
-    time = min(int(clock), TIME_MAX)
-    coords = []
-    for value in position:
-        fixed = round(value * FIXED_POINT_SCALE)
-        if fixed < 0 or fixed > COORD_MAX + 1:
-            warnings.warn(f"position {value:g} outside the addressable area; clamping",
-                          stacklevel=2)
-        fixed = min(max(fixed, 0), COORD_MAX)
-        coords.append(fixed)
-    return ContextInformation(device_id=device_id, time=time,
-                              loc_x=coords[0], loc_y=coords[1],
+    x, y = position
+    return ContextInformation(device_id=device_id, time=min(int(clock), TIME_MAX),
+                              loc_x=quantize(x), loc_y=quantize(y),
                               activity=encode_activity(activity))
 
 

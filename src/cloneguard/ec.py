@@ -2,20 +2,21 @@
 
 The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
-multiplication is one multi-scalar multiplication.  Terms off the
-generator G share one Straus pass over wNAF digits, each base with its
-own window width w and an affine table of its positive odd multiples
-P, 3P, ..., (2^(w-1) - 1)P (a negative digit adds the negation (x, p - y)
-of an entry); then the G terms add one odd digit per row of a
-fixed-base table (at most 29 additions, no doublings) into the same
-Jacobian accumulator.  Every addition there is mixed Jacobian-affine
-(Cohen, Miyaji & Ono, ASIACRYPT 1998).  The Straus pass is one loop,
-``_straus``, that keeps the accumulator in local ints and writes out the
-doubling and addition formulas of ``_jdbl`` and ``_jadd_affine``, with
-the same results bit for bit: a pass makes hundreds of doublings and
-up to a thousand or more additions, and a function call for each, with
-its tuple packing and its ``None`` test, cost some 7% of the pass.  The
-fixed-base rows and the table builds call the two formulas.
+multiplication is one multi-scalar multiplication, summed by one loop.
+A term off the generator G recodes into wNAF digits, each naming an
+entry of its base's affine table of odd multiples P, 3P, ...,
+(2^(w-1) - 1)P, or the entry's negation (x, p - y); the G terms recode
+into one odd digit per row of a fixed-base table, at most 29 entries.
+The entries go into one bucket per bit position, G's into bucket 0, and
+one Straus pass, ``_straus``, sums them: one doubling per position and
+one mixed Jacobian-affine addition per entry (Cohen, Miyaji & Ono,
+ASIACRYPT 1998), so a G-only sum makes no doubling.  ``_straus`` keeps
+the accumulator in local ints and writes out the formulas of ``_jdbl``
+and ``_jadd_affine``, with the same results bit for bit: a pass makes
+hundreds of doublings and up to a thousand or more additions, and a
+function call for each, with its tuple packing and its ``None`` test,
+cost some 7% of the pass.  Outside it only the generator-table build
+and ``multiple_index`` call the two formulas.
 
 The odd-multiple tables are built affine, all of a call's tables together,
 in rounds: round 1 doubles each P, and round i > 1 adds D = 2^(i-1)P to
@@ -224,14 +225,13 @@ def _to_affine(pt) -> Point | None:
 # B_w, 3B_w, ..., 511B_w, 256 entries in 512 ints.  An odd scalar below
 # 2^261 recodes into at most 29 odd digits of |d| <= 511 with no zero
 # digit (the regular recoding of Joye & Tunstall, AFRICACRYPT 2009), and
-# a negative digit adds (x, p - y), as in Brickell, Gordon, McCurley &
-# Wilson's fixed-base method (EUROCRYPT 1992).  A fixed-base
-# multiplication is at most 29 mixed additions and no doublings.  The
-# table holds 14,848 ints, about 1.0 MB, and is built lazily on first use,
-# one row per call so the build's peak memory stays one row's rounds:
-# the bases come from nine Jacobian doublings each and one inversion back
-# to affine.  The tests check entries against an affine double-and-add
-# oracle.
+# a negative digit names (x, p - y), as in Brickell, Gordon, McCurley &
+# Wilson's fixed-base method (EUROCRYPT 1992): at most 29 entries for
+# the Straus pass's last bucket, so mixed additions and no doublings.
+# The table holds 14,848 ints, about 1.0 MB, built lazily one row per
+# call so the build's peak memory stays one row's rounds; each base
+# takes nine Jacobian doublings.  The tests check entries against an
+# affine double-and-add oracle.
 
 _GEN_TABLE: list[tuple[int, ...]] | None = None
 
@@ -249,8 +249,8 @@ def _gen_table() -> list[tuple[int, ...]]:
     return _GEN_TABLE
 
 
-def _fixed_base_mul(k: int, acc):
-    """acc + k * G in Jacobian form for 0 <= k < n, one odd digit per row.
+def _fixed_base_mul(k: int) -> list[tuple[int, int]]:
+    """G's table entries (x, y), one per row, that sum to k * G for 0 <= k < n.
 
     An even k becomes k + n, which is odd and names the same multiple.
     Each row then takes the digit d = k if k < 512 and otherwise
@@ -258,8 +258,9 @@ def _fixed_base_mul(k: int, acc):
     into the next row, so every digit is odd with |d| <= 511.  As
     k < 2n < 2^257, the 29th row's digit is at most 33 and ends it.
     """
+    entries = []
     if not k:
-        return acc
+        return entries
     if not k & 1:
         k += N
     step = 1 << _GEN_WIDTH
@@ -267,12 +268,12 @@ def _fixed_base_mul(k: int, acc):
         d = k if k < step else k % (2 * step) - step
         k = (k - d) >> _GEN_WIDTH
         if d > 0:
-            acc = _jadd_affine(acc, row[d - 1], row[d])
+            entries.append((row[d - 1], row[d]))
         else:
-            acc = _jadd_affine(acc, row[-d - 1], P - row[-d])
+            entries.append((row[-d - 1], P - row[-d]))
         if not k:
             break
-    return acc
+    return entries
 
 
 def scalar_mul(k: int, point: Point | None) -> Point | None:
@@ -416,22 +417,22 @@ def multi_scalar_mul(pairs) -> Point | None:
 
     Terms off G share one Straus pass over wNAF digits (Moeller, SAC
     2001), each term at its own table's width w: each base has an affine
-    table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a negative
-    digit adds the negation (x, p - y) of an entry, so the main loop is
-    one Jacobian doubling per bit position plus one mixed addition per
-    nonzero digit.  A ``PrecomputedPoint`` base brings its width-7 table;
-    every plain ``Point`` base gets one built here, of width 4 if its
-    reduced scalar has at most 128 bits and width 5 otherwise, all of
-    them in one ``_odd_multiple_tables`` call: affine rounds, w - 1 for
-    the widest fresh table, each sharing one inversion across every
-    table.  Terms whose base is the plain ``Point`` G have their scalars
-    summed, and the fixed-base table adds that multiple into the Straus
-    accumulator.  Every addition in the main loop is mixed; a call does
-    at most five field inversions, the rounds of a width-5 table and one
-    back to affine (one alone when every base brings its table).  The
-    digits are sorted into one bucket of affine points per bit position,
-    and ``_straus`` runs the pass over the buckets as one loop on local
-    ints, with no function call per doubling or addition.
+    table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a
+    negative digit adds the negation (x, p - y) of an entry.  A
+    ``PrecomputedPoint`` base brings its width-7 table; every plain
+    ``Point`` base gets one built here, of width 4 if its reduced scalar
+    has at most 128 bits and width 5 otherwise, all of them in one
+    ``_odd_multiple_tables`` call: affine rounds, w - 1 for the widest
+    fresh table, each sharing one inversion across every table.  The
+    digits are sorted into one bucket of affine points per bit position.
+    Terms whose base is the plain ``Point`` G have their scalars summed,
+    and that multiple's fixed-base entries, at most 29, go at the end of
+    bucket 0, which is summed after the last doubling.  ``_straus``, the
+    one loop that sums an MSM, runs the pass over the buckets on local
+    ints: one Jacobian doubling per bit position and one mixed addition
+    per entry.  A call does at most five field inversions, the rounds of
+    a width-5 table and one back to affine (one alone when every base
+    brings its table).
     """
     g_scalar = 0
     terms = []
@@ -457,37 +458,36 @@ def multi_scalar_mul(pairs) -> Point | None:
             width = _SHORT_WIDTH if k.bit_length() <= _SHORT_BITS else _LONG_WIDTH
             fresh.append((base, width))
         terms.append((k, width, table))
-    acc = None
-    if terms:
-        built = iter(_odd_multiple_tables(fresh))
-        adds: list[list[tuple[int, int]]] = [
-            [] for _ in range(max(k.bit_length() for k, _, _ in terms) + 1)]
-        for k, width, table in terms:
-            if table is None:
-                table = next(built)
-            for position, d in _wnaf(k, width):
-                if d > 0:
-                    adds[position].append((table[d - 1], table[d]))
-                else:
-                    adds[position].append((table[-d - 1], P - table[-d]))
-        acc = _straus(adds)
-    return _to_affine(_fixed_base_mul(g_scalar % N, acc))
+    built = iter(_odd_multiple_tables(fresh))
+    adds: list[list[tuple[int, int]]] = [
+        [] for _ in range(max((k.bit_length() for k, _, _ in terms), default=0) + 1)]
+    for k, width, table in terms:
+        if table is None:
+            table = next(built)
+        for position, d in _wnaf(k, width):
+            if d > 0:
+                adds[position].append((table[d - 1], table[d]))
+            else:
+                adds[position].append((table[-d - 1], P - table[-d]))
+    adds[0] += _fixed_base_mul(g_scalar % N)
+    return _to_affine(_straus(adds))
 
 
 def _straus(adds):
     """sum(2^i * (sum of adds[i])) in Jacobian form, or None for infinity.
 
-    ``adds[i]`` holds the affine points (x, y) that the Straus pass adds
-    at bit position i.  The pass runs from the top position down: one
-    doubling per position, then one mixed addition per entry.  It is
-    the fold of ``_jdbl`` and ``_jadd_affine`` over the buckets, with the
-    same results bit for bit, written out as one loop over local ints,
-    which saves a call per operation with its tuple packing and its
-    ``None`` test (some 7% of the pass).  Infinity is the flag ``inf``:
-    an entry added to it loads as (x, y, 1), and no doubling runs while
-    it is set.  A sum that reaches infinity mid-pass (h = 0 with r != 0)
-    sets it again, and an entry equal to the accumulator (h = 0 and
-    r = 0) is doubled through ``_jdbl``.
+    ``adds[i]`` holds the affine points (x, y) added at bit position i:
+    wNAF table entries, and in ``adds[0]`` also G's fixed-base entries.
+    The pass runs from the top position down: one doubling per position,
+    then one mixed addition per entry, so a single bucket makes no
+    doubling.  It is the fold of ``_jdbl`` and ``_jadd_affine`` over the
+    buckets, bit for bit, written out as one loop over local ints to
+    save a call per operation with its tuple packing and its ``None``
+    test (some 7% of the pass).  Infinity is the flag ``inf``: an entry
+    added to it loads as (x, y, 1), and no doubling runs while it is
+    set.  A sum that reaches infinity mid-pass (h = 0 with r != 0) sets
+    it again, and an entry equal to the accumulator (h = 0 and r = 0) is
+    doubled through ``_jdbl``.
     """
     p = P
     inf = True

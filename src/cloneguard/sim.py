@@ -304,9 +304,8 @@ def inject_clones(state: SimulationState) -> list[Node]:
         while True:
             x = rng.uniform(0.0, cfg.area_side)
             y = rng.uniform(0.0, cfg.area_side)
-            moved = (round(x * ctx.FIXED_POINT_SCALE) != victim.current_ci.loc_x
-                     or round(y * ctx.FIXED_POINT_SCALE) != victim.current_ci.loc_y)
-            if moved:
+            if (ctx.quantize(x), ctx.quantize(y)) != (victim.current_ci.loc_x,
+                                                      victim.current_ci.loc_y):
                 break
         clone = Node(idx=len(state.nodes), device_id=victim.device_id,
                      role=ROLE_CLONE, x=x, y=y, activity=victim.activity,

@@ -132,6 +132,22 @@ def test_area_side_below_one_quantisation_step_is_exit_2(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--devices", "100"], ["bench"]])
+def test_out_path_that_is_a_file_is_exit_2(tmp_path, capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("a run started with an unusable --out")
+
+    monkeypatch.setattr("cloneguard.cli.run_experiment", unreachable)
+    monkeypatch.setattr("cloneguard.cli._bench_batch", unreachable)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: --out: cannot create directory") and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_smallest_area_side_run_finishes(tmp_path):
     # Exactly one quantisation step (1/256): two cells per axis, so every
     # clone still finds a cell other than its victim's.

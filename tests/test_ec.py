@@ -229,50 +229,51 @@ def test_gen_table_build_counts(monkeypatch):
     assert rows[0][0][0] == G and rows[1][0][0] == oracle_mul(1 << _GEN_WIDTH, G)
 
 
+def straus_calls(monkeypatch):
+    """Wrap ``ec._straus``: the returned list gets the buckets of every call."""
+    calls = []
+
+    def recorded(adds, _original=ec._straus):
+        calls.append(adds)
+        return _original(adds)
+
+    monkeypatch.setattr(ec, "_straus", recorded)
+    return calls
+
+
 def test_fixed_base_addition_count(monkeypatch):
-    # One mixed addition per odd signed 9-bit digit: the recoding leaves
-    # no zero digit, so a scalar adds once in each row until its carry
-    # runs out, at most one per row, and never doubles.
-    counts = {"add": 0, "dbl": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(ec, "_jadd_affine", counted("add", ec._jadd_affine))
-    monkeypatch.setattr(ec, "_jdbl", counted("dbl", ec._jdbl))
+    # One entry, so one mixed addition, per odd signed 9-bit digit: the
+    # recoding leaves no zero digit, so a scalar adds once in each row
+    # until its carry runs out, at most one per row.  The entries all go
+    # into one bucket, so the Straus pass never doubles.
+    calls = straus_calls(monkeypatch)
     rng = random.Random(29)
     most = 0
     for k in fixed_base_edge_scalars() + [rng.randrange(1, N) for _ in range(50)]:
-        counts.update(add=0, dbl=0)
+        calls.clear()
         scalar_mul(k, G)
-        assert counts["add"] <= len(_gen_table()) and counts["dbl"] == 0, hex(k)
-        most = max(most, counts["add"])
+        [adds] = calls
+        assert len(adds) == 1, hex(k)
+        assert len(adds[0]) <= len(_gen_table()), hex(k)
+        most = max(most, len(adds[0]))
     assert most == GEN_ROWS
 
 
 def test_fixed_base_uses_every_row_for_even_and_long_scalars(monkeypatch):
     # An even k is recoded as k + N > 2^255, and an odd k >= 2^252 keeps
-    # a carry into the last row, so both take exactly one addition per row.
-    adds = []
-
-    def counted(*args, _original=ec._jadd_affine):
-        adds.append(args)
-        return _original(*args)
-
-    monkeypatch.setattr(ec, "_jadd_affine", counted)
+    # a carry into the last row, so both take exactly one entry per row.
+    calls = straus_calls(monkeypatch)
     rng = random.Random(31)
     even = [2, 4, 512, 2 ** 255, N - 1] + [2 * rng.randrange(1, N // 2) for _ in range(10)]
     long = [2 ** 252, 2 ** 252 + 1, N - 2] + [rng.randrange(2 ** 252, N) for _ in range(10)]
     for k in even + long:
-        adds.clear()
+        calls.clear()
         scalar_mul(k, G)
-        assert len(adds) == GEN_ROWS, hex(k)
-    adds.clear()
+        [[bucket]] = calls
+        assert len(bucket) == GEN_ROWS, hex(k)
+    calls.clear()
     scalar_mul(1, G)
-    assert len(adds) == 1
+    assert calls == [[[(G.x, G.y)]]]
 
 
 def test_multiple_index_walks_to_the_least_multiple():

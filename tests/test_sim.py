@@ -208,6 +208,42 @@ def test_inject_clone_count_follows_config():
     assert len(inject_clones(state)) == 30
 
 
+class ScriptedUniform(random.Random):
+    """A seeded stream whose first ``uniform`` draws come from a script."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def uniform(self, a, b):
+        return self.script.pop(0) if self.script else super().uniform(a, b)
+
+
+def test_clone_placement_quantizes_like_sensing(monkeypatch):
+    # Every prover stands at (255.999, 255.999), which sensing clamps into
+    # the top cell (65535, 65535).  The first clone draw, (256.0, 256.0),
+    # clamps into the same cell, so it is no move: the clone must be
+    # resampled, or round 1 confirms it.
+    state = init_network(NetworkConfig(seed=1).resolve())
+    for node in state.targets():
+        node.x = node.y = 255.999
+        node.current_ci = ctx.sense_context(node.device_id, 0, node.position(), node.activity)
+    assert {node.current_ci.loc_x for node in state.targets()} == {0xFFFF}
+    scripted = ScriptedUniform(1, [256.0, 256.0])
+    real_stream = state.rngs.stream
+    monkeypatch.setattr(state.rngs, "stream",
+                        lambda name: scripted if name == "clones" else real_stream(name))
+    clones = inject_clones(state)
+    assert not scripted.script
+    first = clones[0]
+    assert (first.x, first.y) != (256.0, 256.0)
+    assert ctx.sense_context(first.device_id, 0, first.position(), first.activity) != \
+        first.current_ci
+    result = run_detection_round(state)
+    assert {d.clone_idx for d in result.detections} == {c.idx for c in clones}
+    assert result.verdicts[first.idx] is not Verdict.CONFIRMED
+
+
 # --- detection rounds ---
 
 

@@ -4,13 +4,16 @@
 The MSM tests reach its common path; these build buckets by hand for the
 branches that random scalars never reach, and require the exact Jacobian
 triple that folding ``_jdbl`` and ``_jadd_affine`` over the same buckets
-gives.
+gives.  ``multi_scalar_mul`` puts the generator's fixed-base entries at
+the end of bucket 0, and a test here requires that this equals adding
+them one by one onto the sum of the other buckets.
 """
 
 import random
 
 from cloneguard import ec
-from cloneguard.ec import G, N, P, _jadd_affine, _jdbl, _straus, _to_affine, scalar_mul
+from cloneguard.ec import (G, N, P, _fixed_base_mul, _jadd_affine, _jdbl, _straus, _to_affine,
+                           scalar_mul)
 
 
 def fold(adds):
@@ -93,3 +96,36 @@ def test_kernel_matches_the_fold_on_random_buckets():
             check(adds, total)
         else:
             assert _straus(adds) is None and fold(adds) is None
+
+
+def test_entries_appended_to_bucket_zero_add_onto_the_sum():
+    # Bucket 0 is summed after the last doubling, so entries E appended
+    # to it give the triple that folding _jadd_affine over E onto the
+    # pass's sum gives: how the generator's fixed-base entries join the
+    # pass in multi_scalar_mul.
+    def appended(adds, entries):
+        return [adds[0] + entries] + adds[1:]
+
+    def added_onto(acc, entries):
+        for x, y in entries:
+            acc = _jadd_affine(acc, x, y)
+        return acc
+
+    rng = random.Random(43)
+    p5, p9 = affine(5), affine(9)
+    cases = [
+        ([[]], _fixed_base_mul(12345)),               # G alone: a single bucket
+        ([[], [], []], _fixed_base_mul(N - 1)),       # all empty: infinity when E starts
+        ([[p5, neg(p5)], [p9, neg(p9)]], [p5, p9]),   # cancelled to infinity when E starts
+        ([[p5]], [p5, p9]),                           # E's first entry equals the sum
+        ([[p9], [p5]], [neg(affine(19)), p5]),        # E brings the sum to infinity, then resumes
+    ]
+    for _ in range(10):
+        ks = [[rng.randrange(1, N) for _ in range(rng.randrange(4))]
+              for _ in range(rng.randrange(1, 9))]
+        cases.append(([[affine(k) for k in bucket] for bucket in ks],
+                      _fixed_base_mul(rng.randrange(N))))
+    for adds, entries in cases:
+        result = _straus(appended(adds, entries))
+        assert result == added_onto(_straus(adds), entries)
+        assert result == fold(appended(adds, entries))

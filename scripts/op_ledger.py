@@ -4,18 +4,19 @@
     PYTHONPATH=src python3 scripts/op_ledger.py
 
 Prints one JSON object: for each scenario, the mixed additions,
-doublings, ``batch_inverse`` calls and conversions of a finite point to
-affine that ``cloneguard.ec`` makes.  The scenarios are sparse seed 1
-rounds 1 and 2, dense seed 1 round 2, one clean and one signature-dirty
-25-item ``verify_proof_batch`` on cached key tables, and key generation
-for 100 keys.  Network set-up and the generator table are built before
+doublings, ``batch_inverse`` calls, conversions of a finite point to
+affine and affine additions that ``cloneguard.ec`` makes.  The
+scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 round 2, one
+clean and one signature-dirty 25-item ``verify_proof_batch`` on cached
+key tables, and key generation for 100 keys.  Network set-up and the generator table are built before
 any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
-``ec._jdbl``, ``ec.batch_inverse`` and ``ec._to_affine`` for the time of a
-scenario, and the package runs unchanged.  Only operations on a finite
-accumulator count, so loading the first point of a sum is no addition
-and doubling infinity is no doubling.  The Straus kernel ``ec._straus``
+``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine`` and
+``ec._merge_buckets`` for the time of a scenario, and the package runs
+unchanged.  Only operations on a finite accumulator count, so loading
+the first point of a sum is no addition and doubling infinity is no
+doubling.  The Straus kernel ``ec._straus``
 is the one loop that sums an MSM, the generator's fixed-base entries
 included, and does its additions and doublings inline; so its wrapper
 counts them by folding ``_jdbl`` and ``_jadd_affine`` over the buckets
@@ -23,9 +24,13 @@ it is handed, which is the pass the kernel writes out, and checks that
 the fold and the kernel agree.  An older checkout that sums some terms
 outside the kernel, or has no ``_straus`` at all, makes those additions
 through the wrapped formulas, so the same counts come out, and two
-checkouts can be compared.  ``sig`` keeps its own reference to
-``batch_inverse`` for its scalar inversions mod n, which are not group
-operations and are not counted.
+checkouts can be compared.  ``ec._merge_buckets`` adds pairs of a
+bucket's entries in affine before the pass; each merge takes one entry
+off the buckets, so its wrapper counts the entries it is handed less
+the entries it returns as ``affine_additions``, and its levels show as
+``batch_inverse`` calls.  A checkout without the stage counts none.
+``sig`` keeps its own reference to ``batch_inverse`` for its scalar
+inversions mod n, which are not group operations and are not counted.
 
 Counts are exact and do not drift with the host, so a change that moves
 one shows in ``tests/test_op_ledger.py``, which pins them.
@@ -40,7 +45,7 @@ from contextlib import contextmanager
 
 from cloneguard import context, ec, sig, sim
 
-FIELDS = ("mixed_additions", "doublings", "batch_inverse", "to_affine")
+FIELDS = ("mixed_additions", "doublings", "batch_inverse", "to_affine", "affine_additions")
 SPARSE = sim.NetworkConfig(seed=1)
 DENSE = sim.NetworkConfig(num_devices=500, environment="dense", seed=1)
 BATCH = 25
@@ -52,7 +57,8 @@ def counting():
     """Wrap the ``ec`` operations; yield the dict of counts they fill."""
     counts = dict.fromkeys(FIELDS, 0)
     originals = {name: getattr(ec, name) for name in
-                 ("_jadd_affine", "_jdbl", "batch_inverse", "_to_affine", "_straus")
+                 ("_jadd_affine", "_jdbl", "batch_inverse", "_to_affine", "_straus",
+                  "_merge_buckets")
                  if hasattr(ec, name)}
     live = True  # off while the kernel runs: its work is counted from its fold
 
@@ -75,6 +81,11 @@ def counting():
             counts["to_affine"] += 1
         return originals["_to_affine"](pt)
 
+    def merge_buckets(adds):
+        merged = originals["_merge_buckets"](adds)
+        counts["affine_additions"] += sum(map(len, adds)) - sum(map(len, merged))
+        return merged
+
     def straus(adds):
         nonlocal live
         live = False
@@ -92,7 +103,7 @@ def counting():
         return result
 
     wrappers = {"_jadd_affine": jadd_affine, "_jdbl": jdbl, "batch_inverse": batch_inverse,
-                "_to_affine": to_affine, "_straus": straus}
+                "_to_affine": to_affine, "_straus": straus, "_merge_buckets": merge_buckets}
     for name in originals:
         setattr(ec, name, wrappers[name])
     try:

@@ -248,9 +248,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _parse_list(text: str, parse, flag: str) -> list:
     try:
-        return [parse(part.strip()) for part in text.split(",") if part.strip()]
+        values = [parse(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigFileError(f"invalid {flag} list: {text!r}") from None
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            # A repeated value would run its cells twice into one directory.
+            raise ConfigFileError(f"{flag} lists {value!r} more than once")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -29,31 +29,30 @@ cost.  A level runs only when it has enough pairs to pay for its
 inversion, which a G-only sum never has; a clean 25-signature batch's
 sum goes from 1,169 mixed additions to 249 and 920 affine ones.
 
-The odd-multiple tables are built affine too, all of a call's tables
-together, in rounds: round 1 doubles each P, and round i > 1 adds
-D = 2^(i-1)P to every odd multiple found so far and doubles D.  All the
-denominators of a round, across every table, share one inversion, so a
-width-w table takes w - 1 rounds.  No round divides by zero: the group
-has the prime order n, so no multiple of P below n is infinity and no
-point has order 2.  Apart from its merge levels, a ``multi_scalar_mul``
-call costs at most five field inversions: four rounds for a width-5
-table and one back to affine at the end.
+There are three table widths, one per kind of base: 10 for each row of
+the generator table, 7 for a cached key, and 4 for every table a
+``multi_scalar_mul`` call builds.  Every table is one flat tuple of
+ints, (x1, y1, x3, y3, ...): odd digit d reads x at index |d| - 1 and y
+at |d|.  The generator table is 29 such tables, row w the width-10 table
+of 2^(9w) G, and a scalar reaches it through a regular recoding into odd
+9-bit-step digits with no zero digit (Joye & Tunstall, AFRICACRYPT
+2009).  A base that recurs across calls, such as a registered public
+key, can be passed as a ``PrecomputedPoint``: the point with its width-7
+table (P, 3P, ..., 63P; 64 ints, about 4.4 kB per key), built once by
+``precompute``.  Every other base gets a width-4 table (P, 3P, 5P, 7P)
+in the call that uses it, whatever its scalar's length: each 256-bit
+scalar of a workload sits on G or on a cached key, and a batch
+randomizer's 64-bit scalar is too short for a wider table to pay.
 
-Every table is one flat tuple of ints, (x1, y1, x3, y3, ...): odd digit
-d reads x at index |d| - 1 and y at |d|.  The generator table is 29 such
-tables, row w the width-10 table of 2^(9w) G, and a scalar reaches it
-through a regular recoding into odd 9-bit-step digits with no zero digit
-(Joye & Tunstall, AFRICACRYPT 2009), so every table in the module comes
-from the one builder.
-
-A base that recurs across calls, such as a registered public key, can be
-passed as a ``PrecomputedPoint``: the point with its width-7 table
-(P, 3P, ..., 63P; 64 ints, about 4.4 kB per key), built once by
-``precompute`` in six rounds, so six inversions per call however many
-points it gets.  The MSM then uses that table as it is and builds tables
-only for its plain ``Point`` bases, of width 4 for a scalar of at most
-128 bits (a batch randomizer's term) and of width 5 for a longer one:
-for a short scalar a wider table costs more to build than it saves.
+All tables come from the one builder, ``_odd_multiple_tables``, which
+builds one width per call, in affine rounds: round 1 doubles each P, and
+round i > 1 adds D = 2^(i-1)P to every odd multiple found so far and
+doubles D.  All the denominators of a round, across every table, share
+one inversion, so a width-w call takes w - 1 rounds however many points
+it gets.  No round divides by zero: the group has the prime order n, so
+no multiple of P below n is infinity and no point has order 2.  Apart
+from its merge levels, a ``multi_scalar_mul`` call makes at most four
+field inversions: three table rounds and one back to affine at the end.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -78,9 +77,7 @@ H = 1
 
 _GEN_WIDTH = 9  # bits between the bases of consecutive generator table rows
 _KEY_WIDTH = 7  # wNAF width of a PrecomputedPoint's cached table
-_SHORT_BITS = 128  # a per-call table is _SHORT_WIDTH wide for scalars up to this length
-_SHORT_WIDTH = 4
-_LONG_WIDTH = 5  # ... and _LONG_WIDTH wide for longer scalars
+_CALL_WIDTH = 4  # wNAF width of every table a multi_scalar_mul call builds
 
 
 class InvalidPointError(ValueError):
@@ -252,7 +249,7 @@ def _gen_table() -> list[tuple[int, ...]]:
         table = []
         base = (GX, GY, 1)
         for _ in range((256 + _GEN_WIDTH - 1) // _GEN_WIDTH):
-            table += _odd_multiple_tables([(_to_affine(base), _GEN_WIDTH + 1)])
+            table += _odd_multiple_tables([_to_affine(base)], _GEN_WIDTH + 1)
             for _ in range(_GEN_WIDTH):
                 base = _jdbl(base)
         _GEN_TABLE = table
@@ -338,42 +335,43 @@ def batch_inverse(values: list[int], modulus: int) -> list[int]:
     return inverses
 
 
-def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]]:
-    """The flat width-w table (x1, y1, x3, y3, ...) of P, 3P, ..., (2^(w-1) - 1)P per (P, w).
+def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...]]:
+    """The flat width-``width`` table (x1, y1, x3, y3, ...) of P, 3P, ..., (2^(w-1) - 1)P per P.
 
     Only the positive half is stored: an odd wNAF digit d reads x at
     index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
+    Each caller builds one width: 10 for a generator row, 7 for
+    ``precompute`` and 4 for ``multi_scalar_mul``.
 
-    All the call's tables, whatever their widths, grow together in
-    affine rounds.  Round 1 doubles each P.  Round i > 1 adds
-    D = 2^(i-1)P to each odd multiple found so far, P, ..., (2^(i-1) - 1)P,
-    which gives (2^(i-1) + 1)P, ..., (2^i - 1)P, and doubles D for the
-    next round.  A width-w table is complete after round w - 1, which
-    skips the doubling; a width-2 table is P alone and takes no round.
-    Every denominator of a round, the x differences and the 2y of every
-    table, goes through one ``batch_inverse``, so a call makes w - 1
-    inversions for its widest table and an affine addition costs about
-    six multiplications, with no Jacobian chain to normalise afterwards.
-    No denominator is zero.  x(D) = x(mP) for an odd m < 2^(i-1) would
-    make (2^(i-1) - m)P or (2^(i-1) + m)P infinity, a multiple of P below
-    2^i; y(D) = 0 would give D order 2.  The group has the prime order n,
-    far above every multiple here, and so no point of order 2.
+    All the tables grow together in affine rounds.  Round 1 doubles each
+    P.  Round i > 1 adds D = 2^(i-1)P to each odd multiple found so far,
+    P, ..., (2^(i-1) - 1)P, which gives (2^(i-1) + 1)P, ..., (2^i - 1)P,
+    and doubles D for the next round.  The tables are complete after
+    round w - 1, which skips the doubling; a width-2 table is P alone, so
+    a width-2 call, like an empty one, makes no round.  Every denominator
+    of a round, the x differences and the 2y of every table, goes through
+    one ``batch_inverse``, so a call makes w - 1 inversions and an affine
+    addition costs about six multiplications, with no Jacobian chain to
+    normalise afterwards.  No denominator is zero.  x(D) = x(mP) for an
+    odd m < 2^(i-1) would make (2^(i-1) - m)P or (2^(i-1) + m)P infinity,
+    a multiple of P below 2^i; y(D) = 0 would give D order 2.  The group
+    has the prime order n, far above every multiple here, and so no point
+    of order 2.
     """
-    tables = [[point.x, point.y] for point, _ in bases]
-    steps = [(point.x, point.y) for point, _ in bases]  # D = 2^(i-1)P in round i
-    growing = [t for t, (_, width) in enumerate(bases) if width > 2]
-    i = 1
-    while growing:
+    if not points or width == 2:
+        return [(point.x, point.y) for point in points]
+    tables = [[point.x, point.y] for point in points]
+    steps = [(point.x, point.y) for point in points]  # D = 2^(i-1)P in round i
+    for i in range(1, width):
+        doubling = i < width - 1
         denominators = []
-        for t in growing:
-            dx, dy = steps[t]
+        for table, (dx, dy) in zip(tables, steps):
             if i > 1:
-                denominators += [dx - x for x in tables[t][::2]]
-            if i < bases[t][1] - 1:
+                denominators += [dx - x for x in table[::2]]
+            if doubling:
                 denominators.append(2 * dy)
         inverses = iter(batch_inverse(denominators, P))
-        for t in growing:
-            dx, dy = steps[t]
+        for t, (dx, dy) in enumerate(steps):
             if i > 1:
                 table = tables[t]
                 # inverses comes last: zip stops at the table's end
@@ -382,12 +380,10 @@ def _odd_multiple_tables(bases: list[tuple[Point, int]]) -> list[tuple[int, ...]
                     slope = (dy - y) * inv % P
                     nx = (slope * slope - x - dx) % P
                     table += (nx, (slope * (x - nx) - y) % P)
-            if i < bases[t][1] - 1:
+            if doubling:
                 slope = 3 * (dx - 1) * (dx + 1) * next(inverses) % P
                 nx = (slope * slope - 2 * dx) % P
                 steps[t] = (nx, (slope * (dx - nx) - dy) % P)
-        i += 1
-        growing = [t for t in growing if bases[t][1] > i]
     return [tuple(table) for table in tables]
 
 
@@ -418,7 +414,7 @@ def precompute(points: list[Point]) -> list[PrecomputedPoint]:
     """Tables for many finite on-curve points: six field inversions, however many points."""
     for point in points:
         _require_finite(point)
-    tables = _odd_multiple_tables([(point, _KEY_WIDTH) for point in points])
+    tables = _odd_multiple_tables(points, _KEY_WIDTH)
     return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
 
 
@@ -430,22 +426,21 @@ def multi_scalar_mul(pairs) -> Point | None:
     table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a
     negative digit adds the negation (x, p - y) of an entry.  A
     ``PrecomputedPoint`` base brings its width-7 table; every plain
-    ``Point`` base gets one built here, of width 4 if its reduced scalar
-    has at most 128 bits and width 5 otherwise, all of them in one
-    ``_odd_multiple_tables`` call: affine rounds, w - 1 for the widest
-    fresh table, each sharing one inversion across every table.  The
+    ``Point`` base gets a width-4 table built here, whatever its scalar's
+    length, all of them in one ``_odd_multiple_tables`` call of three
+    affine rounds, each sharing one inversion across every table.  The
     digits are sorted into one bucket of affine points per bit position.
     Terms whose base is the plain ``Point`` G have their scalars summed,
-    and that multiple's fixed-base entries, at most 29, go at the end of
-    bucket 0, which is summed after the last doubling.
+    and that multiple's fixed-base entries (width-10 rows), at most 29,
+    go at the end of bucket 0, which is summed after the last doubling.
     ``_merge_buckets`` then adds pairs of entries within each bucket in
     affine, one shared inversion per level, while a level has at least
     ``_MERGE_PAIRS`` pairs, and ``_straus``, the one loop that sums an
     MSM, runs the pass over what is left on local ints: one Jacobian
     doubling per bit position and one mixed addition per entry.  Besides
-    one inversion per merge level, a call does at most five field
-    inversions, the rounds of a width-5 table and one back to affine (one
-    alone when every base brings its table).
+    one inversion per merge level, a call makes at most four field
+    inversions, three table rounds and one back to affine (one alone
+    when every base brings its table).
     """
     g_scalar = 0
     terms = []
@@ -464,14 +459,14 @@ def multi_scalar_mul(pairs) -> Point | None:
                 g_scalar += k
                 continue
             table = None
+            width = _CALL_WIDTH
         k %= N
         if not k:
             continue
         if table is None:
-            width = _SHORT_WIDTH if k.bit_length() <= _SHORT_BITS else _LONG_WIDTH
-            fresh.append((base, width))
+            fresh.append(base)
         terms.append((k, width, table))
-    built = iter(_odd_multiple_tables(fresh))
+    built = iter(_odd_multiple_tables(fresh, _CALL_WIDTH))
     adds: list[list[tuple[int, int]]] = [
         [] for _ in range(max((k.bit_length() for k, _, _ in terms), default=0) + 1)]
     for k, width, table in terms:

@@ -103,17 +103,19 @@ def sign(message: bytes, private: int, rng: random.Random) -> StarSignature:
         return StarSignature(R=big_r, s=s)
 
 
+def _nonce_point(message: bytes, r: int, s: int, public: PublicKey) -> Point | None:
+    """u1 G + u2 Q with w = s^-1, u1 = e w and u2 = r w: the signer's R if it verifies."""
+    w = pow(s, -1, N)
+    return multi_scalar_mul([(hash_to_scalar(message) * w % N, G), (r * w % N, public)])
+
+
 def verify_classic(message: bytes, sig: Signature, public: PublicKey) -> bool:
     """Classic ECDSA verification: recompute X and compare x(X) mod n to r."""
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         return False
     if not validate_public_key(_key_point(public)):
         return False
-    e = hash_to_scalar(message)
-    w = pow(sig.s, -1, N)
-    u1 = e * w % N
-    u2 = sig.r * w % N
-    x_pt = multi_scalar_mul([(u1, G), (u2, public)])
+    x_pt = _nonce_point(message, sig.r, sig.s, public)
     if x_pt is INFINITY:
         return False
     return x_pt.x % N == sig.r
@@ -140,11 +142,7 @@ def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
     """
     if not _well_formed(sig, public):
         return False
-    e = hash_to_scalar(message)
-    w = pow(sig.s, -1, N)
-    u1 = e * w % N
-    u2 = sig.R.x % N * w % N
-    return multi_scalar_mul([(u1, G), (u2, public)]) == sig.R
+    return _nonce_point(message, sig.R.x % N, sig.s, public) == sig.R
 
 
 BatchItem = tuple[bytes, StarSignature, PublicKey]
@@ -166,9 +164,12 @@ def _combination(terms: Sequence[tuple[int, int, Point, PublicKey]],
     """sum(weight_i * T_i) over ``_equation_terms``, as one ``multi_scalar_mul``.
 
     The weights multiply the negated points -R_i as they are (rather than
-    n - weight_i multiplying R_i), so a weight of at most 128 bits keeps
-    that term on the MSM's small width-4 table; the u1 parts are summed
-    into a single G term for the fixed-base table.
+    n - weight_i multiplying R_i), so a short weight saves digits: each
+    -R_i gets the MSM's width-4 table whatever its scalar, and a 64-bit
+    weight recodes into about 13 wNAF digits there, n - weight_i into
+    about 29.  It saves doublings only in a sum of short terms; here the
+    256-bit key terms set the chain.  The u1 parts are summed into a
+    single G term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0
@@ -199,12 +200,13 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random) -> bool:
         sum(lambda_i * (-R_i)) + (sum(lambda_i * u1_i) mod n) * G
             + sum(lambda_i * u2_i mod n) * Q_i
 
-    Every R term carries a scalar of at most 65 bits with few wNAF digits
-    and takes the MSM's small width-4 tables; the G term goes through the
-    fixed-base table.  If the batch holds an invalid signature, it passes
-    with probability at most 2^-64 over the lambdas (which assumes ``rng``
-    is unpredictable to the signer).  The s_i are inverted together, with
-    one modular inversion per batch.  An item that is not ``_well_formed``
+    Every R term carries a scalar of at most 65 bits, so it adds about 13
+    wNAF digits on its width-4 table; the key terms use their cached
+    width-7 tables when the keys come as ``PrecomputedPoint``, and the G
+    term goes through the fixed-base table.  If the batch holds an
+    invalid signature, it passes with probability at most 2^-64 over the
+    lambdas (which assumes ``rng`` is unpredictable to the signer).  The
+    s_i are inverted together, with one modular inversion per batch.  An item that is not ``_well_formed``
     rejects the batch before any lambda is drawn; otherwise exactly one
     lambda is drawn per item.
 

@@ -313,6 +313,24 @@ def test_sweep_rejects_unreachable_cell_upfront(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("axis, values, repeated", [
+    ("--devices", "100,100", "100"),
+    ("--devices", "100,0x64", "100"),
+    ("--env", "sparse,dense,sparse", "'sparse'"),
+    ("--batch-size", "10,25,10", "10"),
+])
+def test_sweep_rejects_a_repeated_axis_value_upfront(tmp_path, capsys, axis, values, repeated):
+    # A repeated value would run the same cell twice into one directory
+    # and write its rows twice, so the sweep stops before any run.
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--devices", "100", "--rounds", "1", "--out", str(out)]
+    code = main(argv + [axis, values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{axis} lists {repeated} more than once" in err
+    assert not out.exists()
+
+
 # --- non-positive counts ---
 
 

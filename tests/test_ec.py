@@ -216,17 +216,17 @@ def test_gen_table_build_counts(monkeypatch):
     rows = []
     original_tables = ec._odd_multiple_tables
 
-    def one_row_each(bases):
-        rows.append(bases)
-        return original_tables(bases)
+    def one_row_each(points, width):
+        rows.append((points, width))
+        return original_tables(points, width)
 
     monkeypatch.setattr(ec, "_odd_multiple_tables", one_row_each)
     monkeypatch.setattr(ec, "_GEN_TABLE", None)
     assert _gen_table() == built
     assert calls == {"batch_inverse": GEN_ROWS * _GEN_WIDTH, "_jadd_affine": 0,
                      "_jdbl": GEN_ROWS * _GEN_WIDTH}
-    assert [[width for _, width in bases] for bases in rows] == [[_GEN_WIDTH + 1]] * GEN_ROWS
-    assert rows[0][0][0] == G and rows[1][0][0] == oracle_mul(1 << _GEN_WIDTH, G)
+    assert [(len(points), width) for points, width in rows] == [(1, _GEN_WIDTH + 1)] * GEN_ROWS
+    assert rows[0][0] == [G] and rows[1][0] == [oracle_mul(1 << _GEN_WIDTH, G)]
 
 
 def straus_calls(monkeypatch):
@@ -348,10 +348,10 @@ def test_multi_scalar_mul_matches_fold():
         [(0, pre_q), (N - 1, pre_q2), (N, pre_q), (N + k, pre_q2), (2 ** 300 + 7, pre_q)],
         [(0, pre_q), (0, pre_g)],
     ]
-    # Cached width-7 keys next to fresh terms on one point whose scalars
-    # straddle the width boundary: 128 bits (width 4) and 129 bits
-    # (width 5), the largest digit of each width (65 recodes to -63 at
-    # width 7), and G.
+    # Cached width-7 keys next to width-4 fresh terms on one point, with
+    # short scalars (up to 128 bits, like a batch randomizer's) and long
+    # ones (129 bits and more), small odd scalars around each width's
+    # largest digit (7 at width 4; 65 recodes to -63 at width 7), and G.
     short, long = 2 ** 128 - 1, 2 ** 128 + 2 ** 127 + 7
     cases += [
         [(k, pre_q), (short, q3), (long, q3), (rng.randrange(0, N), G)],
@@ -383,31 +383,28 @@ def test_multi_scalar_mul_matches_fold_property(cases):
 
 
 def test_odd_multiple_tables_entries():
-    # Every width on its own, and all widths in one call, whose rounds
-    # share their inversions across tables that stop growing at
-    # different rounds.
+    # Every width on one point and on several in one call, whose rounds
+    # share their inversions across the tables.
     rng = random.Random(31)
-    points = [random_point(rng), random_point(rng)]
-    mixed = [(points[0], 6), (points[1], 4), (points[0], 5), (G, 4)]
-    every_width = [(points[1], 7), (points[0], 2), (G, 3), (points[1], 5), (points[0], 7),
-                   (G, 6), (points[1], 2), (points[0], 4), (points[1], 3)]
-    cases = [[(pt, width) for pt in points] for width in range(2, 8)] + [mixed, every_width]
-    for bases in cases:
-        for (point, width), table in zip(bases, _odd_multiple_tables(bases), strict=True):
-            assert len(table) == 2 ** (width - 1)
-            for d in range(1, 2 ** (width - 1), 2):
-                expected = oracle_mul(d, point)
-                assert (table[d - 1], table[d]) == (expected.x, expected.y), (width, d)
-    assert _odd_multiple_tables([]) == []
+    points = [random_point(rng), random_point(rng), G]
+    for width in range(2, 8):
+        for bases in (points[:1], points):
+            for point, table in zip(bases, _odd_multiple_tables(bases, width), strict=True):
+                assert len(table) == 2 ** (width - 1)
+                for d in range(1, 2 ** (width - 1), 2):
+                    expected = oracle_mul(d, point)
+                    assert (table[d - 1], table[d]) == (expected.x, expected.y), (width, d)
+        assert _odd_multiple_tables([], width) == []
 
 
 def test_odd_multiple_tables_round_count(monkeypatch):
-    # Counts, not timings: a call whose widest table is w makes w - 1
-    # affine rounds, one batch inversion each, whatever its other
-    # tables' widths and however many tables it builds, and no Jacobian
-    # addition or doubling.  A width-2 table is P alone and needs none.
+    # Counts, not timings: a width-w call makes w - 1 affine rounds, one
+    # batch inversion each, however many tables it builds, and no
+    # Jacobian addition or doubling.  A width-2 table is P alone, so a
+    # width-2 call makes no inversion, and neither does an empty call at
+    # any width.
     rng = random.Random(47)
-    points = [random_point(rng) for _ in range(3)]
+    points = [random_point(rng) for _ in range(3)] + [G]
     calls = {"batch_inverse": 0, "_jadd_affine": 0, "_jdbl": 0}
     for name in calls:
         original = getattr(ec, name)
@@ -417,16 +414,13 @@ def test_odd_multiple_tables_round_count(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(ec, name, counting)
-    cases = [[(pt, width) for pt in points[:count]] for width in range(2, 8) for count in (1, 3)]
-    cases += [[(points[0], 7), (points[1], 2), (points[2], 4)],
-              [(points[0], 3), (points[1], 5), (points[2], 4), (G, 5)], []]
-    for bases in cases:
-        widest = max((width for _, width in bases), default=2)
-        for name in calls:
-            calls[name] = 0
-        _odd_multiple_tables(bases)
-        assert calls == {"batch_inverse": widest - 1 if widest > 2 else 0,
-                         "_jadd_affine": 0, "_jdbl": 0}, bases
+    for width in range(2, 11):
+        for count in (0, 1, 4):
+            for name in calls:
+                calls[name] = 0
+            _odd_multiple_tables(points[:count], width)
+            assert calls == {"batch_inverse": width - 1 if count and width > 2 else 0,
+                             "_jadd_affine": 0, "_jdbl": 0}, (width, count)
 
 
 def test_precompute_holds_the_tables_and_refuses_unusable_points():
@@ -434,8 +428,7 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
     points = [random_point(rng), random_point(rng), G]
     precomputed = precompute(points)
     assert [pre.point for pre in precomputed] == points
-    assert [pre.table for pre in precomputed] == _odd_multiple_tables(
-        [(point, 7) for point in points])
+    assert [pre.table for pre in precomputed] == _odd_multiple_tables(points, 7)
     off = Point(G.x, (G.y + 1) % P)
     for bad in (INFINITY, off):
         with pytest.raises(InvalidPointError):
@@ -446,7 +439,7 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
         PrecomputedPoint(G, precomputed[2].table[:-2])
     # A width-5 table of the right point is too short for a cached key.
     with pytest.raises(ValueError):
-        PrecomputedPoint(G, _odd_multiple_tables([(G, 5)])[0])
+        PrecomputedPoint(G, _odd_multiple_tables([G], 5)[0])
 
 
 def test_precomputed_point_refuses_another_points_table():
@@ -482,11 +475,12 @@ def test_wnaf_recoding_every_width(k, width):
     assert not positions or positions[-1] <= k.bit_length()
 
 
-def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
+def test_table_widths_follow_the_base_alone(monkeypatch):
     # Counts, not timings: which width each term's recoding and table
-    # get.  A cached key is recoded at width 7 with no table built; a
-    # fresh term at width 4 up to 128 bits and width 5 beyond, each with
-    # a table of its own width; G takes neither path.
+    # get.  A cached key is recoded at width 7 with no table built; every
+    # fresh term at width 4, whatever its scalar's length (64, 128, 129
+    # and 256 bits here), with one width-4 table each; G takes neither
+    # path.
     rng = random.Random(43)
     q, r = random_point(rng), random_point(rng)
     (pre_q,) = precompute([q])
@@ -497,8 +491,8 @@ def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
         recoded.append((k.bit_length(), width))
         return wnaf(k, width)
 
-    def counting_tables(bases):
-        out = tables(bases)
+    def counting_tables(points, width):
+        out = tables(points, width)
         built.extend(len(table) for table in out)
         return out
 
@@ -507,8 +501,8 @@ def test_table_widths_follow_the_base_and_the_scalar_length(monkeypatch):
     u2 = (1 << 255) + 12345
     multi_scalar_mul([(2 ** 64, r), (2 ** 128 - 1, r), (2 ** 128, r), (u2, pre_q),
                       (u2, q), (u2, G)])
-    assert recoded == [(65, 4), (128, 4), (129, 5), (256, 7), (256, 5)]
-    assert built == [8, 8, 16, 16]
+    assert recoded == [(65, 4), (128, 4), (129, 4), (256, 7), (256, 4)]
+    assert built == [8, 8, 8, 8]
     # batch_verify's randomizer terms are 64-bit, on fresh -R_i: width 4.
     # Its key terms on cached tables: width 7, nothing built for them.
     items = []

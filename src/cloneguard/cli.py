@@ -23,6 +23,9 @@ from . import sig as sigmod
 from .sim import ConfigError, NetworkConfig, run_experiment
 
 BATCH_SWEEP_SIZES = (5, 10, 15, 20, 25)
+# The values a sweep axis takes when neither its flag nor the config file sets it.
+SWEEP_DEFAULTS = {"num_devices": "100,200,300,400,500", "environment": "sparse",
+                  "batch_size": "25"}
 
 
 class ConfigFileError(ValueError):
@@ -105,12 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="grid of runs across scales")
     _add_common_flags(sweep)
     sweep.add_argument("--devices", dest="num_devices_list",
-                       default="100,200,300,400,500",
-                       help="comma-separated device counts")
-    sweep.add_argument("--env", dest="environment_list", default="sparse",
-                       help="comma-separated environments")
-    sweep.add_argument("--batch-size", dest="batch_size_list", default="25",
-                       help="comma-separated proof batch sizes")
+                       help="comma-separated device counts (default: the config file's "
+                            f"num_devices, else {SWEEP_DEFAULTS['num_devices']})")
+    sweep.add_argument("--env", dest="environment_list",
+                       help="comma-separated environments (default: the config file's "
+                            f"environment, else {SWEEP_DEFAULTS['environment']})")
+    sweep.add_argument("--batch-size", dest="batch_size_list",
+                       help="comma-separated proof batch sizes (default: the config file's "
+                            f"batch_size, else {SWEEP_DEFAULTS['batch_size']})")
 
     return parser
 
@@ -258,12 +263,22 @@ def _parse_list(text: str, parse, flag: str) -> list:
     return values
 
 
+def _sweep_axis(args: argparse.Namespace, base: dict, flag: str, field: str, parse) -> list:
+    """An axis's values: its flag's list, else the config file's one value, else the default."""
+    text = getattr(args, f"{field}_list")
+    if text is None:
+        if field in base:
+            return [base[field]]
+        text = SWEEP_DEFAULTS[field]
+    return _parse_list(text, parse, flag)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_positive("--reps", args.reps)
     base = _gather_overrides(args)
-    devices_list = _parse_list(args.num_devices_list, _parse_int, "--devices")
-    env_list = _parse_list(args.environment_list, str, "--env")
-    batch_list = _parse_list(args.batch_size_list, _parse_int, "--batch-size")
+    devices_list = _sweep_axis(args, base, "--devices", "num_devices", _parse_int)
+    env_list = _sweep_axis(args, base, "--env", "environment", str)
+    batch_list = _sweep_axis(args, base, "--batch-size", "batch_size", _parse_int)
     if not devices_list or not env_list or not batch_list:
         raise ConfigFileError("sweep axes must be non-empty")
 

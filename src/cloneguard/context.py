@@ -280,10 +280,10 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
 
     Stage 2 (signatures): survivors are verified in chunks of
     ``batch_size`` by ``sig.verify_batch``.  A clean chunk confirms
-    everyone in it with one batch check; in a dirty one, a randomized
-    sum and its index-weighted twin name a lone forgery, or a bisection
-    over such sums finds several, and the signatures that fail their
-    individual check are COMPROMISED_SIGNATURE.  Both paths verify under
+    everyone in it with one batch check; in a dirty one, the failed
+    check's own sum and its index-weighted twin name a lone forgery, or a
+    bisection over such sums finds several, and the signatures that fail
+    their individual check are COMPROMISED_SIGNATURE.  Both paths verify under
     ``lbs.verification_keys``: the first call that verifies a key builds
     its ``ec.PrecomputedPoint`` (one pass for all of a call's new keys),
     and later calls reuse it.  A ``batch_size`` below 1 is a
@@ -294,8 +294,8 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     ``use_batch=False`` forces the individual path (``sig.verify_each``);
     the verdicts are the same either way, since the batch path flags a
     signature only on a failed individual check and misses an invalid one
-    in a chunk of n with probability at most (2n - 1)(n + 1) * 2^-64 plus
-    2^-64 (see ``sig.verify_batch``).
+    in a chunk of n with probability at most (2n - 1)(n + 1) * 2^-64 (see
+    ``sig.verify_batch``).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")

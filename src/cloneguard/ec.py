@@ -26,8 +26,10 @@ one field inversion (Montgomery's simultaneous inversion, Math. Comp.
 multiplications with reduction, against eleven for a mixed addition,
 and the reduction of a 512-bit product is most of a multiplication's
 cost.  A level runs only when it has enough pairs to pay for its
-inversion, which a G-only sum never has; a clean 25-signature batch's
-sum goes from 1,169 mixed additions to 249 and 920 affine ones.
+inversion, which a sum with at most one term off G (signing, a single
+verification) never has, so such a sum skips the stage; a clean
+25-signature batch's sum goes from 1,169 mixed additions to 249 and 920
+affine ones.
 
 There are three table widths, one per kind of base: 10 for each row of
 the generator table, 7 for a cached key, and 4 for every table a
@@ -433,14 +435,14 @@ def multi_scalar_mul(pairs) -> Point | None:
     Terms whose base is the plain ``Point`` G have their scalars summed,
     and that multiple's fixed-base entries (width-10 rows), at most 29,
     go at the end of bucket 0, which is summed after the last doubling.
-    ``_merge_buckets`` then adds pairs of entries within each bucket in
-    affine, one shared inversion per level, while a level has at least
-    ``_MERGE_PAIRS`` pairs, and ``_straus``, the one loop that sums an
-    MSM, runs the pass over what is left on local ints: one Jacobian
-    doubling per bit position and one mixed addition per entry.  Besides
-    one inversion per merge level, a call makes at most four field
-    inversions, three table rounds and one back to affine (one alone
-    when every base brings its table).
+    With two or more terms off G, ``_merge_buckets`` then adds pairs of
+    entries within each bucket in affine, one shared inversion per level,
+    while a level has at least ``_MERGE_PAIRS`` pairs, and ``_straus``,
+    the one loop that sums an MSM, runs the pass over what is left on
+    local ints: one Jacobian doubling per bit position and one mixed
+    addition per entry.  Besides one inversion per merge level, a call
+    makes at most four field inversions, three table rounds and one back
+    to affine (one alone when every base brings its table).
     """
     g_scalar = 0
     terms = []
@@ -478,7 +480,13 @@ def multi_scalar_mul(pairs) -> Point | None:
             else:
                 adds[position].append((table[-d - 1], P - table[-d]))
     adds[0] += _fixed_base_mul(g_scalar % N)
-    return _to_affine(_straus(_merge_buckets(adds)))
+    # A wNAF puts at most one digit at each position.  So with at most one
+    # term off G, every bucket but 0 holds at most one entry, and bucket 0
+    # at most that digit and G's 29 entries: 15 pairs, below _MERGE_PAIRS.
+    # No level could run, and signing and verify_star skip the scan.
+    if len(terms) > 1:
+        adds = _merge_buckets(adds)
+    return _to_affine(_straus(adds))
 
 
 # A level of _merge_buckets runs only if it merges at least this many
@@ -489,9 +497,10 @@ def multi_scalar_mul(pairs) -> Point | None:
 # 165-entry sums, one level of 35-51 such pairs, merge in 119 us and save
 # the pass 116 us.  A clean 25-signature batch verifies equally fast,
 # within the host's noise, at every threshold from 8 to 64 and 14% faster
-# than with no merging.  16 is inside that range and above the 14 pairs
-# of a G-only sum's at most 29 entries, so signing and key generation keep
-# the plain pass, where an inversion would cost more than it saves.
+# than with no merging.  16 is inside that range and above the 15 pairs
+# of a sum with at most one term off G, so signing, key generation and a
+# single verification keep the plain pass, where an inversion would cost
+# more than it saves, and multi_scalar_mul skips the stage for them.
 _MERGE_PAIRS = 16
 
 
@@ -511,7 +520,7 @@ def _merge_buckets(adds):
     so a sum too small to pay for an inversion comes back unchanged.
     """
     if sum(map(len, adds)) < 2 * _MERGE_PAIRS:
-        return adds  # too few entries for one level: a G-only sum, say
+        return adds  # too few entries for one level
     p = P
     adds = list(adds)
     busy = [i for i, bucket in enumerate(adds) if len(bucket) > 1]

@@ -12,11 +12,12 @@ evaluated in a single multi-scalar multiplication.  The multipliers are
 ``RANDOMIZER_BITS`` (64) bits wide, fixed, so a batch containing any
 invalid signature passes with probability at most 2^-64.
 ``verify_batch`` locates the invalid items of a failed batch from two
-sums under fresh multipliers, one of them also weighted by each item's
-index: if the batch holds one invalid item b, the second sum is b + 1
-times the first, so one forgery costs the failed check, the two sums and
-one individual check wherever it sits.  Otherwise the search bisects,
-taking a right half's sums as the parent's minus the left half's.
+sums under the check's own multipliers: the failed check's sum itself,
+and a second one weighted also by each item's index.  If the batch holds
+one invalid item b, the second sum is b + 1 times the first, so one
+forgery costs the failed check, the second sum and one individual check
+wherever it sits.  Otherwise the search bisects, taking a right half's
+sums as the parent's minus the left half's.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table; the
@@ -185,7 +186,8 @@ def _randomizers(count: int, rng: random.Random) -> list[int]:
     return [rng.randrange(1, (1 << RANDOMIZER_BITS) + 1) for _ in range(count)]
 
 
-def batch_verify(items: Sequence[BatchItem], rng: random.Random) -> bool:
+def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
+                 _check: list | None = None) -> bool:
     """Verify a batch of ECDSA* signatures with one combined equation.
 
     Each item i gets a fresh multiplier lambda_i drawn from
@@ -206,19 +208,26 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random) -> bool:
     term goes through the fixed-base table.  If the batch holds an
     invalid signature, it passes with probability at most 2^-64 over the
     lambdas (which assumes ``rng`` is unpredictable to the signer).  The
-    s_i are inverted together, with one modular inversion per batch.  An item that is not ``_well_formed``
-    rejects the batch before any lambda is drawn; otherwise exactly one
-    lambda is drawn per item.
+    s_i are inverted together, with one modular inversion per batch.  An
+    item that is not ``_well_formed`` rejects the batch before any lambda
+    is drawn; otherwise exactly one lambda is drawn per item.
 
     Returns a single accept/reject for the whole batch; callers that
-    need to locate an offender use ``verify_batch``.
+    need to locate an offender use ``verify_batch``, which passes a list
+    as ``_check`` to get back the equation's terms, the lambdas and the
+    sum, and so searches a failed batch from the sum it has already paid
+    for.
     """
     if not items:
         raise ValueError("batch must contain at least one signature")
     if not all(_well_formed(sig, public) for _, sig, public in items):
         return False
     terms = _equation_terms(items)
-    return _combination(terms, _randomizers(len(items), rng)) is INFINITY
+    lambdas = _randomizers(len(items), rng)
+    total = _combination(terms, lambdas)
+    if _check is not None:
+        _check += terms, lambdas, total
+    return total is INFINITY
 
 
 def verify_each(items: Sequence[BatchItem]) -> list[bool]:
@@ -251,23 +260,28 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     is valid, and the rng has advanced exactly as by that call alone.
     Otherwise each item that is not ``_well_formed`` gets its
     ``verify_each`` (which refuses it without any group operation).  If
-    at most ``SCAN_SIZE`` items are well formed, each of them gets its
-    ``verify_each`` too.  Otherwise one fresh randomizer lambda'_i is drawn
-    per well-formed item, once, and with T_i = u1_i G + u2_i Q_i - R_i at
-    position i of the well-formed items the search keeps, for each failed
-    set, two sums, each one ``multi_scalar_mul``:
+    one did, it stopped that call before any lambda was drawn or any
+    multiplication made, so the well-formed items then get the check, a
+    second ``batch_verify``; if it passes, each of them is valid.  If the
+    check fails and at most ``SCAN_SIZE`` items are well formed, each of
+    them gets its ``verify_each``.  Otherwise the search reuses the
+    check: with lambda_i its randomizer and T_i = u1_i G + u2_i Q_i - R_i
+    at position i of the well-formed items, it keeps, for each failed
+    set, two sums:
 
-        S1 = sum(lambda'_i * T_i)    S2 = sum((i + 1) * lambda'_i * T_i)
+        S1 = sum(lambda_i * T_i)    S2 = sum((i + 1) * lambda_i * T_i)
 
-    If S1 is infinity the set is valid.  If the set holds exactly one
-    invalid item b, then S2 = (b + 1) * S1, which a walk of at most n
-    point additions finds (``_lone_item``); the index-weighted sums are
-    after Law & Matt, "Finding invalid signatures in pairing-based
-    batches" (IMA Cryptography and Coding 2007).  A named item gets its
+    The whole batch's S1 is the failed check's own sum, so only its S2
+    costs a ``multi_scalar_mul`` before the search.  If S1 is infinity
+    the set is valid.  If the set holds exactly one invalid item b, then
+    S2 = (b + 1) * S1, which a walk of at most n point additions finds
+    (``_lone_item``); the index-weighted sums are after Law & Matt,
+    "Finding invalid signatures in pairing-based batches" (IMA
+    Cryptography and Coding 2007).  A named item gets its
     ``verify_each``; if it fails, it is the set's only invalid item.
     Otherwise a set of at most ``SCAN_SIZE`` items gets ``verify_each``
     item by item, and a larger one is split into halves with the same
-    lambda'.  Only the left half's S1 is computed; the right half's is the
+    lambda.  Only the left half's S1 is computed; the right half's is the
     parent's S1 minus it (Bernstein, Doumen, Lange & Oosterwijk, "Faster
     batch forgery identification", INDOCRYPT 2012).  A half whose S1 is
     infinity is valid, and the other half inherits the parent's S2, so
@@ -275,34 +289,37 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     fail is the left half's S2 computed, the right one's again by
     subtraction.
 
-    Cost in ``multi_scalar_mul`` calls, the first check included, for n
+    Cost in ``multi_scalar_mul`` calls, the check included, for n
     well-formed items above ``SCAN_SIZE``: a valid batch costs 1; one
-    invalid item costs 4 wherever it sits (the check, S1, S2 and one
-    ``verify_star``); k >= 2 cost 3, plus 1 for every failed set that
+    invalid item costs 3 wherever it sits (the check, S2 and one
+    ``verify_star``); k >= 2 cost 2, plus 1 for every failed set that
     holds two or more and is split, plus 1 more where both its halves
     fail, plus 1 per set that holds exactly one, plus at most
-    ``SCAN_SIZE`` per small set that holds two or more.  At n = 25 that
-    is 7.7 on average and at most 10 for k = 2 (every placement), and
-    about 10 and 12.5 for k = 3 and 4.  At or below ``SCAN_SIZE``, a
-    failed batch costs 1 + n.  A malformed item fails the first check
-    before its multiplication and costs none of its own.
+    ``SCAN_SIZE`` per small set that holds two or more.  Over every
+    placement at n = 25 that is 6.7 on average and at most 9 for k = 2,
+    9.6 and at most 11 for k = 3, and 12.5 and at most 15 for k = 4, one
+    fewer than a search under fresh randomizers.  At or below
+    ``SCAN_SIZE``, a failed batch costs 1 + n.  A malformed item costs no
+    multiplication of its own: the check runs over the well-formed items
+    alone, and the search only if it fails, so one malformed item beside
+    at most ``SCAN_SIZE`` valid ones costs 1.
 
     Soundness: every ``False`` is an individual check that failed, so no
-    valid item is ever flagged.  The lambda' are drawn once and reused, so
-    take the events over that one draw (which assumes ``rng`` is
-    unpredictable to the signer).  An invalid item is missed only if a
-    set of the search that holds one has S1 = infinity, or if
+    valid item is ever flagged.  The lambda_i are drawn once, by the check,
+    and reused, so take the events over that one draw (which assumes
+    ``rng`` is unpredictable to the signer).  An invalid item is missed
+    only if a set of the search that holds one has S1 = infinity (the
+    check passing is this event for the whole batch), or if
     S2 = (b + 1) * S1 while a second invalid item is present.  For a
-    fixed set and b each event fixes the lambda'_i of one invalid item to
-    at most one value (its coefficient, lambda'_i or (i - b) * lambda'_i,
+    fixed set and b each event fixes the lambda_i of one invalid item to
+    at most one value (its coefficient, lambda_i or (i - b) * lambda_i,
     is nonzero modulo the prime group order), so it has probability at
-    most 2^-64.  The sets are
-    among the 2n - 1 intervals of the dyadic split of [0, n), and b takes
-    at most n values, so the search misses an invalid item with
-    probability at most (2n - 1)(n + 1) * 2^-64, on top of the 2^-64 of
-    the first check.
+    most 2^-64.  The sets are among the 2n - 1 intervals of the dyadic
+    split of [0, n), and b takes at most n values, so an invalid item is
+    missed with probability at most (2n - 1)(n + 1) * 2^-64.
     """
-    if batch_verify(items, rng):
+    check: list = []
+    if batch_verify(items, rng, _check=check):
         return [True] * len(items)
     flags = [True] * len(items)
     formed = []
@@ -311,6 +328,11 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
             formed.append(i)
         else:
             flags[i] = verify_each([items[i]])[0]
+    if not check:
+        # A malformed item refused the batch before any lambda was drawn.
+        if not formed or batch_verify([items[i] for i in formed], rng, _check=check):
+            return flags
+    terms, lambdas, s1 = check
 
     def scan(positions: Sequence[int]) -> None:
         chunk = [items[formed[p]] for p in positions]
@@ -320,8 +342,6 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     if len(formed) <= SCAN_SIZE:
         scan(range(len(formed)))
         return flags
-    terms = _equation_terms([items[i] for i in formed])
-    lambdas = _randomizers(len(formed), rng)
 
     def sums(lo: int, hi: int, index_weighted: bool) -> Point | None:
         weights = lambdas[lo:hi]
@@ -351,9 +371,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
             search(lo, mid, left, left2)
             search(mid, hi, right, point_add(s2, point_neg(left2)))
 
-    s1 = sums(0, len(formed), False)
-    if s1 is not INFINITY:
-        search(0, len(formed), s1, sums(0, len(formed), True))
+    search(0, len(formed), s1, sums(0, len(formed), True))
     return flags
 
 

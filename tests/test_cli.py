@@ -313,6 +313,24 @@ def test_sweep_rejects_unreachable_cell_upfront(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flags, cells", [
+    (["--devices", "100"], ["n100_dense_b10"]),
+    ([], ["n100_dense_b10"]),
+    (["--env", "sparse,dense"], ["n100_sparse_b10", "n100_dense_b10"]),
+    (["--batch-size", "25"], ["n100_dense_b25"]),
+])
+def test_sweep_axes_take_the_config_file_unless_a_flag_is_given(tmp_path, flags, cells):
+    # An axis flag takes precedence over the file, and the file over the
+    # built-in axis defaults (sparse, 25, 100..500).
+    path = tmp_path / "f.cfg"
+    path.write_text("num_devices = 100\nenvironment = dense\nbatch_size = 10\nrounds = 1\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)] + flags) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [cell["cell"] for cell in summary["cells"]] == cells
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(cells)
+
+
 @pytest.mark.parametrize("axis, values, repeated", [
     ("--devices", "100,100", "100"),
     ("--devices", "100,0x64", "100"),

@@ -5,7 +5,9 @@ shared inversion per level.  Whatever it merges, every bucket must keep
 its group sum and the pass must name the same point.  The cases here
 reach the branches that random scalars almost never do: an entry twice,
 an entry beside its negation, a bucket whose every pair collides, odd
-and empty buckets, and a level one pair short of the threshold.
+and empty buckets, and a level one pair short of the threshold.  A sum
+with at most one term off G never reaches the stage, since it could not
+merge anything.
 """
 
 from unittest import mock
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloneguard import ec
-from cloneguard.ec import G, P, Point, _merge_buckets, _straus, _to_affine, point_add, scalar_mul
+from cloneguard.ec import (G, N, P, Point, _merge_buckets, _straus, _to_affine, point_add,
+                          precompute, scalar_mul)
 
 POOL = [(q.x, q.y) for q in (scalar_mul(k, G) for k in range(1, 13))]
 POOL += [(x, P - y) for x, y in POOL]
@@ -126,3 +129,36 @@ def test_merging_keeps_every_bucket_sum(adds, threshold):
     # What comes back has too few mergeable pairs to pay for a level.
     mergeable = sum(x1 != x2 for b in merged for (x1, _), (x2, _) in zip(b[::2], b[1::2]))
     assert mergeable < threshold
+
+
+KEY = scalar_mul(5, G)
+CACHED_KEY = precompute([KEY])[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, (N - 2) // 2).map(lambda j: 2 * j + 1), st.integers(1 << 255, N - 1),
+       st.booleans())
+def test_a_sum_with_one_term_off_g_skips_a_stage_that_could_not_merge(k, g, cached):
+    # An odd k puts a digit in bucket 0, and g >= 2^255 takes all 29 of
+    # G's rows there: the fullest bucket 0 such a sum can have.
+    expected = point_add(scalar_mul(k, KEY), scalar_mul(g, G))
+    handed, merged = [], []
+
+    def straus(adds):
+        handed.append(adds)
+        return _straus(adds)
+
+    def merge(adds):
+        merged.append(adds)
+        return _merge_buckets(adds)
+
+    with mock.patch.object(ec, "_straus", straus), mock.patch.object(ec, "_merge_buckets", merge):
+        assert ec.multi_scalar_mul([(k, CACHED_KEY if cached else KEY), (g, G)]) == expected
+        assert merged == []
+        (adds,) = handed
+        assert len(adds[0]) == 30 and all(len(bucket) <= 1 for bucket in adds[1:])
+        # The skipped stage would have handed the buckets back unchanged.
+        assert _merge_buckets(adds) == adds
+        # A second term off G goes through the stage.
+        ec.multi_scalar_mul([(k, KEY), (3, scalar_mul(7, G)), (g, G)])
+        assert len(merged) == 1

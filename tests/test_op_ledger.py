@@ -24,8 +24,8 @@ LEDGER = {
                            "batch_inverse": 180, "to_affine": 400, "affine_additions": 10233},
     "proof_batch_clean": {"mixed_additions": 249, "doublings": 256,
                           "batch_inverse": 7, "to_affine": 0, "affine_additions": 920},
-    "proof_batch_forged": {"mixed_additions": 828, "doublings": 1023,
-                           "batch_inverse": 21, "to_affine": 4, "affine_additions": 2754},
+    "proof_batch_forged": {"mixed_additions": 569, "doublings": 767,
+                           "batch_inverse": 14, "to_affine": 3, "affine_additions": 1840},
     "keygen_100": {"mixed_additions": 2794, "doublings": 0,
                    "batch_inverse": 0, "to_affine": 100, "affine_additions": 0},
 }

@@ -231,12 +231,17 @@ def test_verify_batch_flags_equal_verify_each(batch):
 
 @pytest.fixture
 def checks(monkeypatch):
-    """(name, item count) of each batch_verify and verify_each call, in order."""
+    """(name, item count) of each batch_verify and verify_each call, in order.
+
+    ``verify_batch`` makes its one batch check through ``batch_verify``,
+    so the check counts once per call.  A batch with a malformed item also
+    shows the call that item stopped before any randomizer or sum.
+    """
     calls = []
     for name in ("batch_verify", "verify_each"):
-        def counted(*args, _name=name, _original=getattr(sigmod, name)):
+        def counted(*args, _name=name, _original=getattr(sigmod, name), **kwargs):
             calls.append((_name, len(args[0])))
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(sigmod, name, counted)
     return calls
 
@@ -300,8 +305,8 @@ def msm_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [8, 22, 25])
-def test_one_invalid_item_costs_four_msms_at_every_placement(msm_calls, size):
-    # The failed batch check, the two sums and one individual check.
+def test_one_invalid_item_costs_three_msms_at_every_placement(msm_calls, size):
+    # The failed batch check, which is S1, then S2 and one individual check.
     assert size > sigmod.SCAN_SIZE
     for index in range(size):
         items = list(_bisect_pool()[0][:size])
@@ -309,7 +314,7 @@ def test_one_invalid_item_costs_four_msms_at_every_placement(msm_calls, size):
         msm_calls.clear()
         flags = verify_batch(items, random.Random(index))
         assert flags == [i != index for i in range(size)]
-        assert len(msm_calls) == 4, (size, index, msm_calls)
+        assert len(msm_calls) == 3, (size, index, msm_calls)
 
 
 def _search_cost(size, bad):
@@ -332,7 +337,7 @@ def _search_cost(size, bad):
             return 2 + search(lo, mid) + search(mid, hi)
         return 1 + (search(lo, mid) if left else search(mid, hi))
 
-    return 3 + search(0, size)
+    return 2 + search(0, size)
 
 
 def test_several_invalid_items_cost_what_the_rule_says(msm_calls):
@@ -345,6 +350,38 @@ def test_several_invalid_items_cost_what_the_rule_says(msm_calls):
         msm_calls.clear()
         assert verify_batch(items, random.Random(size)) == [i not in bad for i in range(size)]
         assert len(msm_calls) == _search_cost(size, bad), (size, bad)
+
+
+@pytest.mark.parametrize("bad", [(0,), (9,), (2, 20)])
+def test_a_failed_batch_is_searched_under_the_checks_own_randomizers(monkeypatch, bad):
+    size = 25
+    assert size > sigmod.SCAN_SIZE
+    items = [_invalid(i, "bumped_s") if i in bad else item
+             for i, item in enumerate(_bisect_pool()[0][:size])]
+    calls = {"_equation_terms": 0, "_randomizers": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(sigmod, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(sigmod, name, counted)
+    rng, alone = random.Random(3), random.Random(3)
+    assert verify_batch(items, rng) == [i not in bad for i in range(size)]
+    assert calls == {"_equation_terms": 1, "_randomizers": 1}
+    # Exactly n randomizers were drawn: the check's, and no fresh ones.
+    sigmod._randomizers(size, alone)
+    assert rng.getstate() == alone.getstate()
+
+
+@pytest.mark.parametrize("valid", range(1, sigmod.SCAN_SIZE + 1))
+def test_a_malformed_item_beside_few_valid_ones_costs_one_msm(msm_calls, valid):
+    # The check runs over the well-formed items alone, and passes.
+    for malformed in (0, valid):
+        items = list(_bisect_pool()[0][:valid + 1])
+        items[malformed] = _invalid(malformed, "s_zero")
+        msm_calls.clear()
+        assert verify_batch(items, random.Random(valid)) == [i != malformed
+                                                             for i in range(valid + 1)]
+        assert len(msm_calls) == 1, (valid, malformed, msm_calls)
 
 
 def _mixed_batch(size, bad, malformed):

@@ -3,12 +3,14 @@
 Exit codes: 0 on success, 1 when a run completed but violated a runtime
 invariant (the violated invariant is named on stderr), 2 for unusable
 input — bad flags, malformed config files (diagnosed with file and line
-number), or constraint-violating configurations.
+number), constraint-violating configurations, or an output path that
+cannot be created or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -144,6 +146,16 @@ def _make_out_dir(path: str) -> None:
                           f"{exc.strerror or exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(*paths: str):
+    """Report a failed write of the output files ``paths`` as unusable input."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {' or '.join(paths)}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def check_report_invariants(report: met.SimulationReport) -> list[str]:
     """Structural invariants every finished run must satisfy."""
     problems = []
@@ -172,8 +184,9 @@ def _run_reps(config: NetworkConfig, reps: int, out_dir: str,
     for rep in range(reps):
         cfg = dataclasses.replace(config, seed=config.seed + rep)
         report = run_experiment(cfg)
-        met.atomic_write_text(os.path.join(out_dir, f"report_{label}{rep}.json"),
-                              report.to_canonical_json())
+        path = os.path.join(out_dir, f"report_{label}{rep}.json")
+        with _writing(path):
+            met.atomic_write_text(path, report.to_canonical_json())
         _print_report_line(f"{label} {rep}", report)
         reports.append(report)
     return reports
@@ -188,10 +201,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     reports = _run_reps(config, args.reps, args.out)
 
-    met.write_detection_csv(os.path.join(args.out, "detection.csv"), reports)
-    met.write_overhead_csvs(os.path.join(args.out, "overhead_messages.csv"),
-                            os.path.join(args.out, "overhead_bytes.csv"), reports)
-    met.write_storage_csv(os.path.join(args.out, "storage.csv"), reports[0])
+    path = os.path.join(args.out, "detection.csv")
+    with _writing(path):
+        met.write_detection_csv(path, reports)
+    paths = (os.path.join(args.out, "overhead_messages.csv"),
+             os.path.join(args.out, "overhead_bytes.csv"))
+    with _writing(*paths):
+        met.write_overhead_csvs(*paths, reports)
+    path = os.path.join(args.out, "storage.csv")
+    with _writing(path):
+        met.write_storage_csv(path, reports[0])
 
     problems = [p for report in reports for p in check_report_invariants(report)]
     if problems:
@@ -240,7 +259,9 @@ def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
         print(f"batch size {size:2d}: ecdsa {statistics.median(classic_times) * 1e3:8.3f} ms, "
               f"ecdsa* batch {statistics.median(batch_times) * 1e3:8.3f} ms, "
               f"speedup {speedups[size]:.2f}x")
-    met.write_batch_timing_csv(os.path.join(out_dir, "batch_timing.csv"), rows)
+    path = os.path.join(out_dir, "batch_timing.csv")
+    with _writing(path):
+        met.write_batch_timing_csv(path, rows)
     return speedups[max(BATCH_SWEEP_SIZES)]
 
 
@@ -328,11 +349,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             })
         all_reports.extend(reports)
 
-    met.write_detection_csv(os.path.join(args.out, "detection.csv"), all_reports)
+    path = os.path.join(args.out, "detection.csv")
+    with _writing(path):
+        met.write_detection_csv(path, all_reports)
     summary = {"cells": summary_cells,
                "complexity": met.complexity_summary(all_reports)}
-    met.atomic_write_text(os.path.join(args.out, "sweep_summary.json"),
-                          json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+    path = os.path.join(args.out, "sweep_summary.json")
+    with _writing(path):
+        met.atomic_write_text(
+            path, json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
 
     if invariant_problems:
         for problem in invariant_problems:

@@ -6,7 +6,7 @@ multiplication is one multi-scalar multiplication, summed by one loop.
 A term off the generator G recodes into wNAF digits, each naming an
 entry of its base's affine table of odd multiples P, 3P, ...,
 (2^(w-1) - 1)P, or the entry's negation (x, p - y); the G terms recode
-into one odd digit per row of a fixed-base table, at most 29 entries.
+into one odd digit per row of a fixed-base table, at most 26 entries.
 The entries go into one bucket per bit position, G's into bucket 0, and
 one Straus pass, ``_straus``, sums them: one doubling per position and
 one mixed Jacobian-affine addition per entry (Cohen, Miyaji & Ono,
@@ -28,16 +28,16 @@ and the reduction of a 512-bit product is most of a multiplication's
 cost.  A level runs only when it has enough pairs to pay for its
 inversion, which a sum with at most one term off G (signing, a single
 verification) never has, so such a sum skips the stage; a clean
-25-signature batch's sum goes from 1,169 mixed additions to 249 and 920
+25-signature batch's sum goes from 1,166 mixed additions to 248 and 918
 affine ones.
 
-There are three table widths, one per kind of base: 10 for each row of
+There are three table widths, one per kind of base: 11 for each row of
 the generator table, 7 for a cached key, and 4 for every table a
 ``multi_scalar_mul`` call builds.  Every table is one flat tuple of
 ints, (x1, y1, x3, y3, ...): odd digit d reads x at index |d| - 1 and y
-at |d|.  The generator table is 29 such tables, row w the width-10 table
-of 2^(9w) G, and a scalar reaches it through a regular recoding into odd
-9-bit-step digits with no zero digit (Joye & Tunstall, AFRICACRYPT
+at |d|.  The generator table is 26 such tables, row w the width-11 table
+of 2^(10w) G, and a scalar reaches it through a regular recoding into odd
+10-bit-step digits with no zero digit (Joye & Tunstall, AFRICACRYPT
 2009).  A base that recurs across calls, such as a registered public
 key, can be passed as a ``PrecomputedPoint``: the point with its width-7
 table (P, 3P, ..., 63P; 64 ints, about 4.4 kB per key), built once by
@@ -77,7 +77,7 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
-_GEN_WIDTH = 9  # bits between the bases of consecutive generator table rows
+_GEN_WIDTH = 10  # bits between the bases of consecutive generator table rows
 _KEY_WIDTH = 7  # wNAF width of a PrecomputedPoint's cached table
 _CALL_WIDTH = 4  # wNAF width of every table a multi_scalar_mul call builds
 
@@ -229,18 +229,19 @@ def _to_affine(pt) -> Point | None:
 
 
 # === Fixed-base table for the generator ===
-# Row w of _GEN_TABLE is the width-10 odd-multiple table of
-# B_w = 2^(9w) G, built by _odd_multiple_tables like every other table:
-# B_w, 3B_w, ..., 511B_w, 256 entries in 512 ints.  An odd scalar below
-# 2^261 recodes into at most 29 odd digits of |d| <= 511 with no zero
-# digit (the regular recoding of Joye & Tunstall, AFRICACRYPT 2009), and
-# a negative digit names (x, p - y), as in Brickell, Gordon, McCurley &
-# Wilson's fixed-base method (EUROCRYPT 1992): at most 29 entries for
-# the Straus pass's last bucket, so mixed additions and no doublings.
-# The table holds 14,848 ints, about 1.0 MB, built lazily one row per
-# call so the build's peak memory stays one row's rounds; each base
-# takes nine Jacobian doublings.  The tests check entries against an
-# affine double-and-add oracle.
+# Row w of _GEN_TABLE is the width-11 odd-multiple table of
+# B_w = 2^(10w) G, built by _odd_multiple_tables like every other table:
+# B_w, 3B_w, ..., 1023B_w, 512 entries in 1024 ints.  The recoding below
+# sees odd scalars below 2n < 2^257, so it needs 257 // 10 + 1 = 26 rows:
+# at most 26 odd digits of |d| <= 1023 with no zero digit (the regular
+# recoding of Joye & Tunstall, AFRICACRYPT 2009), and a negative digit
+# names (x, p - y), as in Brickell, Gordon, McCurley & Wilson's
+# fixed-base method (EUROCRYPT 1992): at most 26 entries for the Straus
+# pass's last bucket, so mixed additions and no doublings.  The table
+# holds 26,624 ints, about 1.8 MB, built lazily one row per call so the
+# build's peak memory stays one row's rounds; each base takes ten
+# Jacobian doublings.  The tests check entries against an affine
+# double-and-add oracle.
 
 _GEN_TABLE: list[tuple[int, ...]] | None = None
 
@@ -250,7 +251,7 @@ def _gen_table() -> list[tuple[int, ...]]:
     if _GEN_TABLE is None:
         table = []
         base = (GX, GY, 1)
-        for _ in range((256 + _GEN_WIDTH - 1) // _GEN_WIDTH):
+        for _ in range(257 // _GEN_WIDTH + 1):
             table += _odd_multiple_tables([_to_affine(base)], _GEN_WIDTH + 1)
             for _ in range(_GEN_WIDTH):
                 base = _jdbl(base)
@@ -262,27 +263,27 @@ def _fixed_base_mul(k: int) -> list[tuple[int, int]]:
     """G's table entries (x, y), one per row, that sum to k * G for 0 <= k < n.
 
     An even k becomes k + n, which is odd and names the same multiple.
-    Each row then takes the digit d = k if k < 512 and otherwise
-    (k mod 1024) - 512, and carries (k - d) / 512, which is odd again,
-    into the next row, so every digit is odd with |d| <= 511.  As
-    k < 2n < 2^257, the 29th row's digit is at most 33 and ends it.
+    Each row then takes the digit d = k if k < 1024 and otherwise
+    (k mod 2048) - 1024, and carries (k - d) / 1024, which is odd again,
+    into the next row, so every digit is odd with |d| <= 1023.  As
+    k < 2n < 2^257, the 26th row's digit is at most 129 and ends it.  A
+    carry left past the last row would drop part of k, so it raises.
     """
     entries = []
     if not k:
         return entries
-    if not k & 1:
-        k += N
+    carry = k if k & 1 else k + N
     step = 1 << _GEN_WIDTH
     for row in _gen_table():
-        d = k if k < step else k % (2 * step) - step
-        k = (k - d) >> _GEN_WIDTH
+        d = carry if carry < step else carry % (2 * step) - step
+        carry = (carry - d) >> _GEN_WIDTH
         if d > 0:
             entries.append((row[d - 1], row[d]))
         else:
             entries.append((row[-d - 1], P - row[-d]))
-        if not k:
-            break
-    return entries
+        if not carry:
+            return entries
+    raise ValueError(f"k = {k:#x} leaves a carry past the generator table's last row")
 
 
 def scalar_mul(k: int, point: Point | None) -> Point | None:
@@ -342,7 +343,7 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
     Only the positive half is stored: an odd wNAF digit d reads x at
     index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
-    Each caller builds one width: 10 for a generator row, 7 for
+    Each caller builds one width: 11 for a generator row, 7 for
     ``precompute`` and 4 for ``multi_scalar_mul``.
 
     All the tables grow together in affine rounds.  Round 1 doubles each
@@ -433,7 +434,7 @@ def multi_scalar_mul(pairs) -> Point | None:
     affine rounds, each sharing one inversion across every table.  The
     digits are sorted into one bucket of affine points per bit position.
     Terms whose base is the plain ``Point`` G have their scalars summed,
-    and that multiple's fixed-base entries (width-10 rows), at most 29,
+    and that multiple's fixed-base entries (width-11 rows), at most 26,
     go at the end of bucket 0, which is summed after the last doubling.
     With two or more terms off G, ``_merge_buckets`` then adds pairs of
     entries within each bucket in affine, one shared inversion per level,
@@ -482,7 +483,7 @@ def multi_scalar_mul(pairs) -> Point | None:
     adds[0] += _fixed_base_mul(g_scalar % N)
     # A wNAF puts at most one digit at each position.  So with at most one
     # term off G, every bucket but 0 holds at most one entry, and bucket 0
-    # at most that digit and G's 29 entries: 15 pairs, below _MERGE_PAIRS.
+    # at most that digit and G's 26 entries: 13 pairs, below _MERGE_PAIRS.
     # No level could run, and signing and verify_star skip the scan.
     if len(terms) > 1:
         adds = _merge_buckets(adds)
@@ -497,7 +498,7 @@ def multi_scalar_mul(pairs) -> Point | None:
 # 165-entry sums, one level of 35-51 such pairs, merge in 119 us and save
 # the pass 116 us.  A clean 25-signature batch verifies equally fast,
 # within the host's noise, at every threshold from 8 to 64 and 14% faster
-# than with no merging.  16 is inside that range and above the 15 pairs
+# than with no merging.  16 is inside that range and above the 13 pairs
 # of a sum with at most one term off G, so signing, key generation and a
 # single verification keep the plain pass, where an inversion would cost
 # more than it saves, and multi_scalar_mul skips the stage for them.

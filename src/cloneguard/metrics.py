@@ -9,6 +9,7 @@ from outside the package, by ``perfbench/run.py --trace 1``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -219,10 +220,21 @@ def complexity_summary(reports: Sequence[SimulationReport],
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    If the write or the rename fails, the temporary file is removed and
+    the error re-raised, so ``path`` is left as it was and nothing else
+    is left behind.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

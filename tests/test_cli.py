@@ -190,6 +190,19 @@ def test_run_writes_report_and_csvs(tmp_path, capsys):
     assert all(float(r["detection_time_ms"]) > 0 for r in rows)
 
 
+def test_an_output_file_that_cannot_be_written_is_exit_2(tmp_path, capsys):
+    # A directory where the report goes: the run completes, and its write
+    # fails as unusable output, leaving no temporary file behind.
+    out = tmp_path / "out"
+    (out / "report_rep0.json").mkdir(parents=True)
+    assert main(["run", "--seed", "7", "--rounds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {out / 'report_rep0.json'}: ")
+    assert [p.name for p in out.iterdir()] == ["report_rep0.json"]
+    assert not any((out / "report_rep0.json").iterdir())
+
+
 def test_run_is_deterministic_in_process(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--seed", "7", "--rounds", "1", "--out", str(out_a)]) == 0

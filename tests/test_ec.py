@@ -29,7 +29,7 @@ KNOWN_MULTIPLES = {
 
 # Rows of the generator table, one odd digit each, and so the most
 # additions a generator multiple may take.
-GEN_ROWS = 29
+GEN_ROWS = 26
 
 
 # --- independent oracle: chord/tangent formulas, binary double-and-add ---
@@ -165,43 +165,44 @@ def fixed_base_edge_scalars():
     """Scalars below N that hit every edge of the generator's odd-digit recoding.
 
     The recoding makes k odd (k + N when k is even), then takes d = k
-    when k < 512 and (k mod 1024) - 512 otherwise, carrying (k - d) / 512.
+    when k < 1024 and (k mod 2048) - 1024 otherwise, carrying (k - d) / 1024.
     """
     return [
-        1, 3, 511,                   # one row: the smallest and largest one-row digits
-        2, 512, 1024, 2 ** 255,      # even: recoded as k + N, every row used
-        513, 1023, 1025,             # two rows: 1 + 1*512, 511 + 1*512, -511 + 3*512
-        2 ** 252 - 1,                # odd with every bit set below the top row
+        1, 3, 1023,                  # one row: the smallest and largest one-row digits
+        2, 1024, 2048, 2 ** 255,     # even: recoded as k + N, every row used
+        1025, 2047, 2049,            # two rows: 1 + 1*1024, 1023 + 1*1024, -1023 + 3*1024
+        2 ** 250 - 1,                # odd with every bit set below the top row
         (N - 1) // 2,
         N - 2,                       # the largest odd k: no k + N step
-        N - 1,                       # recodes 2N - 1, so its last digit, 31, is the largest
+        N - 1,                       # recodes 2N - 1, so its last digit, 127, is the largest
     ]
 
 
 def test_fixed_base_signed_digit_edges():
     cases = fixed_base_edge_scalars()
-    assert 2 ** 252 - 1 in cases
+    assert 2 ** 250 - 1 in cases
     for k in cases:
         assert k < N
         assert scalar_mul(k, G) == oracle_mul(k, G), hex(k)
 
 
 def test_fixed_base_table_entries():
-    # Row w is the width-10 odd-multiple table of 2^(9w) G: odd digit d
-    # reads x at d - 1 and y at d.
+    # Row w is the width-11 odd-multiple table of 2^(10w) G: odd digit d
+    # reads x at d - 1 and y at d.  The rows cover the 257 bits of a
+    # recoded scalar, and no row is spare.
     table = _gen_table()
-    assert len(table) == GEN_ROWS and all(len(row) == 512 for row in table)
-    assert _GEN_WIDTH * (GEN_ROWS - 1) < 256 <= _GEN_WIDTH * GEN_ROWS
+    assert len(table) == GEN_ROWS and all(len(row) == 1024 for row in table)
+    assert _GEN_WIDTH * (GEN_ROWS - 1) < 257 <= _GEN_WIDTH * GEN_ROWS
     for w in (0, 1, GEN_ROWS // 2, GEN_ROWS - 2, GEN_ROWS - 1):
-        for d in (1, 3, 255, 511):
+        for d in (1, 3, 511, 1023):
             expected = oracle_mul(d << (_GEN_WIDTH * w), G)
             assert table[w][d - 1:d + 1] == (expected.x, expected.y)
 
 
 def test_gen_table_build_counts(monkeypatch):
-    # Counts only: the generator table is 29 width-10 odd-multiple tables,
-    # one _odd_multiple_tables call per row (nine rounds, one batch
-    # inversion each), on bases nine Jacobian doublings apart, and no
+    # Counts only: the generator table is 26 width-11 odd-multiple tables,
+    # one _odd_multiple_tables call per row (ten rounds, one batch
+    # inversion each), on bases ten Jacobian doublings apart, and no
     # Jacobian addition.
     built = _gen_table()
     calls = {"batch_inverse": 0, "_jadd_affine": 0, "_jdbl": 0}
@@ -242,7 +243,7 @@ def straus_calls(monkeypatch):
 
 
 def test_fixed_base_addition_count(monkeypatch):
-    # One entry, so one mixed addition, per odd signed 9-bit digit: the
+    # One entry, so one mixed addition, per odd signed 10-bit digit: the
     # recoding leaves no zero digit, so a scalar adds once in each row
     # until its carry runs out, at most one per row.  The entries all go
     # into one bucket, so the Straus pass never doubles.
@@ -260,12 +261,12 @@ def test_fixed_base_addition_count(monkeypatch):
 
 
 def test_fixed_base_uses_every_row_for_even_and_long_scalars(monkeypatch):
-    # An even k is recoded as k + N > 2^255, and an odd k >= 2^252 keeps
+    # An even k is recoded as k + N > 2^255, and an odd k >= 2^250 keeps
     # a carry into the last row, so both take exactly one entry per row.
     calls = straus_calls(monkeypatch)
     rng = random.Random(31)
-    even = [2, 4, 512, 2 ** 255, N - 1] + [2 * rng.randrange(1, N // 2) for _ in range(10)]
-    long = [2 ** 252, 2 ** 252 + 1, N - 2] + [rng.randrange(2 ** 252, N) for _ in range(10)]
+    even = [2, 4, 1024, 2 ** 255, N - 1] + [2 * rng.randrange(1, N // 2) for _ in range(10)]
+    long = [2 ** 250, 2 ** 250 + 1, N - 2] + [rng.randrange(2 ** 250, N) for _ in range(10)]
     for k in even + long:
         calls.clear()
         scalar_mul(k, G)
@@ -274,6 +275,24 @@ def test_fixed_base_uses_every_row_for_even_and_long_scalars(monkeypatch):
     calls.clear()
     scalar_mul(1, G)
     assert calls == [[[(G.x, G.y)]]]
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 10, 11])
+def test_generator_rows_cover_every_recoded_scalar_at_every_width(monkeypatch, width):
+    # The recoding sees odd scalars below 2N < 2^257, so the rows must
+    # cover 257 bits.  Rows for 256 bits fall short at width 8 (32 rows),
+    # where N - 1 and 2^255 would leave a carry past the last row.
+    monkeypatch.setattr(ec, "_GEN_WIDTH", width)
+    monkeypatch.setattr(ec, "_GEN_TABLE", None)
+    for k in (N - 1, N - 2, 2 ** 255, 2 ** 256 % N, 1, 2):
+        assert scalar_mul(k, G) == oracle_mul(k, G), hex(k)
+
+
+def test_fixed_base_raises_rather_than_drop_a_carry(monkeypatch):
+    monkeypatch.setattr(ec, "_GEN_TABLE", _gen_table()[:-1])
+    with pytest.raises(ValueError, match="carry past the generator table's last row"):
+        scalar_mul(N - 1, G)
+    assert scalar_mul(3, G) == KNOWN_MULTIPLES[3]
 
 
 def test_multiple_index_walks_to_the_least_multiple():

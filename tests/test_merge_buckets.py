@@ -139,7 +139,7 @@ CACHED_KEY = precompute([KEY])[0]
 @given(st.integers(0, (N - 2) // 2).map(lambda j: 2 * j + 1), st.integers(1 << 255, N - 1),
        st.booleans())
 def test_a_sum_with_one_term_off_g_skips_a_stage_that_could_not_merge(k, g, cached):
-    # An odd k puts a digit in bucket 0, and g >= 2^255 takes all 29 of
+    # An odd k puts a digit in bucket 0, and g >= 2^255 takes all 26 of
     # G's rows there: the fullest bucket 0 such a sum can have.
     expected = point_add(scalar_mul(k, KEY), scalar_mul(g, G))
     handed, merged = [], []
@@ -156,7 +156,7 @@ def test_a_sum_with_one_term_off_g_skips_a_stage_that_could_not_merge(k, g, cach
         assert ec.multi_scalar_mul([(k, CACHED_KEY if cached else KEY), (g, G)]) == expected
         assert merged == []
         (adds,) = handed
-        assert len(adds[0]) == 30 and all(len(bucket) <= 1 for bucket in adds[1:])
+        assert len(adds[0]) == 27 and all(len(bucket) <= 1 for bucket in adds[1:])
         # The skipped stage would have handed the buckets back unchanged.
         assert _merge_buckets(adds) == adds
         # A second term off G goes through the stage.

@@ -229,6 +229,20 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("before\n")
+
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr("cloneguard.metrics.os.replace", failing_replace)
+    with pytest.raises(PermissionError):
+        atomic_write_text(str(target), "after\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert target.read_text() == "before\n"
+
+
 def test_detection_csv_one_row_per_event(tmp_path):
     path = tmp_path / "detection.csv"
     write_detection_csv(str(path), [_tiny_report(seed=1), _tiny_report(seed=2)])

@@ -16,17 +16,17 @@ from cloneguard import ec
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_ledger.py"
 
 LEDGER = {
-    "sparse_seed1_round1": {"mixed_additions": 5624, "doublings": 7621,
-                            "batch_inverse": 300, "to_affine": 90, "affine_additions": 936},
-    "sparse_seed1_round2": {"mixed_additions": 5630, "doublings": 7624,
-                            "batch_inverse": 120, "to_affine": 90, "affine_additions": 923},
-    "dense_seed1_round2": {"mixed_additions": 17784, "doublings": 7675,
-                           "batch_inverse": 180, "to_affine": 400, "affine_additions": 10233},
-    "proof_batch_clean": {"mixed_additions": 249, "doublings": 256,
-                          "batch_inverse": 7, "to_affine": 0, "affine_additions": 920},
-    "proof_batch_forged": {"mixed_additions": 569, "doublings": 767,
-                           "batch_inverse": 14, "to_affine": 3, "affine_additions": 1840},
-    "keygen_100": {"mixed_additions": 2794, "doublings": 0,
+    "sparse_seed1_round1": {"mixed_additions": 5312, "doublings": 7621,
+                            "batch_inverse": 300, "to_affine": 90, "affine_additions": 891},
+    "sparse_seed1_round2": {"mixed_additions": 5319, "doublings": 7624,
+                            "batch_inverse": 120, "to_affine": 90, "affine_additions": 877},
+    "dense_seed1_round2": {"mixed_additions": 16575, "doublings": 7675,
+                           "batch_inverse": 180, "to_affine": 400, "affine_additions": 10160},
+    "proof_batch_clean": {"mixed_additions": 248, "doublings": 256,
+                          "batch_inverse": 7, "to_affine": 0, "affine_additions": 918},
+    "proof_batch_forged": {"mixed_additions": 565, "doublings": 767,
+                           "batch_inverse": 14, "to_affine": 3, "affine_additions": 1835},
+    "keygen_100": {"mixed_additions": 2500, "doublings": 0,
                    "batch_inverse": 0, "to_affine": 100, "affine_additions": 0},
 }
 

@@ -8,8 +8,9 @@ doublings, ``batch_inverse`` calls, conversions of a finite point to
 affine and affine additions that ``cloneguard.ec`` makes.  The
 scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 round 2, one
 clean and one signature-dirty 25-item ``verify_proof_batch`` on cached
-key tables, and key generation for 100 keys.  Network set-up and the generator table are built before
-any counting starts.
+key tables, one ``verify_star`` under a cached key, and key generation
+for 100 keys.  Network set-up, key tables and the generator table are
+built before any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
 ``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine`` and
@@ -176,6 +177,13 @@ def ledger() -> dict[str, dict[str, int]]:
         if flagged != expected:
             raise AssertionError(f"{name}: {flagged} signatures flagged, expected {expected}")
         out[name] = counts
+
+    proof = clean[0].proof
+    (key,) = lbs.verification_keys([proof.prover_id])
+    with counting() as counts:
+        if not sig.verify_star(proof.ci_digest, proof.signature, key):
+            raise AssertionError("verify_star_cached_key: a valid signature was refused")
+    out["verify_star_cached_key"] = counts
 
     rng = random.Random(3)
     with counting() as counts:

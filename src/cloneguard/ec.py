@@ -32,19 +32,23 @@ verification) never has, so such a sum skips the stage; a clean
 affine ones.
 
 There are three table widths, one per kind of base: 11 for each row of
-the generator table, 7 for a cached key, and 4 for every table a
-``multi_scalar_mul`` call builds.  Every table is one flat tuple of
-ints, (x1, y1, x3, y3, ...): odd digit d reads x at index |d| - 1 and y
-at |d|.  The generator table is 26 such tables, row w the width-11 table
-of 2^(10w) G, and a scalar reaches it through a regular recoding into odd
-10-bit-step digits with no zero digit (Joye & Tunstall, AFRICACRYPT
-2009).  A base that recurs across calls, such as a registered public
-key, can be passed as a ``PrecomputedPoint``: the point with its width-7
-table (P, 3P, ..., 63P; 64 ints, about 4.4 kB per key), built once by
-``precompute``.  Every other base gets a width-4 table (P, 3P, 5P, 7P)
-in the call that uses it, whatever its scalar's length: each 256-bit
-scalar of a workload sits on G or on a cached key, and a batch
-randomizer's 64-bit scalar is too short for a wider table to pay.
+the generator table, 7 (``KEY_WIDTH``) for a registered key, and 4
+(``CALL_WIDTH``) for a base used in one check.  Every table is one flat
+tuple of ints, (x1, y1, x3, y3, ...): odd digit d reads x at index
+|d| - 1 and y at |d|.  The generator table is 26 such tables, row w the
+width-11 table of 2^(10w) G, and a scalar reaches it through a regular
+recoding into odd 10-bit-step digits with no zero digit (Joye &
+Tunstall, AFRICACRYPT 2009).  A base that recurs across calls can be
+passed as a ``PrecomputedPoint``, the point with its table, built once
+by ``precompute``: a registered public key at width 7 (P, 3P, ..., 63P;
+64 ints, about 4.4 kB per key), and a batch check's -R_i at width 4,
+built by ``sig`` before the check and read by every sum of its search,
+so a batch check's ``multi_scalar_mul`` builds no table.  Every plain
+``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call that
+uses it, whatever its scalar's length: each 256-bit scalar of a
+workload sits on G or on a cached key, and a batch randomizer's 64-bit
+scalar, like the 128-bit ones of a single verification, is too short
+for a wider table to pay.
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
 builds one width per call, in affine rounds: round 1 doubles each P, and
@@ -78,8 +82,8 @@ GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
 _GEN_WIDTH = 10  # bits between the bases of consecutive generator table rows
-_KEY_WIDTH = 7  # wNAF width of a PrecomputedPoint's cached table
-_CALL_WIDTH = 4  # wNAF width of every table a multi_scalar_mul call builds
+KEY_WIDTH = 7  # wNAF width of a registered key's cached table
+CALL_WIDTH = 4  # wNAF width of the table of a base used in one check
 
 
 class InvalidPointError(ValueError):
@@ -343,8 +347,8 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
     Only the positive half is stored: an odd wNAF digit d reads x at
     index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
-    Each caller builds one width: 11 for a generator row, 7 for
-    ``precompute`` and 4 for ``multi_scalar_mul``.
+    Each caller builds one width: 11 for a generator row, and 7 or 4
+    for ``precompute``.
 
     All the tables grow together in affine rounds.  Round 1 doubles each
     P.  Round i > 1 adds D = 2^(i-1)P to each odd multiple found so far,
@@ -392,14 +396,20 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
 @dataclass(frozen=True, slots=True)
 class PrecomputedPoint:
-    """A finite on-curve point with its width-7 wNAF table (P, 3P, ..., 63P).
+    """A finite on-curve point with its wNAF table of odd multiples.
 
-    ``table`` is flat, (x1, y1, x3, y3, ..., x63, y63): 64 ints, about
-    4.4 kB.  Build these with ``precompute``, whose six affine rounds
-    (one field inversion each) serve all its points at once.
+    ``table`` is flat, (x1, y1, x3, y3, ...), at one of two widths, which
+    it gives by its length.  A registered key, which recurs across checks,
+    has width ``KEY_WIDTH`` = 7: P, 3P, ..., 63P, 64 ints, about 4.4 kB.
+    A base used in one check, such as a batch check's -R_i, has width
+    ``CALL_WIDTH`` = 4: P, 3P, 5P, 7P, 8 ints, the width every plain
+    ``Point`` base gets inside ``multi_scalar_mul``.  Any other length is
+    a ``ValueError``.  Build these with ``precompute``, whose affine
+    rounds (one field inversion each) serve all its points at once.
     ``multi_scalar_mul`` accepts one anywhere it accepts a base ``Point``
-    and reads ``table`` instead of building it, so a base that recurs
-    across calls pays for its table once.
+    and reads ``table`` at its width instead of building it, so a base
+    that recurs across calls, or across the sums of one batch check and
+    its search, pays for its table once.
     """
 
     point: Point
@@ -407,17 +417,29 @@ class PrecomputedPoint:
 
     def __post_init__(self) -> None:
         _require_finite(self.point)
-        if len(self.table) != 1 << (_KEY_WIDTH - 1):
-            raise ValueError(f"table must hold {1 << (_KEY_WIDTH - 2)} odd multiples")
+        if len(self.table) not in (1 << (CALL_WIDTH - 1), 1 << (KEY_WIDTH - 1)):
+            raise ValueError(f"table must hold {1 << (CALL_WIDTH - 2)} or "
+                             f"{1 << (KEY_WIDTH - 2)} odd multiples")
         if self.table[:2] != (self.point.x, self.point.y):
             raise ValueError("table does not start with its own point")
 
+    @property
+    def width(self) -> int:
+        """The table's wNAF width: 4 or 7."""
+        return len(self.table).bit_length()
 
-def precompute(points: list[Point]) -> list[PrecomputedPoint]:
-    """Tables for many finite on-curve points: six field inversions, however many points."""
+
+def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedPoint]:
+    """Tables for many finite on-curve points, at ``KEY_WIDTH`` or ``CALL_WIDTH``.
+
+    One ``_odd_multiple_tables`` call builds them all: width - 1 field
+    inversions, however many points.
+    """
+    if width not in (CALL_WIDTH, KEY_WIDTH):
+        raise ValueError(f"width must be {CALL_WIDTH} or {KEY_WIDTH}, not {width}")
     for point in points:
         _require_finite(point)
-    tables = _odd_multiple_tables(points, _KEY_WIDTH)
+    tables = _odd_multiple_tables(points, width)
     return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
 
 
@@ -428,10 +450,12 @@ def multi_scalar_mul(pairs) -> Point | None:
     2001), each term at its own table's width w: each base has an affine
     table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a
     negative digit adds the negation (x, p - y) of an entry.  A
-    ``PrecomputedPoint`` base brings its width-7 table; every plain
-    ``Point`` base gets a width-4 table built here, whatever its scalar's
-    length, all of them in one ``_odd_multiple_tables`` call of three
-    affine rounds, each sharing one inversion across every table.  The
+    ``PrecomputedPoint`` base brings its table, of width 7 or 4, and
+    nothing is built for it; every plain ``Point`` base gets a width-4
+    table built here, whatever its scalar's length, all of them in one
+    ``precompute`` call of three affine rounds, each sharing one
+    inversion across every table.  A batch check's sum, whose -R_i come
+    with their tables and whose keys are cached, builds none.  The
     digits are sorted into one bucket of affine points per bit position.
     Terms whose base is the plain ``Point`` G have their scalars summed,
     and that multiple's fixed-base entries (width-11 rows), at most 26,
@@ -443,7 +467,8 @@ def multi_scalar_mul(pairs) -> Point | None:
     local ints: one Jacobian doubling per bit position and one mixed
     addition per entry.  Besides one inversion per merge level, a call
     makes at most four field inversions, three table rounds and one back
-    to affine (one alone when every base brings its table).
+    to affine (one alone when every base brings its table), and a sum
+    that is infinity skips the last.
     """
     g_scalar = 0
     terms = []
@@ -453,7 +478,7 @@ def multi_scalar_mul(pairs) -> Point | None:
             raise ValueError("scalar must be non-negative")
         if isinstance(base, PrecomputedPoint):
             table = base.table
-            width = _KEY_WIDTH
+            width = base.width
         else:
             _require_on_curve(base)
             if base is None:
@@ -462,19 +487,19 @@ def multi_scalar_mul(pairs) -> Point | None:
                 g_scalar += k
                 continue
             table = None
-            width = _CALL_WIDTH
+            width = CALL_WIDTH
         k %= N
         if not k:
             continue
         if table is None:
             fresh.append(base)
         terms.append((k, width, table))
-    built = iter(_odd_multiple_tables(fresh, _CALL_WIDTH))
+    built = iter(precompute(fresh, CALL_WIDTH) if fresh else ())
     adds: list[list[tuple[int, int]]] = [
         [] for _ in range(max((k.bit_length() for k, _, _ in terms), default=0) + 1)]
     for k, width, table in terms:
         if table is None:
-            table = next(built)
+            table = next(built).table
         for position, d in _wnaf(k, width):
             if d > 0:
                 adds[position].append((table[d - 1], table[d]))
@@ -484,7 +509,7 @@ def multi_scalar_mul(pairs) -> Point | None:
     # A wNAF puts at most one digit at each position.  So with at most one
     # term off G, every bucket but 0 holds at most one entry, and bucket 0
     # at most that digit and G's 26 entries: 13 pairs, below _MERGE_PAIRS.
-    # No level could run, and signing and verify_star skip the scan.
+    # No level could run, and signing and key generation skip the scan.
     if len(terms) > 1:
         adds = _merge_buckets(adds)
     return _to_affine(_straus(adds))
@@ -499,9 +524,12 @@ def multi_scalar_mul(pairs) -> Point | None:
 # the pass 116 us.  A clean 25-signature batch verifies equally fast,
 # within the host's noise, at every threshold from 8 to 64 and 14% faster
 # than with no merging.  16 is inside that range and above the 13 pairs
-# of a sum with at most one term off G, so signing, key generation and a
-# single verification keep the plain pass, where an inversion would cost
-# more than it saves, and multi_scalar_mul skips the stage for them.
+# of a sum with at most one term off G, so signing and key generation keep
+# the plain pass, where an inversion would cost more than it saves, and
+# multi_scalar_mul skips the stage for them.  A single verification has
+# two half-length terms off G (sig.verify_star): G's 26 entries plus the
+# positions where both terms have a digit reach 16 pairs in about 70% of
+# checks, and that one level costs the check about 1.5%.
 _MERGE_PAIRS = 16
 
 

@@ -31,9 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ec import (B, G, INFINITY, N, P, Point, PrecomputedPoint, batch_inverse, is_on_curve,
-                 multi_scalar_mul, multiple_index, point_add, point_neg, scalar_mul,
-                 validate_public_key)
+from .ec import (B, CALL_WIDTH, G, INFINITY, N, P, Point, PrecomputedPoint, batch_inverse,
+                 is_on_curve, multi_scalar_mul, multiple_index, point_add, point_neg, precompute,
+                 scalar_mul, validate_public_key)
 
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
@@ -134,43 +134,95 @@ def _well_formed(sig: StarSignature, public: PublicKey) -> bool:
             and validate_public_key(_key_point(public)))
 
 
+def _half_length(u2: int) -> tuple[int, int]:
+    """(v, a) with a = v * u2 (mod n), 0 < v < 2^128 and |a| < 2^128, for 0 < u2 < n.
+
+    The extended Euclidean algorithm on (n, u2), stopped at the first
+    remainder below 2^128.  Each remainder r_i is t_i * u2 (mod n), and
+    |t_i| * r_(i-1) <= n, so |t_i| < 2^256 / 2^128 once r_(i-1) >= 2^128.
+    The remainders reach 1 before 0, as n is prime, so the stop comes at
+    a nonzero r_i and t_i; v = |t_i| and a takes t_i's sign.
+    """
+    r0, r1 = N, u2
+    t0, t1 = 0, 1
+    while r1 >> 128:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return (t1, r1) if t1 > 0 else (-t1, -r1)
+
+
 def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
-    """ECDSA* verification: recompute the nonce point and compare it to R.
+    """ECDSA* verification: whether u1 G + u2 Q == R, on half-length scalars.
 
     Strictly stronger than the classic check — full point equality
     instead of reduced-x equality — which is what makes signatures
     batchable without opening the x-coordinate malleability door.
+
+    With w = s^-1, u1 = e w and u2 = r w mod n, ``_half_length`` gives
+    a = v * u2 (mod n) with 0 < v < 2^128 and |a| < 2^128 (Antipa, Brown,
+    Gallant, Lambert, Struik & Vanstone, "Accelerated verification of
+    ECDSA signatures", SAC 2005).  As v is invertible modulo the prime n,
+    u1 G + u2 Q == R holds iff v times it does:
+
+        c G + a Q - v R == infinity,    c = v u1 mod n,
+
+    one ``multi_scalar_mul``, negated when a < 0 so that every scalar is
+    non-negative: (n - c) G + |a| Q + v R.  c goes through G's fixed-base
+    table, so the doubling chain follows a and v, about 128 steps against
+    the 256 of u2 Q, and R costs a width-4 table.  The sum is compared
+    with infinity, so it needs no conversion to affine.
     """
     if not _well_formed(sig, public):
         return False
-    return _nonce_point(message, sig.R.x % N, sig.s, public) == sig.R
+    w = pow(sig.s, -1, N)
+    v, a = _half_length(sig.R.x % N * w % N)
+    c = hash_to_scalar(message) * w % N * v % N
+    if a >= 0:
+        pairs = [(c, G), (a, public), (v, point_neg(sig.R))]
+    else:
+        pairs = [(-c % N, G), (-a, public), (v, sig.R)]
+    return multi_scalar_mul(pairs) is INFINITY
 
 
 BatchItem = tuple[bytes, StarSignature, PublicKey]
 
 
-def _equation_terms(items: Sequence[BatchItem]) -> list[tuple[int, int, Point, PublicKey]]:
+def _equation_terms(items: Sequence[BatchItem]
+                    ) -> list[tuple[int, int, PrecomputedPoint, PrecomputedPoint]]:
     """(u1_i, u2_i, -R_i, Q_i) per well-formed item, so that
     T_i = u1_i * G + u2_i * Q_i + (-R_i) is infinity iff the item verifies.
 
-    The s_i are inverted together, with one modular inversion.
+    The s_i are inverted together, with one modular inversion.  Every
+    base comes as an ``ec.PrecomputedPoint``: each -R_i, and each key
+    given as a plain ``Point``, with a width-4 table, all built in one
+    ``precompute`` call, and each cached key with its own width-7 table.
+    Every sum over these terms reads the tables: the check, and every
+    sum of a search.
     """
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
-    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N, point_neg(sig.R), public)
-            for (message, sig, public), w in zip(items, inverses)]
+    keys = [public for _, _, public in items]
+    plain = [i for i, key in enumerate(keys) if not isinstance(key, PrecomputedPoint)]
+    tables = precompute([point_neg(sig.R) for _, sig, _ in items] + [keys[i] for i in plain],
+                        CALL_WIDTH)
+    for i, table in zip(plain, tables[len(items):]):
+        keys[i] = table
+    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N, neg_r, key)
+            for (message, sig, _), w, neg_r, key in zip(items, inverses, tables, keys)]
 
 
-def _combination(terms: Sequence[tuple[int, int, Point, PublicKey]],
+def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPoint]],
                  weights: Sequence[int]) -> Point | None:
     """sum(weight_i * T_i) over ``_equation_terms``, as one ``multi_scalar_mul``.
 
-    The weights multiply the negated points -R_i as they are (rather than
-    n - weight_i multiplying R_i), so a short weight saves digits: each
-    -R_i gets the MSM's width-4 table whatever its scalar, and a 64-bit
-    weight recodes into about 13 wNAF digits there, n - weight_i into
-    about 29.  It saves doublings only in a sum of short terms; here the
-    256-bit key terms set the chain.  The u1 parts are summed into a
-    single G term for the fixed-base table.
+    Every base comes with the table ``_equation_terms`` gave it, so the
+    sum builds no table, and a search's sums rebuild none.  The weights
+    multiply the negated points -R_i as they are (rather than
+    n - weight_i multiplying R_i), so a short weight saves digits: a
+    64-bit weight recodes into about 13 wNAF digits on a width-4 table,
+    n - weight_i into about 29.  It saves doublings only in a sum of
+    short terms; here the 256-bit key terms set the chain.  The u1 parts
+    are summed into a single G term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0

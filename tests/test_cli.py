@@ -261,7 +261,8 @@ def test_bench_batch_reports_speedup(tmp_path, capsys):
     sizes = {int(r["batch_size"]) for r in rows}
     assert sizes == {5, 10, 15, 20, 25}
     schemes = {r["scheme"] for r in rows}
-    assert schemes == {"ecdsa", "ecdsa_star_batch"}
+    assert schemes == {"ecdsa", "ecdsa_star", "ecdsa_star_batch"}
+    assert "ecdsa* " in stdout and "over ecdsa*" in stdout
 
 
 def test_bench_has_no_target_or_devices(tmp_path):

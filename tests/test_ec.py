@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard import ec
-from cloneguard.ec import (_GEN_WIDTH, A, B, G, INFINITY, N, P, P256, DomainParams,
-                           InvalidPointError, Point, PrecomputedPoint, _gen_table,
+from cloneguard.ec import (_GEN_WIDTH, A, B, CALL_WIDTH, G, INFINITY, KEY_WIDTH, N, P, P256,
+                           DomainParams, InvalidPointError, Point, PrecomputedPoint, _gen_table,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
                            validate_curve_security, validate_public_key)
@@ -459,6 +459,34 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
     # A width-5 table of the right point is too short for a cached key.
     with pytest.raises(ValueError):
         PrecomputedPoint(G, _odd_multiple_tables([G], 5)[0])
+
+
+def test_precomputed_point_takes_its_width_from_its_table(monkeypatch):
+    rng = random.Random(53)
+    points = [random_point(rng), G]
+    for width in (CALL_WIDTH, KEY_WIDTH):
+        tables = _odd_multiple_tables(points, width)
+        for pre, point, table in zip(precompute(points, width), points, tables, strict=True):
+            assert (pre.point, pre.table, pre.width) == (point, table, width)
+    for width in (2, 3, 5, 6, 8):
+        with pytest.raises(ValueError):
+            PrecomputedPoint(G, _odd_multiple_tables([G], width)[0])
+        with pytest.raises(ValueError):
+            precompute([G], width)
+    # A width-4 base is read at width 4 with no table built, and sums like
+    # the plain point, which gets the same table inside the call.
+    q = random_point(rng)
+    (pre_q,) = precompute([q], CALL_WIDTH)
+    built = []
+
+    def counting(points, width, _original=ec._odd_multiple_tables):
+        built.append(len(points))
+        return _original(points, width)
+
+    monkeypatch.setattr(ec, "_odd_multiple_tables", counting)
+    for k in (1, 7, 2 ** 64 + 5, N - 1):
+        assert multi_scalar_mul([(k, pre_q), (k, G)]) == multi_scalar_mul([(k, q), (k, G)])
+    assert built == [1] * 4
 
 
 def test_precomputed_point_refuses_another_points_table():

@@ -24,8 +24,10 @@ LEDGER = {
                            "batch_inverse": 180, "to_affine": 400, "affine_additions": 10160},
     "proof_batch_clean": {"mixed_additions": 248, "doublings": 256,
                           "batch_inverse": 7, "to_affine": 0, "affine_additions": 918},
-    "proof_batch_forged": {"mixed_additions": 565, "doublings": 767,
-                           "batch_inverse": 14, "to_affine": 3, "affine_additions": 1835},
+    "proof_batch_forged": {"mixed_additions": 562, "doublings": 641,
+                           "batch_inverse": 15, "to_affine": 3, "affine_additions": 1851},
+    "verify_star_cached_key": {"mixed_additions": 52, "doublings": 128,
+                               "batch_inverse": 4, "to_affine": 0, "affine_additions": 19},
     "keygen_100": {"mixed_additions": 2500, "doublings": 0,
                    "batch_inverse": 0, "to_affine": 100, "affine_additions": 0},
 }
@@ -45,6 +47,13 @@ def test_operation_ledger_is_pinned():
     assert load_script().ledger() == LEDGER
     # The wrappers are gone once the counting ends.
     assert {name: getattr(ec, name) for name in originals} == originals
+
+
+def test_one_verification_runs_a_half_length_chain():
+    # verify_star's doubling chain follows scalars below 2^128, and its
+    # sum is infinity, which needs no conversion to affine.
+    assert LEDGER["verify_star_cached_key"]["doublings"] <= 128
+    assert LEDGER["verify_star_cached_key"]["to_affine"] == 0
 
 
 def test_ledger_counts_only_operations_on_a_finite_accumulator():

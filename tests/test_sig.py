@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloneguard import sig as sigmod
+from cloneguard import ec, sig as sigmod
 from cloneguard.ec import G, INFINITY, N, P, Point, precompute, scalar_mul
 from cloneguard.sig import (SIGNATURE_BYTES, PUBLIC_KEY_BYTES, KeyPair, Signature,
                             StarSignature, batch_verify, generate_keypair,
@@ -97,6 +97,65 @@ def test_verify_rejects_degenerate_inputs():
     negated = Point(star.R.x, (-star.R.y) % P)
     assert not verify_star(message, StarSignature(R=negated, s=star.s), keypair.public)
     assert not verify_star(message, star, INFINITY)
+
+
+# --- verify_star on half-length scalars ---
+
+HALF = 2 ** 128
+
+
+def _assert_half_length(u2):
+    v, a = sigmod._half_length(u2)
+    assert (a - v * u2) % N == 0
+    assert 0 < v < HALF and 0 < abs(a) < HALF
+    return a
+
+
+@pytest.mark.parametrize("u2, positive", [(1, True), (HALF - 1, True), (HALF, False),
+                                          (N - 1, False)])
+def test_half_length_reduction_at_its_edges(u2, positive):
+    # 1 and 2^128 - 1 are short already; 2^128 takes one step to
+    # n mod 2^128 with v = n // 2^128, and n - 1 one step to a = -1.
+    assert (_assert_half_length(u2) > 0) == positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=N - 1))
+def test_half_length_reduction_bounds(u2):
+    _assert_half_length(u2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=N - 1), st.binary(max_size=32),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_half_length_verify_star_agrees_with_the_full_length_equation(private, message, seed):
+    rng = random.Random(seed)
+    public = scalar_mul(private, G)
+    (cached,) = precompute([public])
+    star = sign(message, private, rng)
+    for signed in (message, message + b"!"):
+        for variant in _tampered(star):
+            for key in (public, cached):
+                full = (sigmod._well_formed(variant, key)
+                        and sigmod._nonce_point(signed, variant.R.x % N, variant.s, key)
+                        == variant.R)
+                assert verify_star(signed, variant, key) == full
+    assert verify_star(message, star, cached)
+
+
+def test_verify_star_takes_both_signs_of_a(monkeypatch):
+    signs = []
+
+    def recording(u2, _original=sigmod._half_length):
+        v, a = _original(u2)
+        signs.append(a > 0)
+        return v, a
+
+    monkeypatch.setattr(sigmod, "_half_length", recording)
+    for message, star, public in make_items(random.Random(12), 12):
+        assert verify_star(message, star, public)
+        assert not verify_star(message + b"!", star, public)
+    assert set(signs) == {True, False}
 
 
 def test_batch_singleton_agrees_with_individual():
@@ -370,6 +429,47 @@ def test_a_failed_batch_is_searched_under_the_checks_own_randomizers(monkeypatch
     # Exactly n randomizers were drawn: the check's, and no fresh ones.
     sigmod._randomizers(size, alone)
     assert rng.getstate() == alone.getstate()
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_a_forged_batch_builds_its_r_tables_once(monkeypatch, count, cached):
+    # Counts, not timings: the check and its search build the -R_i
+    # tables, and those of plain keys, in one call at width 4, however
+    # many sums read them; cached keys bring their own.  verify_star
+    # builds its own R's table.
+    items, _ = _bisect_pool()
+    keys = (precompute([public for _, _, public in items]) if cached
+            else [public for _, _, public in items])
+    bad = _placements(25, count)[2] if count > 1 else (9,)
+    batch = [((_invalid(i, "other_key") if i in bad else items[i])[:2]) + (key,)
+             for i, key in enumerate(keys)]
+    inside = []  # non-empty while verify_star runs
+    built, sums = [], []
+
+    def tables(points, width, _original=ec._odd_multiple_tables):
+        if not inside:
+            built.append((len(points), width))
+        return _original(points, width)
+
+    def star(*args, _original=sigmod.verify_star):
+        inside.append(True)
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+
+    def msm(pairs, _original=sigmod.multi_scalar_mul):
+        if not inside:
+            sums.append(len(pairs))
+        return _original(pairs)
+
+    monkeypatch.setattr(ec, "_odd_multiple_tables", tables)
+    monkeypatch.setattr(sigmod, "verify_star", star)
+    monkeypatch.setattr(sigmod, "multi_scalar_mul", msm)
+    assert verify_batch(batch, random.Random(count)) == [i not in bad for i in range(25)]
+    assert built == [(25 if cached else 50, sigmod.CALL_WIDTH)]
+    assert len(sums) >= 2 + (count > 1), sums  # the check, S2, and half sums for k > 1
 
 
 @pytest.mark.parametrize("valid", range(1, sigmod.SCAN_SIZE + 1))

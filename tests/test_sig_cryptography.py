@@ -1,8 +1,10 @@
 """ECDSA over P-256 with SHA-256, checked against the ``cryptography`` package.
 
 Signatures made here must verify there and vice versa; a signature over
-one message must be refused for another on both sides.  Skipped when
-``cryptography`` is not installed.
+one message must be refused for another on both sides.  ``verify_star``,
+which checks the full nonce point on half-length scalars, is checked on
+``cryptography``'s signatures through the points their r can name.
+Skipped when ``cryptography`` is not installed.
 """
 
 import random
@@ -15,8 +17,9 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature, encode_dss_signature)
 
-from cloneguard.ec import Point
-from cloneguard.sig import Signature, generate_keypair, sign, verify_classic
+from cloneguard.ec import N, P, Point, precompute
+from cloneguard.sig import (Signature, StarSignature, generate_keypair, point_from_bytes, sign,
+                            verify_classic, verify_star)
 
 KEYS = 20
 ECDSA_SHA256 = crypto_ec.ECDSA(hashes.SHA256())
@@ -53,3 +56,30 @@ def test_cryptography_signatures_pass_verify_classic():
         r, s = decode_dss_signature(theirs.sign(message, ECDSA_SHA256))
         assert verify_classic(message, Signature(r=r, s=s), ours.public)
         assert not verify_classic(message + b"!", Signature(r=r, s=s), ours.public)
+
+
+def nonce_candidates(r):
+    """Every curve point whose x is r or r + n (when below p), with either parity."""
+    for x in (r, r + N):
+        if x >= P:
+            continue
+        for prefix in (2, 3):
+            try:
+                yield point_from_bytes(bytes([prefix]) + x.to_bytes(32, "big"))
+            except ValueError:
+                continue  # x is not an x coordinate on the curve
+
+
+def test_cryptography_signatures_pass_verify_star_for_exactly_one_nonce_point():
+    for rng, ours, theirs in key_pairs():
+        message = rng.randbytes(rng.randrange(1, 80))
+        r, s = decode_dss_signature(theirs.sign(message, ECDSA_SHA256))
+        candidates = list(nonce_candidates(r))
+        assert len(candidates) >= 2
+        changed = bytearray(message)
+        changed[rng.randrange(len(changed))] ^= 1 + rng.randrange(255)
+        for key in (ours.public, *precompute([ours.public])):
+            accepted = [R for R in candidates if verify_star(message, StarSignature(R, s), key)]
+            assert len(accepted) == 1
+            assert not any(verify_star(bytes(changed), StarSignature(R, s), key)
+                           for R in candidates)

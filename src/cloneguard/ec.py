@@ -26,8 +26,8 @@ one field inversion (Montgomery's simultaneous inversion, Math. Comp.
 multiplications with reduction, against eleven for a mixed addition,
 and the reduction of a 512-bit product is most of a multiplication's
 cost.  A level runs only when it has enough pairs to pay for its
-inversion, which a sum with at most one term off G (signing, a single
-verification) never has, so such a sum skips the stage; a clean
+inversion, which a sum with at most one term off G (signing, key
+generation) never has, so such a sum skips the stage; a clean
 25-signature batch's sum goes from 1,166 mixed additions to 248 and 918
 affine ones.
 
@@ -428,6 +428,16 @@ class PrecomputedPoint:
         """The table's wNAF width: 4 or 7."""
         return len(self.table).bit_length()
 
+    @classmethod
+    def _built(cls, point: Point, table: tuple[int, ...]) -> "PrecomputedPoint":
+        # For precompute, which has checked the point and built the table
+        # from it: the checks of __post_init__ would repeat, at about a
+        # microsecond per point, on every -R_i of every batch check.
+        pre = object.__new__(cls)
+        object.__setattr__(pre, "point", point)
+        object.__setattr__(pre, "table", table)
+        return pre
+
 
 def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedPoint]:
     """Tables for many finite on-curve points, at ``KEY_WIDTH`` or ``CALL_WIDTH``.
@@ -440,7 +450,7 @@ def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedP
     for point in points:
         _require_finite(point)
     tables = _odd_multiple_tables(points, width)
-    return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
+    return [PrecomputedPoint._built(point, table) for point, table in zip(points, tables)]
 
 
 def multi_scalar_mul(pairs) -> Point | None:
@@ -454,8 +464,8 @@ def multi_scalar_mul(pairs) -> Point | None:
     nothing is built for it; every plain ``Point`` base gets a width-4
     table built here, whatever its scalar's length, all of them in one
     ``precompute`` call of three affine rounds, each sharing one
-    inversion across every table.  A batch check's sum, whose -R_i come
-    with their tables and whose keys are cached, builds none.  The
+    inversion across every table.  A batch check's sum, whose bases all
+    come with their tables from ``sig``, builds none.  The
     digits are sorted into one bucket of affine points per bit position.
     Terms whose base is the plain ``Point`` G have their scalars summed,
     and that multiple's fixed-base entries (width-11 rows), at most 26,

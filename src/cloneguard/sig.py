@@ -17,7 +17,9 @@ and a second one weighted also by each item's index.  If the batch holds
 one invalid item b, the second sum is b + 1 times the first, so one
 forgery costs the failed check, the second sum and one individual check
 wherever it sits.  Otherwise the search bisects, taking a right half's
-sums as the parent's minus the left half's.
+sums as the parent's minus the left half's.  A single ``verify_star``
+tests its equation on scalars of half the length (Antipa et al., SAC
+2005), which halves its doubling chain.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table; the
@@ -289,13 +291,13 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 
 # A failed set of at most this many items whose index-weighted sums name
 # no lone invalid item is checked item by item rather than split.  A
-# ``verify_star`` on a cached key took 1.78 ms and a sum over 2, 4 and 6
-# items 1.08, 1.36 and 1.8 times that (2 CPUs, CPython 3.11).  A model
+# ``verify_star`` on a cached key took 0.75 ms and a sum over 2, 4 and 6
+# items 1.55, 1.98 and 2.42 times that (2 CPUs, CPython 3.11).  A model
 # with those costs, over every placement of two forgeries among 25 and
-# 150 random placements of three and of four, has its lowest worst case
-# for two and three at 4 (or 5, a size no set of 25 splits into), and
-# every mean within 0.1% of its lowest.  At most 6, so one invalid item
-# among n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.
+# 150 random placements of three and of four, still has its lowest worst
+# case for every k at 4 (or 5, a size no set of 25 splits into), and its
+# lowest mean for every k there too.  At most 6, so one invalid item among
+# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.
 SCAN_SIZE = 4
 
 
@@ -354,7 +356,12 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     ``SCAN_SIZE``, a failed batch costs 1 + n.  A malformed item costs no
     multiplication of its own: the check runs over the well-formed items
     alone, and the search only if it fails, so one malformed item beside
-    at most ``SCAN_SIZE`` valid ones costs 1.
+    at most ``SCAN_SIZE`` valid ones costs 1.  No sum builds a table:
+    ``_equation_terms`` builds the -R_i tables, and those of plain keys,
+    once, before the check, and S2 and every half sum read them.  In
+    time the calls differ: on cached keys a ``verify_star``, a
+    half-length sum, took 0.75 ms, a sum over 2 items 1.55 times that
+    and one over 25 about 6 times (2 CPUs, CPython 3.11).
 
     Soundness: every ``False`` is an individual check that failed, so no
     valid item is ever flagged.  The lambda_i are drawn once, by the check,

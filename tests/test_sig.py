@@ -468,7 +468,7 @@ def test_a_forged_batch_builds_its_r_tables_once(monkeypatch, count, cached):
     monkeypatch.setattr(sigmod, "verify_star", star)
     monkeypatch.setattr(sigmod, "multi_scalar_mul", msm)
     assert verify_batch(batch, random.Random(count)) == [i not in bad for i in range(25)]
-    assert built == [(25 if cached else 50, sigmod.CALL_WIDTH)]
+    assert built == [(25 if cached else 50, ec.CALL_WIDTH)]
     assert len(sums) >= 2 + (count > 1), sums  # the check, S2, and half sums for k > 1
 
 

@@ -4,15 +4,15 @@
     python3 scripts/bench_snapshot.py --out BENCH_17.json --seeds 1-10 \\
         --held-out 1000 --seconds 30 --checkout parent=../parent --checkout change=.
 
-For every workload and seed, each checkout's ``perfbench/run.py`` runs
-``--pairs`` times as an untraced subprocess, and ``HELD_OUT_PAIRS``
-times (or ``--pairs``, if more) for each ``--held-out`` seed.  The
-checkouts alternate, and the one that goes first swaps from pair to
-pair, so the host's drift falls on every side alike.  The last line a
-run prints is its JSON result.  A run that exits non-zero, prints no
-JSON line or reports ``correct: false`` stops the script before it
-writes anything, and so do a checkout name given twice and an empty
-seed range such as ``5-1``.
+For every workload (by default, each one ``BENCHMARK.json`` names) and
+seed, each checkout's ``perfbench/run.py`` runs ``--pairs`` times as an
+untraced subprocess, and ``HELD_OUT_PAIRS`` times (or ``--pairs``, if
+more) for each ``--held-out`` seed.  The checkouts alternate, and the
+one that goes first swaps from pair to pair, so the host's drift falls
+on every side alike.  The last line a run prints is its JSON result.
+A run that exits non-zero, prints no JSON line or reports
+``correct: false`` stops the script before it writes anything, and so
+do a checkout name given twice and an empty seed range such as ``5-1``.
 
 The snapshot holds, per checkout and workload, each end-to-end metric's
 median, quartiles and run count, and its values in run order: seed by
@@ -47,7 +47,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("dense-rounds", "sparse-seeds", "proof-mix")
 HELD_OUT_PAIRS = 3
 REPO = Path(__file__).resolve().parent.parent
 
@@ -128,11 +127,13 @@ def compare(first: list[float], second: list[float], better: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--checkout", type=parse_checkout, action="append", required=True,
                         help="NAME=PATH of a source checkout; repeat to compare")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--workloads",
+                        default=",".join(w["name"] for w in benchmark["workloads"]))
     parser.add_argument("--seeds", type=parse_seeds, default=[1])
     parser.add_argument("--held-out", type=parse_seeds, default=[],
                         help=f"seeds run max(--pairs, {HELD_OUT_PAIRS}) pairs each, "
@@ -183,8 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if len(names) == 2:
         first, second = names
-        better = {m["name"]: m["better"] for m in
-                  json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
         snapshot["comparison"] = {
             "first": first, "second": second,
             "ledger_equal": (snapshot["checkouts"][first]["ledger"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -25,9 +26,6 @@ from . import sig as sigmod
 from .sim import ConfigError, NetworkConfig, run_experiment
 
 BATCH_SWEEP_SIZES = (5, 10, 15, 20, 25)
-# The values a sweep axis takes when neither its flag nor the config file sets it.
-SWEEP_DEFAULTS = {"num_devices": "100,200,300,400,500", "environment": "sparse",
-                  "batch_size": "25"}
 
 
 class ConfigFileError(ValueError):
@@ -38,11 +36,41 @@ def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
+_parse_int.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+
+
 # Config-file keys are NetworkConfig's fields, parsed by their annotated
 # type; an ``int | None`` field takes an int, since None is only a default.
 _PARSER_BY_HINT = {int: _parse_int, int | None: _parse_int, float: float, str: str}
 _FIELD_PARSERS = {name: _PARSER_BY_HINT[hint]
                   for name, hint in typing.get_type_hints(NetworkConfig).items()}
+
+
+class ConfigFlag(typing.NamedTuple):
+    """A ``NetworkConfig`` field's flag, and its values as a ``sweep`` axis."""
+
+    field: str
+    flag: str
+    help: str | None = None
+    # A sweep axis's values when neither its flag nor the config file sets
+    # it, and the prefix of its value in a cell's label; () for no axis.
+    axis: tuple = ()
+    label: str = ""
+
+
+# The one place that names a config flag.  ``run`` takes each flag as one
+# value; ``sweep`` takes an axis's flag as a comma-separated list and runs
+# the product of its axes in this order, the last one innermost.
+CONFIG_FLAGS = (
+    ConfigFlag("seed", "--seed", "master seed (reps use seed + rep)"),
+    ConfigFlag("num_provers", "--provers"),
+    ConfigFlag("num_verifiers", "--verifiers"),
+    ConfigFlag("num_clones", "--clones"),
+    ConfigFlag("rounds", "--rounds"),
+    ConfigFlag("num_devices", "--devices", axis=(100, 200, 300, 400, 500), label="n"),
+    ConfigFlag("environment", "--env", axis=("sparse",)),
+    ConfigFlag("batch_size", "--batch-size", axis=(25,), label="b"),
+)
 
 
 def parse_config_file(path: str) -> dict:
@@ -77,13 +105,16 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, help="master seed (reps use seed + rep)")
-    sub.add_argument("--provers", type=int, dest="num_provers")
-    sub.add_argument("--verifiers", type=int, dest="num_verifiers")
-    sub.add_argument("--clones", type=int, dest="num_clones")
-    sub.add_argument("--rounds", type=int)
+    for row in CONFIG_FLAGS:
+        if sweep and row.axis:
+            sub.add_argument(row.flag, dest=f"{row.field}_list",
+                             help=f"comma-separated {row.field} values (default: the config "
+                                  f"file's {row.field}, else {','.join(map(str, row.axis))})")
+        else:
+            sub.add_argument(row.flag, type=_FIELD_PARSERS[row.field], dest=row.field,
+                             help=row.help)
     sub.add_argument("--out", default="out", help="output directory (default: ./out)")
     sub.add_argument("--reps", type=int, default=1,
                      help="repetitions with derived seeds (default: 1)")
@@ -96,10 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run a detection experiment")
-    _add_common_flags(run)
-    run.add_argument("--devices", type=int, dest="num_devices")
-    run.add_argument("--env", choices=("sparse", "dense"), dest="environment")
-    run.add_argument("--batch-size", type=int, dest="batch_size")
+    _add_common_flags(run, sweep=False)
 
     bench = commands.add_parser(
         "bench", help="time batch verification against one-by-one ECDSA")
@@ -108,16 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="out")
 
     sweep = commands.add_parser("sweep", help="grid of runs across scales")
-    _add_common_flags(sweep)
-    sweep.add_argument("--devices", dest="num_devices_list",
-                       help="comma-separated device counts (default: the config file's "
-                            f"num_devices, else {SWEEP_DEFAULTS['num_devices']})")
-    sweep.add_argument("--env", dest="environment_list",
-                       help="comma-separated environments (default: the config file's "
-                            f"environment, else {SWEEP_DEFAULTS['environment']})")
-    sweep.add_argument("--batch-size", dest="batch_size_list",
-                       help="comma-separated proof batch sizes (default: the config file's "
-                            f"batch_size, else {SWEEP_DEFAULTS['batch_size']})")
+    _add_common_flags(sweep, sweep=True)
 
     return parser
 
@@ -172,6 +191,13 @@ def check_report_invariants(report: met.SimulationReport) -> list[str]:
     return problems
 
 
+def _report_invariants(problems: list[str]) -> int:
+    """Name each violated invariant on stderr; the exit code, 1 if there is one."""
+    for problem in problems:
+        print(f"invariant violated: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def _print_report_line(label: str, report: met.SimulationReport) -> None:
     print(f"{label}: seed={report.seed} detection={report.detection_probability:.3f} "
           f"flagged={len(report.detections)} false_positives={report.false_positives} "
@@ -212,27 +238,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _writing(path):
         met.write_storage_csv(path, reports[0])
 
-    problems = [p for report in reports for p in check_report_invariants(report)]
-    if problems:
-        for problem in problems:
-            print(f"invariant violated: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_invariants(
+        [p for report in reports for p in check_report_invariants(report)])
 
 
-def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
+def _bench_batch(out_dir: str, reps: int, seed: int) -> None:
     """Time one-by-one verification, classic and ECDSA*, against star batches.
 
-    Returns the batch's speedup over the classic loop at the largest swept
-    batch size (median over reps).  Each size prints both loops, the
-    batch, and the batch's speedup over each loop; the one-by-one ECDSA*
-    loop (``verify_star``) is acceptance criterion 2's baseline.
+    Each size prints the median time of both loops and of the batch, and
+    the batch's speedup over each loop; the one-by-one ECDSA* loop
+    (``verify_star``) is acceptance criterion 2's baseline.
     """
     rng = random.Random(seed)
+    schemes = {
+        "ecdsa": lambda items: all(sigmod.verify_classic(message, sig.to_classic(), public)
+                                   for message, sig, public in items),
+        "ecdsa_star": lambda items: all(sigmod.verify_star(message, sig, public)
+                                        for message, sig, public in items),
+        "ecdsa_star_batch": lambda items: sigmod.batch_verify(items, rng),
+    }
     rows = []
-    speedups: dict[int, float] = {}
     for size in BATCH_SWEEP_SIZES:
-        times: dict[str, list[float]] = {"ecdsa": [], "ecdsa_star": [], "ecdsa_star_batch": []}
+        times: dict[str, list[float]] = {scheme: [] for scheme in schemes}
         for rep in range(reps):
             items = []
             for i in range(size):
@@ -240,36 +267,20 @@ def _bench_batch(out_dir: str, reps: int, seed: int) -> float:
                 message = f"bench-batch-{size}-{rep}-{i}".encode()
                 items.append((message, sigmod.sign(message, keypair.private, rng),
                               keypair.public))
-
-            start = time.perf_counter()
-            for message, star, public in items:
-                if not sigmod.verify_classic(message, star.to_classic(), public):
-                    raise AssertionError("benchmark signature failed to verify")
-            times["ecdsa"].append(time.perf_counter() - start)
-
-            start = time.perf_counter()
-            for message, star, public in items:
-                if not sigmod.verify_star(message, star, public):
-                    raise AssertionError("benchmark signature failed to verify")
-            times["ecdsa_star"].append(time.perf_counter() - start)
-
-            start = time.perf_counter()
-            if not sigmod.batch_verify(items, rng):
-                raise AssertionError("benchmark batch failed to verify")
-            times["ecdsa_star_batch"].append(time.perf_counter() - start)
-
-            rows += [(size, scheme, rep, values[-1]) for scheme, values in times.items()]
-        medians = {scheme: statistics.median(values) for scheme, values in times.items()}
-        batch = medians["ecdsa_star_batch"]
-        speedups[size] = medians["ecdsa"] / batch
-        print(f"batch size {size:2d}: ecdsa {medians['ecdsa'] * 1e3:8.3f} ms, "
-              f"ecdsa* {medians['ecdsa_star'] * 1e3:8.3f} ms, "
+            for scheme, verify in schemes.items():
+                start = time.perf_counter()
+                if not verify(items):
+                    raise AssertionError(f"benchmark {scheme} failed to verify")
+                times[scheme].append(time.perf_counter() - start)
+                rows.append((size, scheme, rep, times[scheme][-1]))
+        classic, star, batch = (statistics.median(values) for values in times.values())
+        print(f"batch size {size:2d}: ecdsa {classic * 1e3:8.3f} ms, "
+              f"ecdsa* {star * 1e3:8.3f} ms, "
               f"ecdsa* batch {batch * 1e3:8.3f} ms, "
-              f"speedup {speedups[size]:.2f}x (over ecdsa* {medians['ecdsa_star'] / batch:.2f}x)")
+              f"speedup {classic / batch:.2f}x (over ecdsa* {star / batch:.2f}x)")
     path = os.path.join(out_dir, "batch_timing.csv")
     with _writing(path):
         met.write_batch_timing_csv(path, rows)
-    return speedups[max(BATCH_SWEEP_SIZES)]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -291,44 +302,36 @@ def _parse_list(text: str, parse, flag: str) -> list:
     return values
 
 
-def _sweep_axis(args: argparse.Namespace, base: dict, flag: str, field: str, parse) -> list:
+def _sweep_axis(args: argparse.Namespace, base: dict, row: ConfigFlag) -> list:
     """An axis's values: its flag's list, else the config file's one value, else the default."""
-    text = getattr(args, f"{field}_list")
-    if text is None:
-        if field in base:
-            return [base[field]]
-        text = SWEEP_DEFAULTS[field]
-    return _parse_list(text, parse, flag)
+    text = getattr(args, f"{row.field}_list")
+    if text is not None:
+        return _parse_list(text, _FIELD_PARSERS[row.field], row.flag)
+    return [base[row.field]] if row.field in base else list(row.axis)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_positive("--reps", args.reps)
     base = _gather_overrides(args)
-    devices_list = _sweep_axis(args, base, "--devices", "num_devices", _parse_int)
-    env_list = _sweep_axis(args, base, "--env", "environment", str)
-    batch_list = _sweep_axis(args, base, "--batch-size", "batch_size", _parse_int)
-    if not devices_list or not env_list or not batch_list:
+    axes = [row for row in CONFIG_FLAGS if row.axis]
+    axis_values = [_sweep_axis(args, base, row) for row in axes]
+    if not all(axis_values):
         raise ConfigFileError("sweep axes must be non-empty")
 
     # Build and validate the whole grid up front: an unreachable cell is
     # an error, never a silent skip.
     cells = []
     problems = []
-    for n in devices_list:
-        for env in env_list:
-            for batch_size in batch_list:
-                cell_values = dict(base)
-                cell_values["num_devices"] = n
-                cell_values["environment"] = env
-                cell_values["batch_size"] = batch_size
-                label = f"n{n}_{env}_b{batch_size}"
-                try:
-                    config = NetworkConfig(**cell_values)
-                    config.validate()
-                except (ConfigError, TypeError) as exc:
-                    problems.append(f"cell {label}: {exc}")
-                    continue
-                cells.append((label, config))
+    for values in itertools.product(*axis_values):
+        cell = {row.field: value for row, value in zip(axes, values)}
+        label = "_".join(f"{row.label}{value}" for row, value in zip(axes, values))
+        try:
+            config = NetworkConfig(**{**base, **cell})
+            config.validate()
+        except (ConfigError, TypeError) as exc:
+            problems.append(f"cell {label}: {exc}")
+            continue
+        cells.append((label, config))
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -345,9 +348,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"cell {label}: {p}" for p in check_report_invariants(report))
             summary_cells.append({
                 "cell": label,
-                "num_devices": report.config["num_devices"],
-                "environment": report.config["environment"],
-                "batch_size": report.config["batch_size"],
+                **{row.field: report.config[row.field] for row in axes},
                 "seed": report.seed,
                 "detection_probability": report.detection_probability,
                 "false_positives": report.false_positives,
@@ -365,12 +366,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _writing(path):
         met.atomic_write_text(
             path, json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-
-    if invariant_problems:
-        for problem in invariant_problems:
-            print(f"invariant violated: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_invariants(invariant_problems)
 
 
 def main(argv=None) -> int:

@@ -347,8 +347,8 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
     Only the positive half is stored: an odd wNAF digit d reads x at
     index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
-    Each caller builds one width: 11 for a generator row, and 7 or 4
-    for ``precompute``.
+    Each caller builds one width: 11 for a generator row, 7 or 4 for
+    ``precompute``, and 4 for ``multi_scalar_mul``'s plain bases.
 
     All the tables grow together in affine rounds.  Round 1 doubles each
     P.  Round i > 1 adds D = 2^(i-1)P to each odd multiple found so far,
@@ -463,8 +463,8 @@ def multi_scalar_mul(pairs) -> Point | None:
     ``PrecomputedPoint`` base brings its table, of width 7 or 4, and
     nothing is built for it; every plain ``Point`` base gets a width-4
     table built here, whatever its scalar's length, all of them in one
-    ``precompute`` call of three affine rounds, each sharing one
-    inversion across every table.  A batch check's sum, whose bases all
+    ``_odd_multiple_tables`` call of three affine rounds, each sharing
+    one inversion across every table.  A batch check's sum, whose bases all
     come with their tables from ``sig``, builds none.  The
     digits are sorted into one bucket of affine points per bit position.
     Terms whose base is the plain ``Point`` G have their scalars summed,
@@ -504,12 +504,12 @@ def multi_scalar_mul(pairs) -> Point | None:
         if table is None:
             fresh.append(base)
         terms.append((k, width, table))
-    built = iter(precompute(fresh, CALL_WIDTH) if fresh else ())
+    built = iter(_odd_multiple_tables(fresh, CALL_WIDTH) if fresh else ())
     adds: list[list[tuple[int, int]]] = [
         [] for _ in range(max((k.bit_length() for k, _, _ in terms), default=0) + 1)]
     for k, width, table in terms:
         if table is None:
-            table = next(built).table
+            table = next(built)
         for position, d in _wnaf(k, width):
             if d > 0:
                 adds[position].append((table[d - 1], table[d]))
@@ -722,11 +722,14 @@ def _is_probable_prime(m: int) -> bool:
     return True
 
 
-def validate_curve_security(params: DomainParams, embedding_bound: int = 100) -> list[SecurityCheck]:
+EMBEDDING_BOUND = 100  # validate_curve_security's embedding-degree check
+
+
+def validate_curve_security(params: DomainParams) -> list[SecurityCheck]:
     """Run the standard structural checks against a parameter set.
 
     Checks: the curve is not anomalous (n != p), the embedding degree is
-    above ``embedding_bound`` (p^k mod n != 1 for 1 <= k <= bound), the
+    above ``EMBEDDING_BOUND`` (p^k mod n != 1 for 1 <= k <= bound), the
     cofactor is 1, and the group order is probably prime.
     """
     checks = []
@@ -738,7 +741,7 @@ def validate_curve_security(params: DomainParams, embedding_bound: int = 100) ->
     ))
 
     failing_k = 0
-    for k in range(1, embedding_bound + 1):
+    for k in range(1, EMBEDDING_BOUND + 1):
         if pow(params.p, k, params.n) == 1:
             failing_k = k
             break
@@ -746,7 +749,7 @@ def validate_curve_security(params: DomainParams, embedding_bound: int = 100) ->
         name="embedding_degree",
         passed=failing_k == 0,
         detail=(f"p^{failing_k} = 1 mod n" if failing_k
-                else f"p^k != 1 mod n for k <= {embedding_bound}"),
+                else f"p^k != 1 mod n for k <= {EMBEDDING_BOUND}"),
     ))
 
     checks.append(SecurityCheck(

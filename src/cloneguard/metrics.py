@@ -183,13 +183,17 @@ class SimulationReport:
                           separators=(",", ":")) + "\n"
 
 
-def complexity_summary(reports: Sequence[SimulationReport],
-                       ratio_bound: float = 1.5) -> dict:
+# complexity_summary calls traffic linear while the largest
+# messages-per-device over the smallest stays within this ratio.
+RATIO_BOUND = 1.5
+
+
+def complexity_summary(reports: Sequence[SimulationReport]) -> dict:
     """Judge how total traffic scales with the device count.
 
     Needs runs at three or more distinct device counts; with fewer the
     verdict is "inconclusive".  Traffic is called linear when the spread
-    of messages-per-device across the runs stays within ``ratio_bound``.
+    of messages-per-device across the runs stays within ``RATIO_BOUND``.
     Per-verifier tracked state is compared against sqrt(N).
     """
     by_n: dict[int, list[SimulationReport]] = {}
@@ -207,10 +211,10 @@ def complexity_summary(reports: Sequence[SimulationReport],
         tracked_over_sqrt[n] = tracked / (n ** 0.5)
     ratio = max(per_device.values()) / min(per_device.values())
     return {
-        "verdict": "linear" if ratio <= ratio_bound else "superlinear",
+        "verdict": "linear" if ratio <= RATIO_BOUND else "superlinear",
         "messages_per_device": per_device,
         "per_device_ratio": ratio,
-        "ratio_bound": ratio_bound,
+        "ratio_bound": RATIO_BOUND,
         "tracked_provers_over_sqrt_n": tracked_over_sqrt,
         "tracked_within_sqrt_n": max(tracked_over_sqrt.values()) <= 1.0,
     }

@@ -243,6 +243,18 @@ def test_run_invalid_combo_is_exit_2(tmp_path, capsys):
     assert "num_clones" in err
 
 
+def test_run_flags_parse_like_config_values(tmp_path, capsys):
+    # One parser per field for flags and files alike: 0x prefixes, and an
+    # unknown environment fails validation before anything is written.
+    args = build_parser().parse_args(["run", "--seed", "0x10", "--devices", "200"])
+    assert (args.seed, args.num_devices) == (16, 200)
+    out = tmp_path / "out"
+    assert main(["run", "--env", "wet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: environment ('wet') must be 'sparse' or 'dense'\n")
+    assert not out.exists()
+
+
 def test_run_unknown_flag_is_exit_2(tmp_path):
     assert main(["run", "--warp", "9"]) == 2
 
@@ -298,6 +310,22 @@ def test_reproduce_script_sends_only_argvs_the_cli_accepts(tmp_path, monkeypatch
     assert sent == ["run", "run", "bench", "sweep"]
 
 
+def test_readme_cli_lines_parse():
+    # Every command the README shows, in any shell block, is one the CLI
+    # accepts: a flag dropped or renamed in the parser fails here.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.split()[1:] for block in blocks for line in block.splitlines()
+             if line.startswith("cloneguard ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"cloneguard rejects the README's {argv}")
+
+
 # --- sweep ---
 
 
@@ -313,6 +341,24 @@ def test_sweep_single_cell(tmp_path):
     assert summary["complexity"]["verdict"] == "inconclusive"
     assert (out / "n100_sparse_b25" / "report_n100_sparse_b25_rep0.json").exists()
     assert (out / "detection.csv").exists()
+
+
+def test_sweep_grid_order_labels_and_axis_fields(tmp_path):
+    # Devices vary slowest and batch size fastest, and each cell's label,
+    # directory and summary fields name its three axis values.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--devices", "100,200", "--env", "sparse,dense",
+                 "--batch-size", "10,25", "--rounds", "1", "--out", str(out)]) == 0
+    grid = [(n, env, b) for n in (100, 200) for env in ("sparse", "dense") for b in (10, 25)]
+    labels = [f"n{n}_{env}_b{b}" for n, env, b in grid]
+    assert labels[:3] == ["n100_sparse_b10", "n100_sparse_b25", "n100_dense_b10"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [cell["cell"] for cell in summary["cells"]] == labels
+    assert [(cell["num_devices"], cell["environment"], cell["batch_size"])
+            for cell in summary["cells"]] == grid
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(labels)
+    for label in labels:
+        assert [p.name for p in (out / label).iterdir()] == [f"report_{label}_rep0.json"]
 
 
 def test_sweep_rejects_unreachable_cell_upfront(tmp_path, capsys):

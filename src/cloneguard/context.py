@@ -192,11 +192,9 @@ def generate_proof(ci: ContextInformation, private: int, rng: random.Random,
 
 
 class LbsStore:
-    """The location store: registered keys, latest context, latest proof.
+    """The location store: registered keys and the latest context per device.
 
-    Context records follow last-write-wins per device id; proofs keep a
-    first-come-first-served queue of depth one per device id (the latest
-    accepted proof replaces the previous one).
+    Context records follow last-write-wins per device id.
 
     Next to each registered key the store keeps, once that key has been
     verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
@@ -204,17 +202,15 @@ class LbsStore:
     large), which every later verification under that key reuses.  The
     keys missing from one call are built together by one
     ``ec.precompute`` call, whose rounds each share one field inversion
-    across all of them.  Registering a key drops
-    the id's table, so keys must change through ``register_public_key``.
-    The tables are a verifier-side cache and not part of
-    ``storage_bytes``.
+    across all of them.  Registering a key drops the id's table, so keys
+    must change through ``register_public_key``.  The tables are a
+    verifier-side cache.
     """
 
     def __init__(self) -> None:
         self.contexts: dict[int, ContextInformation] = {}
         self.public_keys: dict[int, Point] = {}
         self.key_tables: dict[int, PrecomputedPoint] = {}
-        self.proofs: dict[int, LocationProof] = {}
 
     def register_public_key(self, device_id: int, public: Point) -> None:
         self.public_keys[device_id] = public
@@ -241,17 +237,6 @@ class LbsStore:
 
     def get_context(self, device_id: int) -> ContextInformation | None:
         return self.contexts.get(device_id)
-
-    def store_proof(self, proof: LocationProof) -> None:
-        self.proofs[proof.prover_id] = proof
-
-    def context_bytes(self) -> int:
-        return CI_WIRE_BYTES * len(self.contexts)
-
-    def storage_bytes(self) -> int:
-        return (self.context_bytes()
-                + sigmod.PUBLIC_KEY_BYTES * len(self.public_keys)
-                + PROOF_WIRE_BYTES * len(self.proofs))
 
 
 @dataclass(frozen=True)

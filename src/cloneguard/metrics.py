@@ -45,8 +45,8 @@ DEVICE_STORAGE_BYTES = DEVICE_CI_BYTES + DEVICE_PRIVATE_KEY_BYTES + DEVICE_PUBLI
 # bytes instead of its full 16-byte wire form.  Reports carry both
 # figures and a divergence flag rather than silently adopting either.
 QUOTED_DEVICE_BUDGET_BYTES = 73
-# Per tracked prover, a verifier keeps the id and its latest measured
-# distance.
+# Per tracked prover, a verifier is booked for the id and its latest
+# measured distance.  The figure is modelled: no verifier keeps that state.
 VERIFIER_TRACK_BYTES = 2 + 8
 
 # The storage figures every report carries for comparison.

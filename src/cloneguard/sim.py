@@ -347,7 +347,7 @@ def run_detection_round(state: SimulationState) -> RoundResult:
         requested_ms, presentations = _collect(state, assigned)
         verdicts = ctx.verify_proof_batch(presentations, state.lbs, state.rngs.stream("batch"),
                                           batch_size=state.config.batch_size)
-        _account(state, result, verifier, assigned, requested_ms, presentations, verdicts)
+        _account(state, result, verifier, assigned, requested_ms, verdicts)
     return result
 
 
@@ -378,15 +378,14 @@ def _collect(state: SimulationState, assigned: list[Node]
 
 def _account(state: SimulationState, result: RoundResult, verifier: Node,
              assigned: list[Node], requested_ms: list[float],
-             presentations: list[ctx.ProofPresentation], verdicts: list[ctx.Verdict]) -> None:
+             verdicts: list[ctx.Verdict]) -> None:
     """Record one verifier's verdicts: messages, detections, false positives and trust."""
     sink = state.sink
     zone = _zone(verifier.x, verifier.y)
-    for target, sent_ms, pres, verdict in zip(assigned, requested_ms, presentations, verdicts):
+    for target, sent_ms, verdict in zip(assigned, requested_ms, verdicts):
         result.verdicts[target.idx] = verdict
         if verdict is ctx.Verdict.CONFIRMED:
             sink.log(ROLE_VERIFIER, "verify_confirm")
-            state.lbs.store_proof(pres.proof)
             if target.role == ROLE_PROVER:
                 state.trust.record_interaction(target.device_id, verifier.device_id, zone, 1.0)
                 state.trust.record_feedback(target.device_id, verifier.device_id, 1.0)
@@ -409,6 +408,11 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
     clone-free baseline).  Trust is scored once, after the last round:
     the report carries each verifier's implicit, explicit and total
     confidence.
+
+    It also builds the storage table.  The ``lbs`` row counts the store's
+    contexts and registered keys, plus one wire proof for each device id
+    that any round confirmed; those proofs are counted from the
+    verdicts, not held.
     """
     state = init_network(config)
     cfg = state.config
@@ -417,13 +421,16 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
     first_detection: dict[int, met.DetectionRecord] = {}
     false_positives = 0
     verdict_counts: dict[str, int] = {v.value: 0 for v in ctx.Verdict}
+    confirmed: set[int] = set()
     for _ in range(cfg.rounds):
         if state.round_no > 0:
             mobility_step(state)
         result = run_detection_round(state)
         false_positives += result.false_positives
-        for verdict in result.verdicts.values():
+        for idx, verdict in result.verdicts.items():
             verdict_counts[verdict.value] += 1
+            if verdict is ctx.Verdict.CONFIRMED:
+                confirmed.add(state.nodes[idx].device_id)
         for rec in result.detections:
             first_detection.setdefault(rec.clone_idx, rec)
 
@@ -439,7 +446,9 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
                                          + tracked * met.VERIFIER_TRACK_BYTES),
         "clone": len(clones) * met.DEVICE_STORAGE_BYTES,
         "idle": idle * met.DEVICE_STORAGE_BYTES,
-        "lbs": state.lbs.storage_bytes(),
+        "lbs": (ctx.CI_WIRE_BYTES * len(state.lbs.contexts)
+                + sigmod.PUBLIC_KEY_BYTES * len(state.lbs.public_keys)
+                + ctx.PROOF_WIRE_BYTES * len(confirmed)),
         "verifier_tracked_provers": tracked,
     }
     confidence = state.trust.snapshot()

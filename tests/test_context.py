@@ -136,7 +136,6 @@ def test_lbs_store_one_entry_per_device():
     for device_id in range(100):
         lbs.store_context(sense_context(device_id, 0, (1.0, 1.0), "a"))
     assert len(lbs.contexts) == 100
-    assert lbs.context_bytes() == 100 * CI_WIRE_BYTES
 
 
 def test_generate_proof_requires_pending_request():
@@ -241,6 +240,20 @@ def test_stale_copied_record_is_context_compromised():
     presentation = ProofPresentation(proof=proof, observed=fresh)
     verdicts = verify_proof_batch([presentation], world.lbs, world.rng)
     assert verdicts == [Verdict.COMPROMISED_CONTEXT]
+
+
+@pytest.mark.parametrize("use_batch", [True, False])
+def test_stored_context_without_a_key_is_not_registered(use_batch):
+    # The id has a record at the store but no registered key: it must be
+    # stopped at the context stage, never reach the signature checks.
+    world = World(3)
+    keyless_ci = sense_context(77, world.tick, (10.0, 10.0), "sensing")
+    world.lbs.store_context(keyless_ci)
+    proof = generate_proof(keyless_ci, world.keypairs[0].private, world.rng,
+                           request_pending=True)
+    presentations = [world.honest_presentation(1), ProofPresentation(proof, keyless_ci)]
+    verdicts = verify_proof_batch(presentations, world.lbs, world.rng, use_batch=use_batch)
+    assert verdicts == [Verdict.CONFIRMED, Verdict.NOT_REGISTERED]
 
 
 def test_corrupted_signature_is_signature_compromised():

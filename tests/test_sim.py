@@ -432,3 +432,15 @@ def test_decisions_are_pinned(config, expected):
     blob = json.dumps({key: data[key] for key in DECISION_KEYS}, sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("config, expected", [
+    (NetworkConfig(environment="sparse", seed=1, rounds=2),
+     {"device_each": 81, "prover": 5670, "verifier": 3330, "clone": 1620, "idle": 0,
+      "lbs": 11830, "verifier_tracked_provers": 3}),
+    (NetworkConfig(num_devices=500, environment="dense", seed=1, rounds=1),
+     {"device_each": 81, "prover": 28350, "verifier": 6630, "clone": 4050, "idle": 9720,
+      "lbs": 59150, "verifier_tracked_provers": 14}),
+], ids=["sparse-seed1-2rounds", "dense-seed1-1round"])
+def test_storage_is_pinned(config, expected):
+    assert run_experiment(config).storage_bytes == expected

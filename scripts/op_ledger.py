@@ -13,23 +13,20 @@ for 100 keys.  Network set-up, key tables and the generator table are
 built before any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
-``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine`` and
-``ec._merge_buckets`` for the time of a scenario, and the package runs
-unchanged.  Only operations on a finite accumulator count, so loading
-the first point of a sum is no addition and doubling infinity is no
-doubling.  The Straus kernel ``ec._straus``
-is the one loop that sums an MSM, the generator's fixed-base entries
-included, and does its additions and doublings inline; so its wrapper
-counts them by folding ``_jdbl`` and ``_jadd_affine`` over the buckets
-it is handed, which is the pass the kernel writes out, and checks that
-the fold and the kernel agree.  An older checkout that sums some terms
-outside the kernel, or has no ``_straus`` at all, makes those additions
-through the wrapped formulas, so the same counts come out, and two
-checkouts can be compared.  ``ec._merge_buckets`` adds pairs of a
-bucket's entries in affine before the pass; each merge takes one entry
-off the buckets, so its wrapper counts the entries it is handed less
-the entries it returns as ``affine_additions``, and its levels show as
-``batch_inverse`` calls.  A checkout without the stage counts none.
+``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine``, ``ec._straus``
+and ``ec._merge_buckets`` for the time of a scenario, and the package
+runs unchanged; a checkout without one of them fails here.  Only
+operations on a finite accumulator count, so loading the first point of
+a sum is no addition and doubling infinity is no doubling.  The Straus
+kernel ``ec._straus`` is the one loop that sums an MSM, the generator's
+fixed-base entries included, and does its additions and doublings
+inline; so its wrapper counts them by folding ``_jdbl`` and
+``_jadd_affine`` over the buckets it is handed, which is the pass the
+kernel writes out, and checks that the fold and the kernel agree.
+``ec._merge_buckets`` adds pairs of a bucket's entries in affine before
+the pass; each merge takes one entry off the buckets, so its wrapper
+counts the entries it is handed less the entries it returns as
+``affine_additions``, and its levels show as ``batch_inverse`` calls.
 ``sig`` keeps its own reference to ``batch_inverse`` for its scalar
 inversions mod n, which are not group operations and are not counted.
 
@@ -59,8 +56,7 @@ def counting():
     counts = dict.fromkeys(FIELDS, 0)
     originals = {name: getattr(ec, name) for name in
                  ("_jadd_affine", "_jdbl", "batch_inverse", "_to_affine", "_straus",
-                  "_merge_buckets")
-                 if hasattr(ec, name)}
+                  "_merge_buckets")}
     live = True  # off while the kernel runs: its work is counted from its fold
 
     def jadd_affine(p1, ax, ay):

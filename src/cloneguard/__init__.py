@@ -7,7 +7,7 @@ for programmatic use.
 """
 
 from .context import (ContextInformation, LbsStore, LocationProof, ProofPresentation,
-                      Verdict, euclidean_distance, generate_proof, sense_context,
+                      Verdict, generate_proof, sense_context,
                       verify_proof_batch)
 from .ec import G, INFINITY, P256, Point, multi_scalar_mul, point_add, scalar_mul
 from .metrics import MetricsSink, SimulationReport, expected_tree_messages

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import math
 import random
 import struct
 import warnings
@@ -112,13 +111,6 @@ def sense_context(device_id: int, clock: float, position: tuple[float, float],
     return ContextInformation(device_id=device_id, time=min(int(clock), TIME_MAX),
                               loc_x=quantize(x), loc_y=quantize(y),
                               activity=encode_activity(activity))
-
-
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Plain Euclidean distance between two coordinate sequences."""
-    if len(a) != len(b):
-        raise ValueError("coordinate dimensions differ")
-    return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
 
 def ci_matches(stored: ContextInformation, presented: ContextInformation) -> bool:
@@ -235,9 +227,6 @@ class LbsStore:
     def store_context(self, ci: ContextInformation) -> None:
         self.contexts[ci.device_id] = ci
 
-    def get_context(self, device_id: int) -> ContextInformation | None:
-        return self.contexts.get(device_id)
-
 
 @dataclass(frozen=True)
 class ProofPresentation:
@@ -289,7 +278,7 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
 
     for idx, pres in enumerate(presentations):
         claimed = pres.proof.prover_id
-        stored = lbs.get_context(claimed)
+        stored = lbs.contexts.get(claimed)
         if stored is None or lbs.public_keys.get(claimed) is None:
             verdicts[idx] = Verdict.NOT_REGISTERED
             continue

@@ -558,8 +558,6 @@ def _merge_buckets(adds):
     Levels repeat while one has at least ``_MERGE_PAIRS`` pairs to merge,
     so a sum too small to pay for an inversion comes back unchanged.
     """
-    if sum(map(len, adds)) < 2 * _MERGE_PAIRS:
-        return adds  # too few entries for one level
     p = P
     adds = list(adds)
     busy = [i for i, bucket in enumerate(adds) if len(bucket) > 1]

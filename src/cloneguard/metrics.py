@@ -37,10 +37,7 @@ WIRE_BYTES = {
 
 # Per-device persistent storage, in bytes: the current context record
 # plus the key material.
-DEVICE_CI_BYTES = ctx.CI_WIRE_BYTES
-DEVICE_PRIVATE_KEY_BYTES = sigmod.PRIVATE_KEY_BYTES
-DEVICE_PUBLIC_KEY_BYTES = sigmod.PUBLIC_KEY_BYTES
-DEVICE_STORAGE_BYTES = DEVICE_CI_BYTES + DEVICE_PRIVATE_KEY_BYTES + DEVICE_PUBLIC_KEY_BYTES
+DEVICE_STORAGE_BYTES = ctx.CI_WIRE_BYTES + sigmod.PRIVATE_KEY_BYTES + sigmod.PUBLIC_KEY_BYTES
 # A widely quoted per-device budget that books the context record at 8
 # bytes instead of its full 16-byte wire form.  Reports carry both
 # figures and a divergence flag rather than silently adopting either.

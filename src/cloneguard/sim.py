@@ -257,8 +257,6 @@ def mobility_step(state: SimulationState) -> None:
     """Advance every node one random-waypoint tick, in index order."""
     cfg = state.config
     rng = state.rngs.stream("mobility")
-    if cfg.rwp_speed_max == 0.0:
-        return  # immobile population; positions stay put by contract
     for node in state.nodes:
         if node.pause_left > 0.0:
             node.pause_left -= 1.0
@@ -290,14 +288,9 @@ def inject_clones(state: SimulationState) -> list[Node]:
     can never be context-indistinguishable at injection time.
     """
     cfg = state.config
-    count = cfg.num_clones
-    if count == 0:
-        return []
     rng = state.rngs.stream("clones")
     provers = [n for n in state.nodes if n.role == ROLE_PROVER]
-    if count > len(provers):
-        raise ConfigError(f"cannot inject {count} clones: only {len(provers)} provers")
-    victims = rng.sample(provers, count)
+    victims = rng.sample(provers, cfg.num_clones)
     clones = []
     for victim in victims:
         assert victim.current_ci is not None

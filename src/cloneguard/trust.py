@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_CONFIDENCE = 0.5
 DEFAULT_ALPHA = 0.5

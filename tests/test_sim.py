@@ -10,6 +10,7 @@ import pytest
 
 from cloneguard import context as ctx
 from cloneguard.context import ContextInformation, Verdict, ci_matches
+from cloneguard.rng import derive_seed
 from cloneguard.sim import (ConfigError, NetworkConfig, init_network, inject_clones,
                             mobility_step, run_detection_round, run_experiment)
 from cloneguard.sig import verify_star
@@ -109,7 +110,7 @@ def test_init_assigns_roles_and_registers_everyone():
     assert target_ids == list(range(30, 100))
     for node in state.nodes:
         assert state.lbs.public_keys[node.device_id] == node.keypair.public
-        stored = state.lbs.get_context(node.device_id)
+        stored = state.lbs.contexts[node.device_id]
         assert stored is not None
         assert stored.device_id == node.device_id
         assert 0.0 <= node.x <= AREA_SIDE and 0.0 <= node.y <= AREA_SIDE
@@ -159,9 +160,12 @@ def test_mobility_zero_speed_freezes_positions():
     cfg = NetworkConfig(seed=4, rwp_speed_min=0.0, rwp_speed_max=0.0).resolve()
     state = init_network(cfg)
     before = [(n.x, n.y) for n in state.nodes]
+    stream_before = state.rngs.stream("mobility").getstate()
     for _ in range(10):
         mobility_step(state)
     assert [(n.x, n.y) for n in state.nodes] == before
+    # A zero-speed node moves by 0.0 and draws nothing.
+    assert state.rngs.stream("mobility").getstate() == stream_before
 
 
 def test_mobility_exhibits_waypoint_center_bias():
@@ -208,6 +212,13 @@ def test_inject_clone_count_follows_config():
     assert len(inject_clones(state)) == 30
 
 
+def test_inject_no_clones_draws_nothing():
+    state = init_network(NetworkConfig(seed=7, num_clones=0))
+    assert inject_clones(state) == []
+    fresh = random.Random(derive_seed(7, "clones"))
+    assert state.rngs.stream("clones").getstate() == fresh.getstate()
+
+
 class ScriptedUniform(random.Random):
     """A seeded stream whose first ``uniform`` draws come from a script."""
 
@@ -250,7 +261,7 @@ def test_clone_placement_quantizes_like_sensing(monkeypatch):
 def _oracle_verdict(presentation, lbs):
     """Recompute the expected verdict for one presentation from scratch."""
     proof, observed = presentation.proof, presentation.observed
-    stored = lbs.get_context(proof.prover_id)
+    stored = lbs.contexts.get(proof.prover_id)
     public = lbs.public_keys.get(proof.prover_id)
     if stored is None or public is None:
         return Verdict.NOT_REGISTERED

@@ -128,15 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="run a detection experiment")
     _add_common_flags(run, sweep=False)
+    run.set_defaults(handler=cmd_run)
 
     bench = commands.add_parser(
         "bench", help="time batch verification against one-by-one ECDSA")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--out", default="out")
+    bench.set_defaults(handler=cmd_bench)
 
     sweep = commands.add_parser("sweep", help="grid of runs across scales")
     _add_common_flags(sweep, sweep=True)
+    sweep.set_defaults(handler=cmd_sweep)
 
     return parser
 
@@ -376,13 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, ConfigFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -186,7 +186,8 @@ def generate_proof(ci: ContextInformation, private: int, rng: random.Random,
 class LbsStore:
     """The location store: registered keys and the latest context per device.
 
-    Context records follow last-write-wins per device id.
+    Context records follow last-write-wins per device id.  A public key
+    is checked once, when it is registered, and never changes after.
 
     Next to each registered key the store keeps, once that key has been
     verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
@@ -194,9 +195,8 @@ class LbsStore:
     large), which every later verification under that key reuses.  The
     keys missing from one call are built together by one
     ``ec.precompute`` call, whose rounds each share one field inversion
-    across all of them.  Registering a key drops the id's table, so keys
-    must change through ``register_public_key``.  The tables are a
-    verifier-side cache.
+    across all of them.  As a key never changes, neither does its table.
+    The tables are a verifier-side cache.
     """
 
     def __init__(self) -> None:
@@ -205,24 +205,29 @@ class LbsStore:
         self.key_tables: dict[int, PrecomputedPoint] = {}
 
     def register_public_key(self, device_id: int, public: Point) -> None:
-        self.public_keys[device_id] = public
-        self.key_tables.pop(device_id, None)
+        """Register ``device_id``'s key, for good.
 
-    def verification_keys(self, device_ids: Sequence[int]) -> list[sigmod.PublicKey]:
-        """The registered keys of ``device_ids``, as tables where the key is usable.
+        Raises ``ValueError``, naming the id and leaving the store as it
+        was, if the id already has a key or the key is infinity or off
+        the curve (``ec.validate_public_key``).
+        """
+        if device_id in self.public_keys:
+            raise ValueError(f"device {device_id} already has a registered key")
+        if not validate_public_key(public):
+            raise ValueError(f"device {device_id}: the key is not a finite curve point")
+        self.public_keys[device_id] = public
+
+    def verification_keys(self, device_ids: Sequence[int]) -> list[PrecomputedPoint]:
+        """The registered keys of ``device_ids``, each with its table.
 
         Tables missing for these ids are built in one ``precompute`` call
-        and kept; when none is missing, nothing is built.  A key that is
-        infinite or off the curve gets no table and is returned as
-        registered, for the signature checks to refuse.
+        and kept; when none is missing, nothing is built.
         """
         missing = {device_id: self.public_keys[device_id] for device_id in device_ids
-                   if device_id not in self.key_tables
-                   and validate_public_key(self.public_keys[device_id])}
+                   if device_id not in self.key_tables}
         if missing:
             self.key_tables.update(zip(missing, precompute(list(missing.values()))))
-        return [self.key_tables.get(device_id, self.public_keys[device_id])
-                for device_id in device_ids]
+        return [self.key_tables[device_id] for device_id in device_ids]
 
     def store_context(self, ci: ContextInformation) -> None:
         self.contexts[ci.device_id] = ci
@@ -279,7 +284,7 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     for idx, pres in enumerate(presentations):
         claimed = pres.proof.prover_id
         stored = lbs.contexts.get(claimed)
-        if stored is None or lbs.public_keys.get(claimed) is None:
+        if stored is None or claimed not in lbs.public_keys:
             verdicts[idx] = Verdict.NOT_REGISTERED
             continue
         if not ci_matches(stored, pres.observed):

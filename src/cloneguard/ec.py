@@ -467,7 +467,8 @@ def multi_scalar_mul(pairs) -> Point | None:
     one inversion across every table.  A batch check's sum, whose bases all
     come with their tables from ``sig``, builds none.  The
     digits are sorted into one bucket of affine points per bit position.
-    Terms whose base is the plain ``Point`` G have their scalars summed,
+    Every plain base but G is checked on the curve.  Terms whose base is
+    the plain ``Point`` G have their scalars summed,
     and that multiple's fixed-base entries (width-11 rows), at most 26,
     go at the end of bucket 0, which is summed after the last doubling.
     With two or more terms off G, ``_merge_buckets`` then adds pairs of
@@ -489,12 +490,12 @@ def multi_scalar_mul(pairs) -> Point | None:
         if isinstance(base, PrecomputedPoint):
             table = base.table
             width = base.width
+        elif base == G:
+            g_scalar += k
+            continue
         else:
             _require_on_curve(base)
             if base is None:
-                continue
-            if base == G:
-                g_scalar += k
                 continue
             table = None
             width = CALL_WIDTH
@@ -671,8 +672,12 @@ def multiple_index(base: Point, target: Point | None, limit: int) -> int | None:
 # === Validation ===
 
 
-def validate_public_key(q: Point | None) -> bool:
+def validate_public_key(q: Point | PrecomputedPoint | None) -> bool:
     """Check that q is a usable public key: finite and on the curve.
+
+    A ``PrecomputedPoint`` passes without a check: its constructor, or
+    ``precompute`` before it built the table, has already checked the
+    point.
 
     No order check is needed.  The module constant ``H = 1`` is P-256's
     cofactor, so the group of curve points has the prime order n and
@@ -681,7 +686,7 @@ def validate_public_key(q: Point | None) -> bool:
     run time: acceptance criterion 6 runs ``validate_curve_security`` on
     ``P256``, whose ``cofactor_one`` check is what holds it to 1.
     """
-    return q is not None and is_on_curve(q)
+    return isinstance(q, PrecomputedPoint) or (q is not None and is_on_curve(q))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ tests its equation on scalars of half the length (Antipa et al., SAC
 2005), which halves its doubling chain.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
-``ec.PrecomputedPoint`` that carries the key's multi-scalar table; the
-checks on the key run on the underlying point either way.
+``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  A
+plain key is checked on the curve by each call that gets it; a
+``PrecomputedPoint`` was checked when it was built, and is not checked
+again.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ SIGNATURE_BYTES = PUBLIC_KEY_BYTES + 32  # compressed R + s
 RANDOMIZER_BITS = 64
 
 PublicKey = Point | PrecomputedPoint
-
-
-def _key_point(public: PublicKey | None) -> Point | None:
-    """The affine point behind a public key in either form."""
-    return public.point if isinstance(public, PrecomputedPoint) else public
 
 
 def hash_to_scalar(message: bytes) -> int:
@@ -116,7 +113,7 @@ def verify_classic(message: bytes, sig: Signature, public: PublicKey) -> bool:
     """Classic ECDSA verification: recompute X and compare x(X) mod n to r."""
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         return False
-    if not validate_public_key(_key_point(public)):
+    if not validate_public_key(public):
         return False
     x_pt = _nonce_point(message, sig.r, sig.s, public)
     if x_pt is INFINITY:
@@ -133,7 +130,7 @@ def _well_formed(sig: StarSignature, public: PublicKey) -> bool:
     """
     return (sig.R is not INFINITY and is_on_curve(sig.R)
             and 1 <= sig.R.x % N and 1 <= sig.s < N
-            and validate_public_key(_key_point(public)))
+            and validate_public_key(public))
 
 
 def _half_length(u2: int) -> tuple[int, int]:

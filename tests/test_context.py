@@ -421,47 +421,60 @@ def test_cached_key_tables_give_the_same_verdicts():
     assert all(world.lbs.key_tables[d] is table for d, table in built.items())
 
 
-def test_replacing_a_key_drops_its_table():
+def test_a_registered_key_cannot_be_replaced():
     world = World(6, seed=6, tick=10)
     presentations = [world.honest_presentation(i) for i in range(6)]
     assert verify_proof_batch(presentations, world.lbs, world.rng) == [Verdict.CONFIRMED] * 6
-    old_table = world.lbs.key_tables[2]
+    first_key, first_table = world.lbs.public_keys[2], world.lbs.key_tables[2]
 
     new_key = generate_keypair(world.rng)
-    world.lbs.register_public_key(2, new_key.public)
-    assert 2 not in world.lbs.key_tables and 1 in world.lbs.key_tables
-    under_old = presentations[2]
+    with pytest.raises(ValueError, match="device 2"):
+        world.lbs.register_public_key(2, new_key.public)
     under_new = ProofPresentation(
         generate_proof(world.cis[2], new_key.private, world.rng, request_pending=True),
         world.cis[2])
     for use_batch in (True, False):
         verdicts = verify_proof_batch(presentations + [under_new], world.lbs,
                                       random.Random(3), use_batch=use_batch)
-        expected = [Verdict.CONFIRMED] * 7
-        expected[2] = Verdict.COMPROMISED_SIGNATURE
-        assert verdicts == expected
-        assert verify_proof_batch([under_old], world.lbs, random.Random(4),
-                                  use_batch=use_batch) == [Verdict.COMPROMISED_SIGNATURE]
-        assert verify_proof_batch([under_new], world.lbs, random.Random(4),
-                                  use_batch=use_batch) == [Verdict.CONFIRMED]
-    assert world.lbs.key_tables[2].point == new_key.public
-    assert world.lbs.key_tables[2] != old_table
+        assert verdicts == [Verdict.CONFIRMED] * 6 + [Verdict.COMPROMISED_SIGNATURE]
+    assert world.lbs.public_keys[2] is first_key
+    assert world.lbs.key_tables[2] is first_table
 
 
-def test_unusable_registered_key_gets_no_table():
+def test_an_unusable_key_or_a_taken_id_is_refused():
+    world = World(3, seed=7)
+    verify_proof_batch([world.honest_presentation(i) for i in range(3)], world.lbs, world.rng)
+    keys, tables = dict(world.lbs.public_keys), dict(world.lbs.key_tables)
+    public = world.lbs.public_keys[1]
+    for device_id, key in ((3, Point(public.x, (public.y + 1) % P)),  # off the curve
+                           (3, None),  # infinity
+                           (1, generate_keypair(world.rng).public)):  # a taken id
+        with pytest.raises(ValueError, match=f"device {device_id}"):
+            world.lbs.register_public_key(device_id, key)
+        assert world.lbs.public_keys == keys
+        assert world.lbs.key_tables == tables
+        assert all(world.lbs.key_tables[d] is table for d, table in tables.items())
+
+
+def test_a_presenter_under_a_refused_id_is_not_registered():
     world = World(3, seed=7)
     public = world.lbs.public_keys[1]
-    world.lbs.register_public_key(1, Point(public.x, (public.y + 1) % P))  # off the curve
-    verdicts = verify_proof_batch([world.honest_presentation(i) for i in range(3)],
-                                  world.lbs, world.rng)
-    assert verdicts == [Verdict.CONFIRMED, Verdict.COMPROMISED_SIGNATURE, Verdict.CONFIRMED]
-    assert set(world.lbs.key_tables) == {0, 2}
+    ci = sense_context(5, world.tick, (20.0, 20.0), "sensing")
+    world.lbs.store_context(ci)
+    proof = generate_proof(ci, generate_keypair(world.rng).private, world.rng,
+                           request_pending=True)
+    presentations = [world.honest_presentation(0), ProofPresentation(proof, ci)]
+    for key in (Point(public.x, (public.y + 1) % P), None):
+        with pytest.raises(ValueError):
+            world.lbs.register_public_key(5, key)
+        for use_batch in (True, False):
+            assert verify_proof_batch(presentations, world.lbs, random.Random(3),
+                                      use_batch=use_batch) == [Verdict.CONFIRMED,
+                                                               Verdict.NOT_REGISTERED]
 
 
 def test_verification_keys_build_only_missing_tables(monkeypatch):
     world = World(4, seed=8)
-    public = world.lbs.public_keys[3]
-    world.lbs.register_public_key(3, Point(public.x, (public.y + 1) % P))  # off the curve
     built = []
     precompute = context.precompute
 
@@ -470,10 +483,12 @@ def test_verification_keys_build_only_missing_tables(monkeypatch):
         return precompute(points)
 
     monkeypatch.setattr(context, "precompute", counting_precompute)
-    first = world.lbs.verification_keys([0, 1, 2, 3])
+    first = world.lbs.verification_keys([0, 1, 2])
     assert built == [[world.lbs.public_keys[d] for d in (0, 1, 2)]]
-    # Every usable key now has its table, and the unusable one never gets
-    # one: a repeat call has nothing to build and must not call precompute.
-    assert world.lbs.verification_keys([0, 1, 2, 3]) == first
-    assert world.lbs.verification_keys([2, 3]) == first[2:]
+    # A repeat call has nothing to build and must not call precompute; a
+    # call with one new key builds that key's table alone.
+    assert world.lbs.verification_keys([0, 1, 2]) == first
     assert len(built) == 1
+    second = world.lbs.verification_keys([2, 3])
+    assert second[0] is first[2]
+    assert built[1:] == [[world.lbs.public_keys[3]]]

@@ -569,6 +569,36 @@ def test_precomputed_keys_verify_like_plain_points():
     assert accepted == len(items) and rejected >= 5 * len(items)
 
 
+def test_each_point_is_checked_on_the_curve_once(monkeypatch):
+    # A key is checked where it enters: by precompute, or by the batch or
+    # verification that gets it as a plain Point.  G and a cached key are
+    # never re-checked; every R is checked once by _well_formed, and -R_i
+    # once more as its table is built.
+    rng = random.Random(30)
+    items = make_items(rng, 25)
+    keys = precompute([public for _, _, public in items])
+    cached = [(message, star, key) for (message, star, _), key in zip(items, keys)]
+    message, star, _ = items[0]
+    checked = []
+
+    def counted(point, _original=ec.is_on_curve):
+        checked.append(point)
+        return _original(point)
+    monkeypatch.setattr(ec, "is_on_curve", counted)
+    monkeypatch.setattr(sigmod, "is_on_curve", counted)  # sig binds the name itself
+    calls = {
+        "generate_keypair": (lambda: generate_keypair(random.Random(1)), 0),
+        "sign": (lambda: sign(message, 7, random.Random(1)), 0),
+        "batch_verify, cached keys": (lambda: batch_verify(cached, random.Random(2)), 50),
+        "batch_verify, plain keys": (lambda: batch_verify(items, random.Random(2)), 100),
+        "verify_star, cached key": (lambda: verify_star(message, star, keys[0]), 2),
+    }
+    for name, (call, expected) in calls.items():
+        checked.clear()
+        assert call()
+        assert len(checked) == expected, name
+
+
 def test_hash_to_scalar_range():
     assert 0 <= hash_to_scalar(b"") < N
     assert hash_to_scalar(b"a") != hash_to_scalar(b"b")

@@ -7,9 +7,10 @@ Prints one JSON object: for each scenario, the mixed additions,
 doublings, ``batch_inverse`` calls, conversions of a finite point to
 affine and affine additions that ``cloneguard.ec`` makes.  The
 scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 round 2, one
-clean and one signature-dirty 25-item ``verify_proof_batch`` on cached
-key tables, one ``verify_star`` under a cached key, and key generation
-for 100 keys.  Network set-up, key tables and the generator table are
+clean and one signature-dirty 25-item ``verify_proof_batch`` and one
+clean 3-item one, the size of a sparse round's checks, on cached key
+tables, one ``verify_star`` under a cached key, and key generation for
+100 keys.  Network set-up, key tables and the generator table are
 built before any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
@@ -166,7 +167,8 @@ def ledger() -> dict[str, dict[str, int]]:
     out["dense_seed1_round2"] = counts
 
     lbs, clean, dirty = _proof_batches()
-    for name, batch, expected in (("proof_batch_clean", clean, 0), ("proof_batch_forged", dirty, 1)):
+    for name, batch, expected in (("proof_batch_clean", clean, 0), ("proof_batch_forged", dirty, 1),
+                                  ("proof_batch_small", clean[:3], 0)):
         with counting() as counts:
             verdicts = context.verify_proof_batch(batch, lbs, random.Random(5))
         flagged = sum(v is context.Verdict.COMPROMISED_SIGNATURE for v in verdicts)

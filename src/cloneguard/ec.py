@@ -46,9 +46,11 @@ built by ``sig`` before the check and read by every sum of its search,
 so a batch check's ``multi_scalar_mul`` builds no table.  Every plain
 ``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call that
 uses it, whatever its scalar's length: each 256-bit scalar of a
-workload sits on G or on a cached key, and a batch randomizer's 64-bit
-scalar, like the 128-bit ones of a single verification, is too short
-for a wider table to pay.
+workload sits on G or on a cached key.  A batch randomizer's 64-bit
+scalar on -R_i, like the 128-bit ones of a single verification, is too
+short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
+items weights its R_i and keys with scalars of about 161 bits instead
+(``sig._short_weight``), and its R_i stay at width 4 as well.
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
 builds one width per call, in affine rounds: round 1 doubles each P, and

@@ -19,7 +19,14 @@ forgery costs the failed check, the second sum and one individual check
 wherever it sits.  Otherwise the search bisects, taking a right half's
 sums as the parent's minus the left half's.  A single ``verify_star``
 tests its equation on scalars of half the length (Antipa et al., SAC
-2005), which halves its doubling chain.
+2005), which halves its doubling chain.  A batch check of at most
+``SCAN_SIZE`` items, the size of a sparse round's checks, weights each
+item by a short vector (w, q) of the lattice q = w u2 (mod n) that its
+multiplier picks, instead of (lambda, lambda u2 mod n), so its R and key
+scalars are about 161 bits long and not 64 and 256, and its doubling
+chain about 162 steps long instead of 256 (after Gallant, Lambert &
+Vanstone, CRYPTO 2001); each multiplier still gives a distinct weight,
+so the 2^-64 bound holds as it stands.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  A
@@ -133,14 +140,23 @@ def _well_formed(sig: StarSignature, public: PublicKey) -> bool:
             and validate_public_key(public))
 
 
-def _half_length(u2: int) -> tuple[int, int]:
-    """(v, a) with a = v * u2 (mod n), 0 < v < 2^128 and |a| < 2^128, for 0 < u2 < n.
+def _reduced_basis(u2: int) -> tuple[int, int, int, int]:
+    """(w1, q1, w2, q2): a short basis of the lattice {(w, q) : q = w * u2 (mod n)}, 0 < u2 < n.
 
     The extended Euclidean algorithm on (n, u2), stopped at the first
-    remainder below 2^128.  Each remainder r_i is t_i * u2 (mod n), and
-    |t_i| * r_(i-1) <= n, so |t_i| < 2^256 / 2^128 once r_(i-1) >= 2^128.
+    remainder below 2^128.  Each remainder r_i is t_i * u2 (mod n), so
+    every (t_i, r_i) lies in the lattice, and any two neighbours span it:
+    t_i r_(i+1) - t_(i+1) r_i = +-n, the lattice's determinant.  As
+    |t_i| * r_(i-1) <= n, |t_i| < 2^256 / 2^128 once r_(i-1) >= 2^128.
     The remainders reach 1 before 0, as n is prime, so the stop comes at
-    a nonzero r_i and t_i; v = |t_i| and a takes t_i's sign.
+    a nonzero r_i and t_i: (w1, q1) = (t_i, r_i), with |w1| < 2^128 and
+    0 < q1 < 2^128.  (w2, q2) is the shorter of its two neighbours, as in
+    Gallant, Lambert & Vanstone, "Faster point multiplication on elliptic
+    curves with efficient endomorphisms" (CRYPTO 2001).  Every remainder
+    is non-negative, so q1 > 0 and q2 >= 0, and w1 and w2 have opposite
+    signs.  For a random u2 both vectors are about 128 bits long; a u2
+    whose lattice holds a much shorter vector has a much longer second
+    one, since the two span an area of n.
     """
     r0, r1 = N, u2
     t0, t1 = 0, 1
@@ -148,7 +164,21 @@ def _half_length(u2: int) -> tuple[int, int]:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    return (t1, r1) if t1 > 0 else (-t1, -r1)
+    q = r0 // r1
+    t2, r2 = t0 - q * t1, r0 - q * r1
+    if t2 * t2 + r2 * r2 < t0 * t0 + r0 * r0:
+        t0, r0 = t2, r2
+    return t1, r1, t0, r0
+
+
+def _half_length(u2: int) -> tuple[int, int]:
+    """(v, a) with a = v * u2 (mod n), 0 < v < 2^128 and |a| < 2^128, for 0 < u2 < n.
+
+    The first vector of ``_reduced_basis``, negated if need be so that v
+    is positive; a takes the sign.
+    """
+    v, a, _, _ = _reduced_basis(u2)
+    return (v, a) if v > 0 else (-v, -a)
 
 
 def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
@@ -187,47 +217,89 @@ def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
 BatchItem = tuple[bytes, StarSignature, PublicKey]
 
 
-def _equation_terms(items: Sequence[BatchItem]
-                    ) -> list[tuple[int, int, PrecomputedPoint, PrecomputedPoint]]:
-    """(u1_i, u2_i, -R_i, Q_i) per well-formed item, so that
-    T_i = u1_i * G + u2_i * Q_i + (-R_i) is infinity iff the item verifies.
+def _short_weight(lam: int, u2: int) -> int:
+    """A weight w for one item of a small check, with w * u2 mod n short too.
 
-    The s_i are inverted together, with one modular inversion.  Every
-    base comes as an ``ec.PrecomputedPoint``: each -R_i, and each key
-    given as a plain ``Point``, with a width-4 table, all built in one
-    ``precompute`` call, and each cached key with its own width-7 table.
-    Every sum over these terms reads the tables: the check, and every
-    sum of a search.
+    lambda splits into alpha = lambda >> 32 and beta = lambda mod 2^32,
+    and (w, q) = alpha (w1, q1) + beta (w2, q2) over ``_reduced_basis``
+    (u2), so q = w * u2 (mod n).  As alpha <= 2^32, beta < 2^32 and the
+    q's are non-negative, |w| <= 2^32 (|w1| + |w2|) and
+    0 <= q <= 2^32 (q1 + q2); ``_combination`` recomputes q as
+    w * u2 mod n.  Both stay below n / 2 whenever 2^33 times those sums
+    is below n, and then lambda -> w mod n is injective over
+    [1, 2^64]: distinct (alpha, beta) give distinct lattice vectors, as
+    the basis spans an area of n, and two lattice vectors with |w| and
+    |q| below n / 2 that agree in w mod n agree in q mod n too, so they
+    are equal.  So w is never 0 mod n, and each lambda fixes a distinct
+    weight, which is all the 2^-64 bound of ``batch_verify`` asks of a
+    weight.  For a random u2 the basis vectors are about 128 bits long,
+    and w and q about 161; a u2 whose basis fails the test (one with a
+    lattice vector far shorter than 2^128, such as u2 = 1, whose w would
+    drop beta) keeps w = lambda.
+    """
+    w1, q1, w2, q2 = _reduced_basis(u2)
+    half = RANDOMIZER_BITS // 2
+    if max(abs(w1) + abs(w2), q1 + q2) << (half + 1) >= N:
+        return lam
+    return (lam >> half) * w1 + (lam & ((1 << half) - 1)) * w2
+
+
+def _equation_terms(items: Sequence[BatchItem], lambdas: Sequence[int]
+                    ) -> tuple[list[tuple[int, int, PrecomputedPoint, PrecomputedPoint]],
+                               list[int]]:
+    """The terms (u1_i, u2_i, -+R_i, Q_i) per well-formed item, and their weights.
+
+    T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies.
+    The weights are the lambdas, except in a check of at most
+    ``SCAN_SIZE`` items, where item i's weight is
+    ``_short_weight(lambda_i, u2_i)``.  The R base is -R_i for a
+    positive weight, and R_i for a negative one, so that
+    ``_combination`` multiplies it by |weight|.  The s_i are inverted
+    together, with one modular inversion.  Every base comes as an
+    ``ec.PrecomputedPoint``: each R base, and each key given as a plain
+    ``Point``, with a width-4 table, all built in one ``precompute``
+    call, and each cached key with its own width-7 table.  Every sum
+    over these terms reads the tables: the check, and every sum of a
+    search.
     """
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
+    scalars = [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N)
+               for (message, sig, _), w in zip(items, inverses)]
+    weights = ([_short_weight(lam, u2) for lam, (_, u2) in zip(lambdas, scalars)]
+               if len(items) <= SCAN_SIZE else lambdas)
     keys = [public for _, _, public in items]
     plain = [i for i, key in enumerate(keys) if not isinstance(key, PrecomputedPoint)]
-    tables = precompute([point_neg(sig.R) for _, sig, _ in items] + [keys[i] for i in plain],
-                        CALL_WIDTH)
+    r_bases = [point_neg(sig.R) if weight > 0 else sig.R
+               for (_, sig, _), weight in zip(items, weights)]
+    tables = precompute(r_bases + [keys[i] for i in plain], CALL_WIDTH)
     for i, table in zip(plain, tables[len(items):]):
         keys[i] = table
-    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N, neg_r, key)
-            for (message, sig, _), w, neg_r, key in zip(items, inverses, tables, keys)]
+    terms = [(u1, u2, r_base, key) for (u1, u2), r_base, key in zip(scalars, tables, keys)]
+    return terms, weights
 
 
 def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPoint]],
                  weights: Sequence[int]) -> Point | None:
     """sum(weight_i * T_i) over ``_equation_terms``, as one ``multi_scalar_mul``.
 
-    Every base comes with the table ``_equation_terms`` gave it, so the
-    sum builds no table, and a search's sums rebuild none.  The weights
-    multiply the negated points -R_i as they are (rather than
-    n - weight_i multiplying R_i), so a short weight saves digits: a
-    64-bit weight recodes into about 13 wNAF digits on a width-4 table,
-    n - weight_i into about 29.  It saves doublings only in a sum of
-    short terms; here the 256-bit key terms set the chain.  The u1 parts
-    are summed into a single G term for the fixed-base table.
+    Each weight has the sign of the weight its term was built for, so
+    |weight_i| multiplies the term's R base, -R_i or R_i, and
+    weight_i * u2_i mod n its key.  Every base comes with the table
+    ``_equation_terms`` gave it, so the sum builds no table, and a
+    search's sums rebuild none.  The weights multiply the R bases as they
+    are (rather than n - weight_i multiplying R_i), so a short weight
+    saves digits: a 64-bit weight recodes into about 13 wNAF digits on a
+    width-4 table, n - weight_i into about 29.  Under the lambdas the
+    256-bit key scalars lambda_i * u2_i mod n set the doubling chain;
+    under ``_short_weight``'s weights every scalar off G is about 161
+    bits, and so is the chain.  The u1 parts are summed into a single G
+    term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0
-    for (u1, u2, neg_r, public), weight in zip(terms, weights):
+    for (u1, u2, r_base, public), weight in zip(terms, weights):
         u1_sum = (u1_sum + weight * u1) % N
-        pairs.append((weight, neg_r))
+        pairs.append((abs(weight), r_base))
         pairs.append((weight * u2 % N, public))
     pairs.append((u1_sum, G))
     return multi_scalar_mul(pairs)
@@ -242,42 +314,52 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     """Verify a batch of ECDSA* signatures with one combined equation.
 
     Each item i gets a fresh multiplier lambda_i drawn from
-    [1, 2^RANDOMIZER_BITS]; the batch is accepted iff
+    [1, 2^RANDOMIZER_BITS], and a weight w_i: lambda_i itself, or in a
+    check of at most ``SCAN_SIZE`` items ``_short_weight(lambda_i,
+    u2_i)``.  The batch is accepted iff
 
-        sum(lambda_i * R_i)
-            == (sum(lambda_i * u1_i) mod n) * G + sum(lambda_i * u2_i mod n) * Q_i
+        sum(w_i * R_i) == (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
 
     evaluated by ``_combination`` as one multi-scalar multiplication that
     must give the point at infinity:
 
-        sum(lambda_i * (-R_i)) + (sum(lambda_i * u1_i) mod n) * G
-            + sum(lambda_i * u2_i mod n) * Q_i
+        sum(w_i * (-R_i)) + (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
 
-    Every R term carries a scalar of at most 65 bits, so it adds about 13
-    wNAF digits on its width-4 table; the key terms use their cached
-    width-7 tables when the keys come as ``PrecomputedPoint``, and the G
-    term goes through the fixed-base table.  If the batch holds an
-    invalid signature, it passes with probability at most 2^-64 over the
-    lambdas (which assumes ``rng`` is unpredictable to the signer).  The
-    s_i are inverted together, with one modular inversion per batch.  An
-    item that is not ``_well_formed`` rejects the batch before any lambda
-    is drawn; otherwise exactly one lambda is drawn per item.
+    Under the lambdas, every R term carries a scalar of at most 65 bits,
+    so it adds about 13 wNAF digits on its width-4 table, and the key
+    scalars lambda_i * u2_i mod n are 256 bits long, which sets a
+    256-step doubling chain.  A small check's short weights make every R
+    and key scalar about 161 bits long, so its chain is about 162 steps,
+    at about 19 more R digits and 12 fewer key digits per item; a sparse
+    round's checks hold 2 or 3 items.  Larger checks keep the lambdas,
+    whose 64-bit R scalars cost the fewest additions there.  The key
+    terms use their cached width-7 tables when the keys come as
+    ``PrecomputedPoint``, and the G term goes through the fixed-base
+    table.  If the batch holds an invalid signature, it passes with
+    probability at most 2^-64 over the lambdas (which assumes ``rng`` is
+    unpredictable to the signer): with the other weights fixed, the sum
+    is infinity for at most one w_i mod n, as the group has the prime
+    order n, and each w_i mod n comes from one lambda_i at most (see
+    ``_short_weight``).  The s_i are inverted together, with one modular
+    inversion per batch.  An item that is not ``_well_formed`` rejects
+    the batch before any lambda is drawn; otherwise exactly one lambda
+    is drawn per item.
 
     Returns a single accept/reject for the whole batch; callers that
     need to locate an offender use ``verify_batch``, which passes a list
-    as ``_check`` to get back the equation's terms, the lambdas and the
+    as ``_check`` to get back the equation's terms, the weights and the
     sum, and so searches a failed batch from the sum it has already paid
-    for.
+    for.  A failed check of at most ``SCAN_SIZE`` items is scanned item
+    by item, so a search never sees a short weight.
     """
     if not items:
         raise ValueError("batch must contain at least one signature")
     if not all(_well_formed(sig, public) for _, sig, public in items):
         return False
-    terms = _equation_terms(items)
-    lambdas = _randomizers(len(items), rng)
-    total = _combination(terms, lambdas)
+    terms, weights = _equation_terms(items, _randomizers(len(items), rng))
+    total = _combination(terms, weights)
     if _check is not None:
-        _check += terms, lambdas, total
+        _check += terms, weights, total
     return total is INFINITY
 
 
@@ -294,7 +376,9 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 # 150 random placements of three and of four, still has its lowest worst
 # case for every k at 4 (or 5, a size no set of 25 splits into), and its
 # lowest mean for every k there too.  At most 6, so one invalid item among
-# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.
+# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.  A check of at
+# most this many items weights them with ``_short_weight``: if it fails,
+# its items are checked one by one, so no search sums under those weights.
 SCAN_SIZE = 4
 
 
@@ -388,7 +472,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
         # A malformed item refused the batch before any lambda was drawn.
         if not formed or batch_verify([items[i] for i in formed], rng, _check=check):
             return flags
-    terms, lambdas, s1 = check
+    terms, lambdas, s1 = check  # the weights; above SCAN_SIZE, the lambdas
 
     def scan(positions: Sequence[int]) -> None:
         chunk = [items[formed[p]] for p in positions]

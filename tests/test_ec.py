@@ -11,7 +11,7 @@ from cloneguard.ec import (_GEN_WIDTH, A, B, CALL_WIDTH, G, INFINITY, KEY_WIDTH,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
                            validate_curve_security, validate_public_key)
-from cloneguard.sig import batch_verify, generate_keypair, sign
+from cloneguard.sig import SCAN_SIZE, batch_verify, generate_keypair, sign
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -550,10 +550,11 @@ def test_table_widths_follow_the_base_alone(monkeypatch):
                       (u2, q), (u2, G)])
     assert recoded == [(65, 4), (128, 4), (129, 4), (256, 7), (256, 4)]
     assert built == [8, 8, 8, 8]
-    # batch_verify's randomizer terms are 64-bit, on fresh -R_i: width 4.
-    # Its key terms on cached tables: width 7, nothing built for them.
+    # batch_verify's randomizer terms above SCAN_SIZE items are 64-bit, on
+    # fresh -R_i: width 4.  Its key terms on cached tables: width 7,
+    # nothing built for them.
     items = []
-    for i in range(3):
+    for i in range(SCAN_SIZE + 1):
         pair = generate_keypair(rng)
         message = bytes([i])
         items.append((message, sign(message, pair.private, rng), pair.public))
@@ -561,9 +562,9 @@ def test_table_widths_follow_the_base_alone(monkeypatch):
     recoded.clear()
     built.clear()
     assert batch_verify([(m, s, key) for (m, s, _), key in zip(items, keys)], rng)
-    assert sorted(width for _, width in recoded) == [4, 4, 4, 7, 7, 7]
+    assert sorted(width for _, width in recoded) == [4] * len(items) + [7] * len(items)
     assert all(bits <= 65 for bits, width in recoded if width == 4)
-    assert built == [8, 8, 8]
+    assert built == [8] * len(items)
 
 
 def test_batch_inverse_matches_pow():

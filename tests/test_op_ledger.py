@@ -16,16 +16,18 @@ from cloneguard import ec
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_ledger.py"
 
 LEDGER = {
-    "sparse_seed1_round1": {"mixed_additions": 5312, "doublings": 7621,
-                            "batch_inverse": 300, "to_affine": 90, "affine_additions": 891},
-    "sparse_seed1_round2": {"mixed_additions": 5319, "doublings": 7624,
-                            "batch_inverse": 120, "to_affine": 90, "affine_additions": 877},
+    "sparse_seed1_round1": {"mixed_additions": 5360, "doublings": 4789,
+                            "batch_inverse": 306, "to_affine": 90, "affine_additions": 1349},
+    "sparse_seed1_round2": {"mixed_additions": 5328, "doublings": 4789,
+                            "batch_inverse": 127, "to_affine": 90, "affine_additions": 1346},
     "dense_seed1_round2": {"mixed_additions": 16575, "doublings": 7675,
                            "batch_inverse": 180, "to_affine": 400, "affine_additions": 10160},
     "proof_batch_clean": {"mixed_additions": 248, "doublings": 256,
                           "batch_inverse": 7, "to_affine": 0, "affine_additions": 918},
     "proof_batch_forged": {"mixed_additions": 562, "doublings": 641,
                            "batch_inverse": 15, "to_affine": 3, "affine_additions": 1851},
+    "proof_batch_small": {"mixed_additions": 103, "doublings": 160,
+                          "batch_inverse": 5, "to_affine": 0, "affine_additions": 75},
     "verify_star_cached_key": {"mixed_additions": 52, "doublings": 128,
                                "batch_inverse": 4, "to_affine": 0, "affine_additions": 19},
     "keygen_100": {"mixed_additions": 2500, "doublings": 0,
@@ -54,6 +56,17 @@ def test_one_verification_runs_a_half_length_chain():
     # sum is infinity, which needs no conversion to affine.
     assert LEDGER["verify_star_cached_key"]["doublings"] <= 128
     assert LEDGER["verify_star_cached_key"]["to_affine"] == 0
+
+
+def test_small_batch_checks_run_short_chains():
+    # A check of at most SCAN_SIZE items weights them by short lattice
+    # vectors, so its doubling chain follows scalars of about 161 bits,
+    # not the 256-bit lambda_i * u2_i.  A sparse round runs one check per
+    # verifier, 30 of them, with 2 or 3 items each; signing makes no
+    # doubling.
+    assert LEDGER["proof_batch_small"]["doublings"] <= 170
+    for round_no in (1, 2):
+        assert LEDGER[f"sparse_seed1_round{round_no}"]["doublings"] <= 30 * 170
 
 
 def test_ledger_counts_only_operations_on_a_finite_accumulator():

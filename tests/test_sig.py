@@ -525,6 +525,88 @@ def test_a_lone_item_test_that_names_a_valid_item_does_not_settle_the_set(monkey
     assert any(b is not None for b in named)
 
 
+# --- short weights for checks of at most SCAN_SIZE items ---
+
+HALF_RANDOMIZER = sigmod.RANDOMIZER_BITS // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=N - 1),
+       st.integers(min_value=1, max_value=2 ** sigmod.RANDOMIZER_BITS))
+def test_short_weight_is_a_lattice_vector_within_its_bounds(u2, lam):
+    w1, q1, w2, q2 = sigmod._reduced_basis(u2)
+    assert (q1 - w1 * u2) % N == 0 and (q2 - w2 * u2) % N == 0
+    assert abs(w1 * q2 - w2 * q1) == N
+    assert abs(w1) < HALF and 0 < q1 < HALF and q2 >= 0
+    w = sigmod._short_weight(lam, u2)
+    q = w * u2 % N  # the key scalar _combination takes
+    assert w % N != 0
+    if max(abs(w1) + abs(w2), q1 + q2) << (HALF_RANDOMIZER + 1) >= N:
+        assert w == lam  # a basis too long to keep lambda -> w injective
+        return
+    alpha, beta = divmod(lam, 2 ** HALF_RANDOMIZER)
+    assert (w, q) == (alpha * w1 + beta * w2, alpha * q1 + beta * q2)
+    assert abs(w) <= 2 ** HALF_RANDOMIZER * (abs(w1) + abs(w2)) < N // 2
+    assert q <= 2 ** HALF_RANDOMIZER * (q1 + q2) < N // 2
+
+
+@pytest.mark.parametrize("u2", [1, 2, HALF - 1, HALF, N - 1]
+                         + [random.Random(u).randrange(1, N) for u in range(5)],
+                         ids=["1", "2", "2^128-1", "2^128", "n-1"]
+                         + [f"random{u}" for u in range(5)])
+def test_short_weight_depends_on_the_low_half_of_lambda(u2):
+    # lambda -> w mod n is injective, so lambdas that differ only in their
+    # low 32 bits, or only in their high ones, give different weights.
+    rng = random.Random(u2)
+    for _ in range(20):
+        high, low = rng.randrange(2 ** HALF_RANDOMIZER), rng.randrange(2 ** HALF_RANDOMIZER - 1)
+        lam = (high << HALF_RANDOMIZER) | low
+        weights = {sigmod._short_weight(x, u2) % N for x in (lam, lam + 1, lam ^ 1 << 40)}
+        assert len(weights) == 3, (u2, lam)
+
+
+def test_short_weights_are_about_161_bits():
+    rng = random.Random(161)
+    bits = []
+    for _ in range(500):
+        u2 = rng.randrange(1, N)
+        w = sigmod._short_weight(rng.randrange(1, 2 ** 64 + 1), u2)
+        bits.append(max(abs(w).bit_length(), (w * u2 % N).bit_length()))
+    assert max(bits) <= 166 and sorted(bits)[250] <= 161
+
+
+def test_small_checks_refuse_every_single_invalid_item():
+    # Batches of 1 to SCAN_SIZE items, valid under many draws of the
+    # weights (about half of which are negative), and with one invalid
+    # item at each position, refused by the check and flagged exactly.
+    items = _bisect_pool()[0]
+    for size in range(1, sigmod.SCAN_SIZE + 1):
+        for seed in range(8):
+            assert batch_verify(items[:size], random.Random(seed)), (size, seed)
+        for index in range(size):
+            for kind in ("bumped_s", "other_key"):
+                batch = list(items[:size])
+                batch[index] = _invalid(index, kind)
+                expected = [i != index for i in range(size)]
+                for seed in range(4):
+                    assert not batch_verify(batch, random.Random(seed)), (size, index, kind)
+                    assert verify_batch(batch, random.Random(seed)) == expected
+
+
+@pytest.mark.parametrize("size", [1, sigmod.SCAN_SIZE, sigmod.SCAN_SIZE + 1, 25])
+def test_only_checks_of_at_most_scan_size_items_take_short_weights(size):
+    items = _bisect_pool()[0][:size]
+    check = []
+    assert batch_verify(items, random.Random(size), _check=check)
+    terms, weights, _ = check
+    lambdas = sigmod._randomizers(size, random.Random(size))
+    if size <= sigmod.SCAN_SIZE:
+        assert weights == [sigmod._short_weight(lam, u2) for lam, (_, u2, _, _)
+                           in zip(lambdas, terms)]
+    else:
+        assert weights == lambdas
+
+
 def _tampered(star):
     """The signature, then copies with one bit of s or of R flipped."""
     yield star

@@ -3,8 +3,9 @@
 Signatures made here must verify there and vice versa; a signature over
 one message must be refused for another on both sides.  ``verify_star``,
 which checks the full nonce point on half-length scalars, is checked on
-``cryptography``'s signatures through the points their r can name.
-Skipped when ``cryptography`` is not installed.
+``cryptography``'s signatures through the points their r can name, and
+so is ``batch_verify`` at the sizes that take short weights.  Skipped
+when ``cryptography`` is not installed.
 """
 
 import random
@@ -18,8 +19,8 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature, encode_dss_signature)
 
 from cloneguard.ec import N, P, Point, precompute
-from cloneguard.sig import (Signature, StarSignature, generate_keypair, point_from_bytes, sign,
-                            verify_classic, verify_star)
+from cloneguard.sig import (SCAN_SIZE, Signature, StarSignature, batch_verify, generate_keypair,
+                            point_from_bytes, sign, verify_classic, verify_star)
 
 KEYS = 20
 ECDSA_SHA256 = crypto_ec.ECDSA(hashes.SHA256())
@@ -83,3 +84,24 @@ def test_cryptography_signatures_pass_verify_star_for_exactly_one_nonce_point():
             assert len(accepted) == 1
             assert not any(verify_star(bytes(changed), StarSignature(R, s), key)
                            for R in candidates)
+
+
+def test_cryptography_signatures_pass_small_batch_checks():
+    # Each R is the one nonce point verify_star accepts, as above.
+    items = []
+    for rng, ours, theirs in key_pairs():
+        message = rng.randbytes(rng.randrange(1, 80))
+        r, s = decode_dss_signature(theirs.sign(message, ECDSA_SHA256))
+        (R,) = [R for R in nonce_candidates(r)
+                if verify_star(message, StarSignature(R, s), ours.public)]
+        items.append((message, StarSignature(R, s), ours.public))
+    keys = precompute([public for _, _, public in items])
+    cached = [(message, star, key) for (message, star, _), key in zip(items, keys)]
+    for size in range(1, SCAN_SIZE + 1):
+        for start in range(0, KEYS - size + 1, size):
+            for batch in (items[start:start + size], cached[start:start + size]):
+                assert batch_verify(batch, random.Random(start))
+                swapped = list(batch)
+                message, star, key = swapped[-1]
+                swapped[-1] = (items[(start + size) % KEYS][0], star, key)
+                assert not batch_verify(swapped, random.Random(start))

@@ -9,9 +9,10 @@ affine and affine additions that ``cloneguard.ec`` makes.  The
 scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 round 2, one
 clean and one signature-dirty 25-item ``verify_proof_batch`` and one
 clean 3-item one, the size of a sparse round's checks, on cached key
-tables, one ``verify_star`` under a cached key, and key generation for
-100 keys.  Network set-up, key tables and the generator table are
-built before any counting starts.
+tables, the same 3-item one on a store that holds no key table, which is
+what a sparse round's checks run, one ``verify_star`` under a cached
+key, and key generation for 100 keys.  Network set-up, key tables and
+the generator table are built before any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
 ``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine``, ``ec._straus``
@@ -125,19 +126,22 @@ def _advance(state: sim.SimulationState) -> None:
 
 
 def _proof_batches():
-    """A store and two 25-item batches: all honest, and one forged among honest.
+    """Two stores and two 25-item batches: all honest, and one forged among honest.
 
-    The forged item is signed with another registered device's key.
+    Both stores hold the same keys and records; the first has every key's
+    table cached, the second none.  The forged item is signed with
+    another registered device's key.
     """
     rng = random.Random(17)
     keys = [sig.generate_keypair(rng) for _ in range(BATCH)]
-    lbs = context.LbsStore()
+    lbs, registered = context.LbsStore(), context.LbsStore()
     clean = []
     for dev, key in enumerate(keys):
         ci = context.sense_context(dev, 10, (rng.uniform(0, 255), rng.uniform(0, 255)),
                                    sim.ACTIVITIES[dev % len(sim.ACTIVITIES)])
-        lbs.register_public_key(dev, key.public)
-        lbs.store_context(ci)
+        for store in (lbs, registered):
+            store.register_public_key(dev, key.public)
+            store.store_context(ci)
         proof = context.generate_proof(ci, key.private, rng, request_pending=True)
         clean.append(context.ProofPresentation(proof, ci))
     lbs.verification_keys(range(BATCH))  # key tables are cached before counting
@@ -148,7 +152,7 @@ def _proof_batches():
                               ci_digest=forged.proof.ci_digest,
                               signature=sig.sign(forged.proof.ci_digest, keys[8].private, rng)),
         forged.observed)
-    return lbs, clean, dirty
+    return lbs, registered, clean, dirty
 
 
 def ledger() -> dict[str, dict[str, int]]:
@@ -166,11 +170,13 @@ def ledger() -> dict[str, dict[str, int]]:
         _advance(dense)
     out["dense_seed1_round2"] = counts
 
-    lbs, clean, dirty = _proof_batches()
-    for name, batch, expected in (("proof_batch_clean", clean, 0), ("proof_batch_forged", dirty, 1),
-                                  ("proof_batch_small", clean[:3], 0)):
+    lbs, registered, clean, dirty = _proof_batches()
+    for name, store, batch, expected in (
+            ("proof_batch_clean", lbs, clean, 0), ("proof_batch_forged", lbs, dirty, 1),
+            ("proof_batch_small", lbs, clean[:3], 0),
+            ("proof_batch_small_registered", registered, clean[:3], 0)):
         with counting() as counts:
-            verdicts = context.verify_proof_batch(batch, lbs, random.Random(5))
+            verdicts = context.verify_proof_batch(batch, store, random.Random(5))
         flagged = sum(v is context.Verdict.COMPROMISED_SIGNATURE for v in verdicts)
         if flagged != expected:
             raise AssertionError(f"{name}: {flagged} signatures flagged, expected {expected}")

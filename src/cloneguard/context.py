@@ -295,7 +295,10 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
             continue
         survivors.append(idx)
 
-    keys = lbs.verification_keys([presentations[idx].proof.prover_id for idx in survivors])
+    ids = [presentations[idx].proof.prover_id for idx in survivors]
+    keys: list[sigmod.PublicKey] = (
+        lbs.verification_keys(ids) if len(ids) > sigmod.SCAN_SIZE
+        else [lbs.key_tables.get(device_id, lbs.public_keys[device_id]) for device_id in ids])
     items: list[sigmod.BatchItem] = [
         (presentations[idx].proof.ci_digest, presentations[idx].proof.signature, public)
         for idx, public in zip(survivors, keys)]

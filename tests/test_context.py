@@ -14,7 +14,7 @@ from cloneguard.context import (CI_WIRE_BYTES, PROOF_WIRE_BYTES, TIME_MAX,
                                 _digest_matches_store, ci_matches, encode_activity,
                                 generate_proof, sense_context, verify_proof_batch)
 from cloneguard.ec import N, P, Point, PrecomputedPoint
-from cloneguard.sig import StarSignature, generate_keypair, verify_star
+from cloneguard.sig import SCAN_SIZE, StarSignature, generate_keypair, verify_star
 
 
 def test_sense_context_quantization_example():
@@ -419,6 +419,50 @@ def test_cached_key_tables_give_the_same_verdicts():
     # Later calls reuse the very same tables rather than rebuilding them.
     assert world.lbs.key_tables == built
     assert all(world.lbs.key_tables[d] is table for d, table in built.items())
+
+
+def test_calls_of_at_most_scan_size_survivors_build_no_table(monkeypatch):
+    world = World(8, seed=9, tick=10)
+    presentations, expected = _labelled_presentations(world)
+    stopped = [i for i, v in enumerate(expected)
+               if v in (Verdict.COMPROMISED_CONTEXT, Verdict.NOT_REGISTERED)]
+    forged = expected.index(Verdict.COMPROMISED_SIGNATURE)
+    honest = [i for i, v in enumerate(expected) if v is Verdict.CONFIRMED]
+    for count in range(1, SCAN_SIZE + 1):
+        for survivors in (honest[:count], [forged] + honest[:count - 1]):
+            chosen = sorted(stopped + survivors)
+            batch = [presentations[i] for i in chosen]
+            verdicts = verify_proof_batch(batch, world.lbs, random.Random(count))
+            assert verdicts == [expected[i] for i in chosen]
+            assert verify_proof_batch(batch, world.lbs, random.Random(count),
+                                      use_batch=False) == verdicts
+            assert world.lbs.key_tables == {}
+
+    # Once a call above SCAN_SIZE has cached a key's table, a small call
+    # verifies on that very table, and on the plain key where none is
+    # cached, and builds nothing.
+    verify_proof_batch([presentations[i] for i in honest[:SCAN_SIZE + 1]], world.lbs,
+                       random.Random(7))
+    tables = dict(world.lbs.key_tables)
+    assert len(tables) == SCAN_SIZE + 1
+    built, seen = [], []
+    precompute, verify_batch = context.precompute, context.sigmod.verify_batch
+    monkeypatch.setattr(context, "precompute",
+                        lambda points: built.append(points) or precompute(points))
+    monkeypatch.setattr(context.sigmod, "verify_batch",
+                        lambda items, rng: seen.append(items) or verify_batch(items, rng))
+    small = [honest[SCAN_SIZE - 1], honest[SCAN_SIZE], honest[SCAN_SIZE + 1], forged]
+    verdicts = verify_proof_batch([presentations[i] for i in small], world.lbs,
+                                  random.Random(8))
+    assert verdicts == [expected[i] for i in small]
+    assert built == []
+    assert world.lbs.key_tables == tables
+    assert all(world.lbs.key_tables[d] is table for d, table in tables.items())
+    (items,) = seen
+    ids = [presentations[i].proof.prover_id for i in small]
+    assert 0 < len(set(ids) & set(tables)) < len(ids)  # cached and plain keys alike
+    for device_id, (_, _, key) in zip(ids, items):
+        assert key is tables.get(device_id, world.lbs.public_keys[device_id])
 
 
 def test_a_registered_key_cannot_be_replaced():

@@ -16,10 +16,10 @@ from cloneguard import ec
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_ledger.py"
 
 LEDGER = {
-    "sparse_seed1_round1": {"mixed_additions": 5360, "doublings": 4789,
-                            "batch_inverse": 306, "to_affine": 90, "affine_additions": 1349},
-    "sparse_seed1_round2": {"mixed_additions": 5328, "doublings": 4789,
-                            "batch_inverse": 127, "to_affine": 90, "affine_additions": 1346},
+    "sparse_seed1_round1": {"mixed_additions": 5758, "doublings": 4799,
+                            "batch_inverse": 130, "to_affine": 90, "affine_additions": 1814},
+    "sparse_seed1_round2": {"mixed_additions": 5716, "doublings": 4813,
+                            "batch_inverse": 130, "to_affine": 90, "affine_additions": 1807},
     "dense_seed1_round2": {"mixed_additions": 16575, "doublings": 7675,
                            "batch_inverse": 180, "to_affine": 400, "affine_additions": 10160},
     "proof_batch_clean": {"mixed_additions": 248, "doublings": 256,
@@ -28,6 +28,9 @@ LEDGER = {
                            "batch_inverse": 15, "to_affine": 3, "affine_additions": 1851},
     "proof_batch_small": {"mixed_additions": 103, "doublings": 160,
                           "batch_inverse": 5, "to_affine": 0, "affine_additions": 75},
+    "proof_batch_small_registered": {"mixed_additions": 116, "doublings": 160,
+                                     "batch_inverse": 5, "to_affine": 0,
+                                     "affine_additions": 101},
     "verify_star_cached_key": {"mixed_additions": 52, "doublings": 128,
                                "batch_inverse": 4, "to_affine": 0, "affine_additions": 19},
     "keygen_100": {"mixed_additions": 2500, "doublings": 0,

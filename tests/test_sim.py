@@ -455,3 +455,24 @@ def test_decisions_are_pinned(config, expected):
 ], ids=["sparse-seed1-2rounds", "dense-seed1-1round"])
 def test_storage_is_pinned(config, expected):
     assert run_experiment(config).storage_bytes == expected
+
+
+def test_only_checks_above_scan_size_cache_key_tables():
+    # A sparse round's checks hold 2 or 3 survivors, at most SCAN_SIZE,
+    # so its keys stay plain; a dense round's hold 11 or 12, so each key
+    # that reaches the signature stage gets one cached table.
+    sparse = init_network(NetworkConfig(seed=1).resolve())
+    inject_clones(sparse)
+    run_detection_round(sparse)
+    mobility_step(sparse)
+    run_detection_round(sparse)
+    assert sparse.lbs.key_tables == {}
+
+    dense = init_network(NetworkConfig(num_devices=500, environment="dense", seed=1).resolve())
+    inject_clones(dense)
+    result = run_detection_round(dense)
+    confirmed = {dense.nodes[idx].device_id for idx, verdict in result.verdicts.items()
+                 if verdict is Verdict.CONFIRMED}
+    assert set(dense.lbs.key_tables) == confirmed
+    assert all(table.point == dense.lbs.public_keys[device_id]
+               for device_id, table in dense.lbs.key_tables.items())

@@ -189,14 +189,20 @@ class LbsStore:
     Context records follow last-write-wins per device id.  A public key
     is checked once, when it is registered, and never changes after.
 
-    Next to each registered key the store keeps, once that key has been
-    verified, an ``ec.PrecomputedPoint`` in ``key_tables``: the key with
-    its odd-multiple table (``ec.PrecomputedPoint`` says how wide and how
-    large), which every later verification under that key reuses.  The
-    keys missing from one call are built together by one
-    ``ec.precompute`` call, whose rounds each share one field inversion
-    across all of them.  As a key never changes, neither does its table.
-    The tables are a verifier-side cache.
+    Next to a registered key the store keeps, once ``verification_keys``
+    has been asked for it, an ``ec.PrecomputedPoint`` in ``key_tables``:
+    the key with its width-7 odd-multiple table (``ec.PrecomputedPoint``
+    says how large), which every later verification under that key
+    reuses.  ``verify_proof_batch`` asks only for the keys of a call with
+    more than ``sig.SCAN_SIZE`` survivors: a smaller check weights its
+    keys by scalars of about 161 bits, on which the table saves about 12
+    digits per use but costs about 36 affine additions and a share of
+    six inversions to build, so it pays only after about 3 checks, more
+    than a sparse network's 1-2 rounds.  The keys missing from one call
+    are built together by one ``ec.precompute`` call, whose rounds each
+    share one field inversion across all of them.  As a key never
+    changes, neither does its table.  The tables are a verifier-side
+    cache.
     """
 
     def __init__(self) -> None:
@@ -262,11 +268,16 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     everyone in it with one batch check; in a dirty one, the failed
     check's own sum and its index-weighted twin name a lone forgery, or a
     bisection over such sums finds several, and the signatures that fail
-    their individual check are COMPROMISED_SIGNATURE.  Both paths verify under
-    ``lbs.verification_keys``: the first call that verifies a key builds
-    its ``ec.PrecomputedPoint`` (one pass for all of a call's new keys),
-    and later calls reuse it.  A ``batch_size`` below 1 is a
-    ``ValueError``.
+    their individual check are COMPROMISED_SIGNATURE.  A call with more
+    than ``sig.SCAN_SIZE`` survivors verifies, on either path, under
+    ``lbs.verification_keys``: the first such call that verifies a key
+    builds its ``ec.PrecomputedPoint`` (one pass for all of a call's new
+    keys), and later calls reuse it.  A call with at most ``SCAN_SIZE``
+    survivors builds no table, which would not pay for itself (see
+    ``LbsStore``): it verifies each key on its cached table if it has
+    one, and otherwise as the plain registered ``Point``, which ``sig``
+    tabulates at width 4 with the check's -R_i.  A ``batch_size`` below
+    1 is a ``ValueError``.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.

@@ -32,7 +32,7 @@ generation) never has, so such a sum skips the stage; a clean
 affine ones.
 
 There are three table widths, one per kind of base: 11 for each row of
-the generator table, 7 (``KEY_WIDTH``) for a registered key, and 4
+the generator table, 7 (``KEY_WIDTH``) for a cached registered key, and 4
 (``CALL_WIDTH``) for a base used in one check.  Every table is one flat
 tuple of ints, (x1, y1, x3, y3, ...): odd digit d reads x at index
 |d| - 1 and y at |d|.  The generator table is 26 such tables, row w the
@@ -41,16 +41,20 @@ recoding into odd 10-bit-step digits with no zero digit (Joye &
 Tunstall, AFRICACRYPT 2009).  A base that recurs across calls can be
 passed as a ``PrecomputedPoint``, the point with its table, built once
 by ``precompute``: a registered public key at width 7 (P, 3P, ..., 63P;
-64 ints, about 4.4 kB per key), and a batch check's -R_i at width 4,
-built by ``sig`` before the check and read by every sum of its search,
-so a batch check's ``multi_scalar_mul`` builds no table.  Every plain
-``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call that
-uses it, whatever its scalar's length: each 256-bit scalar of a
+64 ints, about 4.4 kB per key) once a check of more than
+``sig.SCAN_SIZE`` items has verified it, and a batch check's -R_i at
+width 4, built by ``sig`` before the check and read by every sum of its
+search, so a batch check's ``multi_scalar_mul`` builds no table.  Every
+plain ``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call
+that uses it, whatever its scalar's length: each 256-bit scalar of a
 workload sits on G or on a cached key.  A batch randomizer's 64-bit
 scalar on -R_i, like the 128-bit ones of a single verification, is too
 short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
 items weights its R_i and keys with scalars of about 161 bits instead
-(``sig._short_weight``), and its R_i stay at width 4 as well.
+(``sig._short_weight``), and its R_i stay at width 4 as well.  So do its
+keys, unless a larger check has cached them: on a 161-bit scalar a
+width-7 table pays back its build only after about 3 checks
+(``context.LbsStore``).
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
 builds one width per call, in affine rounds: round 1 doubles each P, and

@@ -187,7 +187,8 @@ class LbsStore:
     """The location store: registered keys and the latest context per device.
 
     Context records follow last-write-wins per device id.  A public key
-    is checked once, when it is registered, and never changes after.
+    is registered once and never changes after; it was checked on the
+    curve once, when its ``ec.Point`` was built.
 
     Next to a registered key the store keeps, once ``verification_keys``
     has been asked for it, an ``ec.PrecomputedPoint`` in ``key_tables``:
@@ -214,8 +215,10 @@ class LbsStore:
         """Register ``device_id``'s key, for good.
 
         Raises ``ValueError``, naming the id and leaving the store as it
-        was, if the id already has a key or the key is infinity or off
-        the curve (``ec.validate_public_key``).
+        was, if the id already has a key or the key is not a point: infinity
+        (``None``) or anything else that ``ec.validate_public_key``
+        refuses.  A key off the curve cannot get here, as every
+        ``ec.Point`` is on the curve by construction.
         """
         if device_id in self.public_keys:
             raise ValueError(f"device {device_id} already has a registered key")

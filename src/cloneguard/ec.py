@@ -93,12 +93,32 @@ CALL_WIDTH = 4  # wNAF width of the table of a base used in one check
 
 
 class InvalidPointError(ValueError):
-    """Raised when a coordinate pair is not on the curve."""
+    """Raised for coordinates off the curve, or for infinity where a point is needed."""
+
+
+def is_on_curve(point: Point | None) -> bool:
+    """True if ``point`` satisfies y^2 = x^3 + ax + b (infinity counts)."""
+    if point is None:
+        return True
+    x, y = point.x, point.y
+    return (y * y - (x * x * x + A * x + B)) % P == 0
 
 
 @dataclass(frozen=True)
 class Point:
-    """Affine curve point with canonically reduced coordinates."""
+    """A finite point of the curve, in affine coordinates reduced mod p.
+
+    Every ``Point`` is on the curve by construction: the constructor
+    refuses unreduced coordinates, and any pair off the curve, with an
+    ``InvalidPointError``, and it is the one place a point is checked.
+    So each point is checked once, when it is built, wherever it comes
+    from (a group operation, ``sig.point_from_bytes``,
+    ``dataclasses.replace`` or a caller's own constructor), and no
+    function that takes a ``Point`` checks it again; an invalid-curve
+    point (Biehl, Meyer & Mueller, CRYPTO 2000) cannot reach a verifier.
+    The point at infinity is ``None``, not a ``Point``, and a function
+    tests for it only where it can arrive.
+    """
 
     x: int
     y: int
@@ -106,6 +126,8 @@ class Point:
     def __post_init__(self) -> None:
         if not (0 <= self.x < P and 0 <= self.y < P):
             raise InvalidPointError("coordinates must be reduced mod p")
+        if not is_on_curve(self):
+            raise InvalidPointError(f"not a point of the curve: {self}")
 
 
 # The point at infinity is represented as None throughout.
@@ -135,22 +157,9 @@ class DomainParams:
 P256 = DomainParams(p=P, a=A, b=B, gx=GX, gy=GY, n=N, h=H)
 
 
-def is_on_curve(point: Point | None) -> bool:
-    """True if ``point`` satisfies y^2 = x^3 + ax + b (infinity counts)."""
-    if point is None:
-        return True
-    x, y = point.x, point.y
-    return (y * y - (x * x * x + A * x + B)) % P == 0
-
-
-def _require_on_curve(point: Point | None) -> None:
-    if not is_on_curve(point):
-        raise InvalidPointError(f"point is not on the curve: {point}")
-
-
 def _require_finite(point: Point | None) -> None:
-    if point is None or not is_on_curve(point):
-        raise InvalidPointError(f"not a finite curve point: {point}")
+    if point is None:
+        raise InvalidPointError("the point at infinity is not allowed here")
 
 
 def point_neg(point: Point | None) -> Point | None:
@@ -160,13 +169,13 @@ def point_neg(point: Point | None) -> Point | None:
 
 
 def point_add(p1: Point | None, p2: Point | None) -> Point | None:
-    """Affine group law (chord/tangent).  Inputs are validated.
+    """Affine group law (chord/tangent) on points or infinity (``None``).
 
-    This is the plain reference path; the multipliers below use
-    Jacobian internals instead and are checked against it in the tests.
+    The inputs need no check, as every ``Point`` is on the curve by
+    construction, and the sum is checked as it is built.  This is the
+    plain reference path; the multipliers below use Jacobian internals
+    instead and are checked against it in the tests.
     """
-    _require_on_curve(p1)
-    _require_on_curve(p2)
     if p1 is None:
         return p2
     if p2 is None:
@@ -402,8 +411,10 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
 @dataclass(frozen=True, slots=True)
 class PrecomputedPoint:
-    """A finite on-curve point with its wNAF table of odd multiples.
+    """A finite point with its wNAF table of odd multiples.
 
+    The point is on the curve because it is a ``Point``; the constructor
+    refuses infinity, and a table that is not led by the point itself.
     ``table`` is flat, (x1, y1, x3, y3, ...), at one of two widths, which
     it gives by its length.  A registered key, which recurs across checks,
     has width ``KEY_WIDTH`` = 7: P, 3P, ..., 63P, 64 ints, about 4.4 kB.
@@ -434,21 +445,13 @@ class PrecomputedPoint:
         """The table's wNAF width: 4 or 7."""
         return len(self.table).bit_length()
 
-    @classmethod
-    def _built(cls, point: Point, table: tuple[int, ...]) -> "PrecomputedPoint":
-        # For precompute, which has checked the point and built the table
-        # from it: the checks of __post_init__ would repeat, at about a
-        # microsecond per point, on every -R_i of every batch check.
-        pre = object.__new__(cls)
-        object.__setattr__(pre, "point", point)
-        object.__setattr__(pre, "table", table)
-        return pre
-
 
 def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedPoint]:
-    """Tables for many finite on-curve points, at ``KEY_WIDTH`` or ``CALL_WIDTH``.
+    """Tables for many finite points, at ``KEY_WIDTH`` or ``CALL_WIDTH``.
 
-    One ``_odd_multiple_tables`` call builds them all: width - 1 field
+    Every ``Point`` is on the curve by construction, so the one input
+    refused here is infinity, with an ``InvalidPointError``.  One
+    ``_odd_multiple_tables`` call builds them all: width - 1 field
     inversions, however many points.
     """
     if width not in (CALL_WIDTH, KEY_WIDTH):
@@ -456,7 +459,7 @@ def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedP
     for point in points:
         _require_finite(point)
     tables = _odd_multiple_tables(points, width)
-    return [PrecomputedPoint._built(point, table) for point, table in zip(points, tables)]
+    return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
 
 
 def multi_scalar_mul(pairs) -> Point | None:
@@ -472,11 +475,11 @@ def multi_scalar_mul(pairs) -> Point | None:
     ``_odd_multiple_tables`` call of three affine rounds, each sharing
     one inversion across every table.  A batch check's sum, whose bases all
     come with their tables from ``sig``, builds none.  The
-    digits are sorted into one bucket of affine points per bit position.
-    Every plain base but G is checked on the curve.  Terms whose base is
-    the plain ``Point`` G have their scalars summed,
-    and that multiple's fixed-base entries (width-11 rows), at most 26,
-    go at the end of bucket 0, which is summed after the last doubling.
+    digits are sorted into one bucket of affine points per bit position;
+    a base of ``None``, infinity, adds nothing.  Terms whose base is the
+    plain ``Point`` G have their scalars summed, and that multiple's
+    fixed-base entries (width-11 rows), at most 26, go at the end of
+    bucket 0, which is summed after the last doubling.
     With two or more terms off G, ``_merge_buckets`` then adds pairs of
     entries within each bucket in affine, one shared inversion per level,
     while a level has at least ``_MERGE_PAIRS`` pairs, and ``_straus``,
@@ -499,10 +502,9 @@ def multi_scalar_mul(pairs) -> Point | None:
         elif base == G:
             g_scalar += k
             continue
+        elif base is None:
+            continue
         else:
-            _require_on_curve(base)
-            if base is None:
-                continue
             table = None
             width = CALL_WIDTH
         k %= N
@@ -679,11 +681,11 @@ def multiple_index(base: Point, target: Point | None, limit: int) -> int | None:
 
 
 def validate_public_key(q: Point | PrecomputedPoint | None) -> bool:
-    """Check that q is a usable public key: finite and on the curve.
+    """Check that q is a usable public key: a ``Point`` or a ``PrecomputedPoint``.
 
-    A ``PrecomputedPoint`` passes without a check: its constructor, or
-    ``precompute`` before it built the table, has already checked the
-    point.
+    That refuses infinity (``None``) and anything else that is not a
+    point.  It makes no curve check: every ``Point`` is on the curve by
+    construction, and a ``PrecomputedPoint`` holds one.
 
     No order check is needed.  The module constant ``H = 1`` is P-256's
     cofactor, so the group of curve points has the prime order n and
@@ -692,7 +694,7 @@ def validate_public_key(q: Point | PrecomputedPoint | None) -> bool:
     run time: acceptance criterion 6 runs ``validate_curve_security`` on
     ``P256``, whose ``cofactor_one`` check is what holds it to 1.
     """
-    return isinstance(q, PrecomputedPoint) or (q is not None and is_on_curve(q))
+    return isinstance(q, (Point, PrecomputedPoint))
 
 
 @dataclass(frozen=True)

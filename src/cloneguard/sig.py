@@ -29,10 +29,12 @@ Vanstone, CRYPTO 2001); each multiplier still gives a distinct weight,
 so the 2^-64 bound holds as it stands.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
-``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  A
-plain key is checked on the curve by each call that gets it; a
-``PrecomputedPoint`` was checked when it was built, and is not checked
-again.
+``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  No
+verifier checks a key or an R on the curve: every ``ec.Point`` is on the
+curve by construction, checked once, when it is built, by its own
+constructor, and that holds for a point decoded by ``point_from_bytes``
+as for one a caller builds.  A verifier refuses only what a ``Point``
+cannot rule out: infinity (``None``) as R or key.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ec import (B, CALL_WIDTH, G, INFINITY, N, P, Point, PrecomputedPoint, batch_inverse,
-                 is_on_curve, multi_scalar_mul, multiple_index, point_add, point_neg, precompute,
-                 scalar_mul, validate_public_key)
+                 multi_scalar_mul, multiple_index, point_add, point_neg, precompute, scalar_mul,
+                 validate_public_key)
 
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 33  # compressed: parity byte + x coordinate
@@ -131,12 +133,12 @@ def verify_classic(message: bytes, sig: Signature, public: PublicKey) -> bool:
 def _well_formed(sig: StarSignature, public: PublicKey) -> bool:
     """Whether an ECDSA* item is structurally valid, before any equation.
 
-    R is finite and on the curve, x(R) mod n and s lie in [1, n), and
-    the public key is usable.  ``verify_star`` and ``batch_verify`` both
-    refuse an item that fails here.
+    R is finite (a ``Point`` is on the curve by construction), x(R) mod
+    n and s lie in [1, n), and the public key is usable.
+    ``verify_star`` and ``batch_verify`` both refuse an item that fails
+    here.
     """
-    return (sig.R is not INFINITY and is_on_curve(sig.R)
-            and 1 <= sig.R.x % N and 1 <= sig.s < N
+    return (sig.R is not INFINITY and 1 <= sig.R.x % N and 1 <= sig.s < N
             and validate_public_key(public))
 
 
@@ -532,6 +534,12 @@ def point_to_bytes(point: Point) -> bytes:
 
 
 def point_from_bytes(data: bytes) -> Point:
+    """Decode a compressed point; a ``ValueError`` if it is malformed.
+
+    An x with no curve point, whose y^2 is not a square mod p, gives a
+    y off the curve, which the ``Point`` constructor refuses with an
+    ``ec.InvalidPointError``.
+    """
     if len(data) != PUBLIC_KEY_BYTES or data[0] not in (0x02, 0x03):
         raise ValueError("malformed compressed point")
     x = int.from_bytes(data[1:], "big")
@@ -539,8 +547,6 @@ def point_from_bytes(data: bytes) -> Point:
         raise ValueError("x coordinate out of range")
     y_sq = (x * x * x - 3 * x + B) % P
     y = pow(y_sq, (P + 1) // 4, P)  # p = 3 mod 4
-    if y * y % P != y_sq:
-        raise ValueError("x is not on the curve")
     if y & 1 != data[0] & 1:
         y = P - y
     return Point(x, y)

@@ -13,7 +13,7 @@ from cloneguard.context import (CI_WIRE_BYTES, PROOF_WIRE_BYTES, TIME_MAX,
                                 ProofPresentation, ProofRejected, Verdict,
                                 _digest_matches_store, ci_matches, encode_activity,
                                 generate_proof, sense_context, verify_proof_batch)
-from cloneguard.ec import N, P, Point, PrecomputedPoint
+from cloneguard.ec import N, P, InvalidPointError, Point, PrecomputedPoint
 from cloneguard.sig import SCAN_SIZE, StarSignature, generate_keypair, verify_star
 
 
@@ -486,12 +486,18 @@ def test_a_registered_key_cannot_be_replaced():
 
 
 def test_an_unusable_key_or_a_taken_id_is_refused():
-    world = World(3, seed=7)
-    verify_proof_batch([world.honest_presentation(i) for i in range(3)], world.lbs, world.rng)
+    # More than SCAN_SIZE survivors, so that the call caches their tables.
+    count = SCAN_SIZE + 1
+    world = World(count, seed=7)
+    verify_proof_batch([world.honest_presentation(i) for i in range(count)], world.lbs,
+                       world.rng)
     keys, tables = dict(world.lbs.public_keys), dict(world.lbs.key_tables)
+    assert sorted(tables) == list(range(count))
     public = world.lbs.public_keys[1]
-    for device_id, key in ((3, Point(public.x, (public.y + 1) % P)),  # off the curve
-                           (3, None),  # infinity
+    with pytest.raises(InvalidPointError):
+        Point(public.x, (public.y + 1) % P)  # an off-curve key cannot be built
+    for device_id, key in ((count, None),  # infinity
+                           (count, (public.x, public.y)),  # not a point
                            (1, generate_keypair(world.rng).public)):  # a taken id
         with pytest.raises(ValueError, match=f"device {device_id}"):
             world.lbs.register_public_key(device_id, key)
@@ -508,7 +514,9 @@ def test_a_presenter_under_a_refused_id_is_not_registered():
     proof = generate_proof(ci, generate_keypair(world.rng).private, world.rng,
                            request_pending=True)
     presentations = [world.honest_presentation(0), ProofPresentation(proof, ci)]
-    for key in (Point(public.x, (public.y + 1) % P), None):
+    with pytest.raises(InvalidPointError):
+        Point(public.x, (public.y + 1) % P)  # an off-curve key cannot be built
+    for key in (None, (public.x, public.y)):  # infinity, and not a point
         with pytest.raises(ValueError):
             world.lbs.register_public_key(5, key)
         for use_batch in (True, False):

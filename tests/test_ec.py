@@ -1,5 +1,6 @@
 """Curve arithmetic: reference oracles, group laws, known answers."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from cloneguard.ec import (_GEN_WIDTH, A, B, CALL_WIDTH, G, INFINITY, KEY_WIDTH,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
                            validate_curve_security, validate_public_key)
-from cloneguard.sig import SCAN_SIZE, batch_verify, generate_keypair, sign
+from cloneguard.context import LocationProof
+from cloneguard.sig import (SCAN_SIZE, batch_verify, generate_keypair, point_from_bytes, sign,
+                            signature_from_bytes)
 
 # Known-answer multiples of the generator, frozen from an independent
 # straight-line double-and-add evaluation of the affine formulas.
@@ -80,11 +83,18 @@ def test_point_add_identity_and_inverse():
 
 
 def test_point_add_rejects_off_curve():
-    bogus = Point(G.x, (G.y + 1) % P)
+    # An off-curve point is refused where it is built, so neither
+    # point_add nor scalar_mul can be handed one.
     with pytest.raises(InvalidPointError):
-        point_add(bogus, G)
-    with pytest.raises(InvalidPointError):
-        scalar_mul(2, bogus)
+        Point(G.x, (G.y + 1) % P)
+
+
+def _non_residue_x():
+    """The least x whose x^3 + ax + b is not a square mod p: no curve point has it."""
+    x = 0
+    while pow((x * x * x + A * x + B) % P, (P - 1) // 2, P) != P - 1:
+        x += 1
+    return x
 
 
 def test_point_constructor_rejects_unreduced():
@@ -92,6 +102,19 @@ def test_point_constructor_rejects_unreduced():
         Point(P, 0)
     with pytest.raises(InvalidPointError):
         Point(0, -1)
+    # Reduced coordinates off the curve are refused too, by every way in.
+    with pytest.raises(InvalidPointError):
+        Point(G.x, G.y + 1)
+    with pytest.raises(InvalidPointError):
+        dataclasses.replace(G, y=G.y + 1)
+    encoded = b"\x02" + _non_residue_x().to_bytes(32, "big")
+    with pytest.raises(InvalidPointError):
+        point_from_bytes(encoded)
+    s = sign(b"m", 7, random.Random(1)).s.to_bytes(32, "big")
+    with pytest.raises(InvalidPointError):
+        signature_from_bytes(encoded + s)
+    with pytest.raises(InvalidPointError):
+        LocationProof.from_bytes(b"\x00\x01" + bytes(32) + encoded + s)
 
 
 def test_group_laws_on_random_points():
@@ -448,12 +471,12 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
     precomputed = precompute(points)
     assert [pre.point for pre in precomputed] == points
     assert [pre.table for pre in precomputed] == _odd_multiple_tables(points, 7)
-    off = Point(G.x, (G.y + 1) % P)
-    for bad in (INFINITY, off):
-        with pytest.raises(InvalidPointError):
-            precompute([G, bad])
-        with pytest.raises(InvalidPointError):
-            PrecomputedPoint(bad, precomputed[0].table)
+    with pytest.raises(InvalidPointError):
+        Point(G.x, (G.y + 1) % P)
+    with pytest.raises(InvalidPointError):
+        precompute([G, INFINITY])
+    with pytest.raises(InvalidPointError):
+        PrecomputedPoint(INFINITY, precomputed[0].table)
     with pytest.raises(ValueError):
         PrecomputedPoint(G, precomputed[2].table[:-2])
     # A width-5 table of the right point is too short for a cached key.
@@ -580,9 +603,11 @@ def test_validate_public_key():
     rng = random.Random(5)
     good = random_point(rng)
     assert validate_public_key(good)
+    assert validate_public_key(precompute([good])[0])
     assert not validate_public_key(INFINITY)
-    off = Point(good.x, (good.y + 1) % P)
-    assert not validate_public_key(off)
+    assert not validate_public_key((good.x, good.y))
+    with pytest.raises(InvalidPointError):
+        Point(good.x, (good.y + 1) % P)
 
 
 def test_curve_security_p256_passes():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard import ec, sig as sigmod
-from cloneguard.ec import G, INFINITY, N, P, Point, precompute, scalar_mul
+from cloneguard.ec import G, INFINITY, N, P, InvalidPointError, Point, precompute, scalar_mul
 from cloneguard.sig import (SIGNATURE_BYTES, PUBLIC_KEY_BYTES, KeyPair, Signature,
                             StarSignature, batch_verify, generate_keypair,
                             hash_to_scalar, point_from_bytes, point_to_bytes,
@@ -92,8 +92,8 @@ def test_verify_rejects_degenerate_inputs():
     assert not verify_classic(message, Signature(r=star.R.x % N, s=0), keypair.public)
     assert not verify_classic(message, Signature(r=N, s=star.s), keypair.public)
     assert not verify_star(message, StarSignature(R=INFINITY, s=star.s), keypair.public)
-    off_curve = Point(star.R.x, (star.R.y + 1) % P)
-    assert not verify_star(message, StarSignature(R=off_curve, s=star.s), keypair.public)
+    with pytest.raises(InvalidPointError):
+        Point(star.R.x, (star.R.y + 1) % P)  # an off-curve R cannot be built
     negated = Point(star.R.x, (-star.R.y) % P)
     assert not verify_star(message, StarSignature(R=negated, s=star.s), keypair.public)
     assert not verify_star(message, star, INFINITY)
@@ -197,10 +197,11 @@ def test_batch_rejects_structural_garbage():
     rng = random.Random(25)
     items = make_items(rng, 3)
     message, star, public = items[0]
-    bad_r = [(message, StarSignature(Point(star.R.x, (star.R.y + 1) % P), star.s), public)]
-    assert not batch_verify(bad_r, rng)
-    bad_q = [(message, star, Point(public.x, (public.y + 1) % P))]
-    assert not batch_verify(bad_q, rng)
+    with pytest.raises(InvalidPointError):
+        Point(star.R.x, (star.R.y + 1) % P)  # an off-curve R cannot be built
+    with pytest.raises(InvalidPointError):
+        Point(public.x, (public.y + 1) % P)  # nor an off-curve key
+    assert not batch_verify([(message, StarSignature(INFINITY, star.s), public)], rng)
     assert not batch_verify([(message, star, INFINITY)], rng)
     with pytest.raises(ValueError):
         batch_verify([], rng)
@@ -229,7 +230,7 @@ def test_batch_mixed_with_valid_items_still_rejects():
 
 # --- locating the invalid items of a failed batch ---
 
-INVALID_KINDS = ("bumped_s", "other_key", "off_curve_r", "s_zero", "s_n", "off_curve_key")
+INVALID_KINDS = ("bumped_s", "other_key", "infinite_r", "s_zero", "s_n", "infinite_key")
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,11 +251,11 @@ def _invalid(index, kind):
         return message, StarSignature(star.R, (star.s + 1) % N or 1), public
     if kind == "other_key":
         return message, forged[index], public
-    if kind == "off_curve_r":
-        return message, StarSignature(Point(star.R.x, (star.R.y + 1) % P), star.s), public
+    if kind == "infinite_r":
+        return message, StarSignature(INFINITY, star.s), public
     if kind in ("s_zero", "s_n"):
         return message, StarSignature(star.R, 0 if kind == "s_zero" else N), public
-    return message, star, Point(public.x, (public.y + 1) % P)
+    return message, star, INFINITY
 
 
 @st.composite
@@ -613,12 +614,14 @@ def _tampered(star):
     for bit in (0, 1, 100, 255):
         yield StarSignature(star.R, star.s ^ (1 << bit))
     for bit in (0, 7, 200):
+        encoded = bytes([2 | star.R.y & 1]) + (star.R.x ^ (1 << bit)).to_bytes(32, "big")
         try:
-            flipped = point_from_bytes(point_to_bytes(Point(star.R.x ^ (1 << bit), star.R.y)))
+            flipped = point_from_bytes(encoded)
         except ValueError:
             continue  # x ^ bit is not an x coordinate on the curve
         yield StarSignature(flipped, star.s)
-    yield StarSignature(Point(star.R.x, star.R.y ^ 1), star.s)  # off the curve
+    with pytest.raises(InvalidPointError):
+        Point(star.R.x, star.R.y ^ 1)  # off the curve
     yield StarSignature(Point(star.R.x, P - star.R.y), star.s)  # the parity bit: -R
 
 
@@ -626,9 +629,10 @@ def test_precomputed_keys_verify_like_plain_points():
     rng = random.Random(28)
     items = make_items(rng, 6)
     keys = precompute([public for _, _, public in items])
-    accepted = rejected = 0
+    accepted = rejected = x_flips = 0
     for i, (message, star, public) in enumerate(items):
         for variant in _tampered(star):
+            x_flips += variant.R.x != star.R.x
             classic = variant.to_classic()
             ok = verify_star(message, variant, public)
             assert verify_star(message, variant, keys[i]) == ok
@@ -649,13 +653,13 @@ def test_precomputed_keys_verify_like_plain_points():
         assert not verify_classic(message, star.to_classic(), other)
         assert not batch_verify([(message, star, other)], rng)
     assert accepted == len(items) and rejected >= 5 * len(items)
+    assert x_flips
 
 
 def test_each_point_is_checked_on_the_curve_once(monkeypatch):
-    # A key is checked where it enters: by precompute, or by the batch or
-    # verification that gets it as a plain Point.  G and a cached key are
-    # never re-checked; every R is checked once by _well_formed, and -R_i
-    # once more as its table is built.
+    # A point is checked once, when it is built, by the Point constructor:
+    # the public key by key generation and R by signing.  A verifier checks
+    # no key or R it is given, cached or plain, and builds only -R_i.
     rng = random.Random(30)
     items = make_items(rng, 25)
     keys = precompute([public for _, _, public in items])
@@ -667,13 +671,12 @@ def test_each_point_is_checked_on_the_curve_once(monkeypatch):
         checked.append(point)
         return _original(point)
     monkeypatch.setattr(ec, "is_on_curve", counted)
-    monkeypatch.setattr(sigmod, "is_on_curve", counted)  # sig binds the name itself
     calls = {
-        "generate_keypair": (lambda: generate_keypair(random.Random(1)), 0),
-        "sign": (lambda: sign(message, 7, random.Random(1)), 0),
-        "batch_verify, cached keys": (lambda: batch_verify(cached, random.Random(2)), 50),
-        "batch_verify, plain keys": (lambda: batch_verify(items, random.Random(2)), 100),
-        "verify_star, cached key": (lambda: verify_star(message, star, keys[0]), 2),
+        "generate_keypair": (lambda: generate_keypair(random.Random(1)), 1),
+        "sign": (lambda: sign(message, 7, random.Random(1)), 1),
+        "batch_verify, cached keys": (lambda: batch_verify(cached, random.Random(2)), 25),
+        "batch_verify, plain keys": (lambda: batch_verify(items, random.Random(2)), 25),
+        "verify_star, cached key": (lambda: verify_star(message, star, keys[0]), 1),
     }
     for name, (call, expected) in calls.items():
         checked.clear()

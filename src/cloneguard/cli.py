@@ -225,7 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _require_positive("--reps", args.reps)
     values = _gather_overrides(args)
     config = NetworkConfig(**values)
-    config.validate()
     _make_out_dir(args.out)
 
     reports = _run_reps(config, args.reps, args.out)
@@ -321,8 +320,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not all(axis_values):
         raise ConfigFileError("sweep axes must be non-empty")
 
-    # Build and validate the whole grid up front: an unreachable cell is
-    # an error, never a silent skip.
+    # Build the whole grid up front, as building a config checks it: an
+    # unreachable cell is an error, never a silent skip.
     cells = []
     problems = []
     for values in itertools.product(*axis_values):
@@ -330,7 +329,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         label = "_".join(f"{row.label}{value}" for row, value in zip(axes, values))
         try:
             config = NetworkConfig(**{**base, **cell})
-            config.validate()
         except (ConfigError, TypeError) as exc:
             problems.append(f"cell {label}: {exc}")
             continue

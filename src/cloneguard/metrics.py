@@ -75,8 +75,8 @@ class MetricsSink:
 
     def __init__(self, latency_ms: float) -> None:
         self.latency_ms = latency_ms
-        # (sender role, category) -> messages sent; bytes follow from WIRE_BYTES
-        self.counts: dict[tuple[str, str], int] = {}
+        # messages sent, as the report holds them; bytes follow from WIRE_BYTES
+        self.counts: MessageCounts = {}
         self.clock_ms = 0.0
 
     def log(self, from_role: str, category: str) -> float:
@@ -87,33 +87,33 @@ class MetricsSink:
         if category not in WIRE_BYTES:
             raise ValueError(f"unknown message category: {category}")
         self.clock_ms += self.latency_ms
-        key = (from_role, category)
-        self.counts[key] = self.counts.get(key, 0) + 1
+        row = self.counts.setdefault(from_role, {})
+        row[category] = row.get(category, 0) + 1
         return self.clock_ms
 
     # --- aggregations ---
 
     def message_counts(self) -> MessageCounts:
-        """Sender role -> category -> count."""
-        out: MessageCounts = {}
-        for (role, category), count in self.counts.items():
-            out.setdefault(role, {})[category] = count
-        return out
+        """Sender role -> category -> count, as a copy."""
+        return {role: dict(cats) for role, cats in self.counts.items()}
 
     def total_messages(self) -> int:
-        return sum(self.counts.values())
+        return sum(sum(cats.values()) for cats in self.counts.values())
 
     def total_bytes(self) -> int:
-        return total_bytes(self.message_counts())
+        return total_bytes(self.counts)
 
 
 def expected_tree_messages(degree: int, height: int) -> int:
     """Messages relayed through a detection tree of the given shape.
 
-    A tree with fan-out ``degree`` and ``height`` levels below the root
-    carries sum(degree**i for i in 1..height) messages.  Fan-out 1 is
-    the degenerate linear chain and is special-cased to height + 1 (a
-    chain of height + 1 nodes each forwarding once).
+    A tree with fan-out ``degree`` >= 2 and ``height`` levels below the
+    root carries one message per edge: sum(degree**i for i in 1..height),
+    which is 0 at height 0.  Fan-out 1 is the linear relay chain, and it
+    counts one message more: each of its height + 1 nodes forwards once,
+    so its height hops are followed by the last node's report, and
+    (1, 0) gives 1 where (2, 0) gives 0.  The chain needs its own case
+    anyway, as the closed form below divides by degree - 1.
     """
     if degree < 1:
         raise ValueError("tree degree must be at least 1")

@@ -400,15 +400,13 @@ def _lone_item(s1: Point, s2: Point | None, lo: int, hi: int) -> int | None:
 def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     """One validity flag per item: a batch check, then a search if it fails.
 
-    The whole batch gets one ``batch_verify``; if it passes, every item
-    is valid, and the rng has advanced exactly as by that call alone.
-    Otherwise each item that is not ``_well_formed`` gets its
-    ``verify_each`` (which refuses it without any group operation).  If
-    one did, it stopped that call before any lambda was drawn or any
-    multiplication made, so the well-formed items then get the check, a
-    second ``batch_verify``; if it passes, each of them is valid.  If the
-    check fails and at most ``SCAN_SIZE`` items are well formed, each of
-    them gets its ``verify_each``.  Otherwise the search reuses the
+    Each item that is not ``_well_formed`` gets its ``verify_each``
+    (which refuses it without any group operation).  The well-formed
+    items then get one ``batch_verify``, the check, and none if there are
+    none; if it passes, each of them is valid, and the rng has advanced
+    exactly as by that call alone.  If the check fails and at most
+    ``SCAN_SIZE`` items are well formed, each of them gets its
+    ``verify_each``.  Otherwise the search reuses the
     check: with lambda_i its randomizer and T_i = u1_i G + u2_i Q_i - R_i
     at position i of the well-formed items, it keeps, for each failed
     set, two sums:
@@ -467,9 +465,6 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     split of [0, n), and b takes at most n values, so an invalid item is
     missed with probability at most (2n - 1)(n + 1) * 2^-64.
     """
-    check: list = []
-    if batch_verify(items, rng, _check=check):
-        return [True] * len(items)
     flags = [True] * len(items)
     formed = []
     for i, (_, sig, public) in enumerate(items):
@@ -477,10 +472,9 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
             formed.append(i)
         else:
             flags[i] = verify_each([items[i]])[0]
-    if not check:
-        # A malformed item refused the batch before any lambda was drawn.
-        if not formed or batch_verify([items[i] for i in formed], rng, _check=check):
-            return flags
+    check: list = []
+    if not formed or batch_verify([items[i] for i in formed], rng, _check=check):
+        return flags
     terms, lambdas, s1 = check  # the weights; above SCAN_SIZE, the lambdas
 
     def scan(positions: Sequence[int]) -> None:

@@ -45,18 +45,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Experiment configuration.  ``None`` fields resolve to defaults.
+    """Experiment configuration, concrete and valid once it exists.
 
     ``num_provers`` defaults to 70% of the population (rounded), and
     ``num_clones`` to the environment's nominal load: 20 when sparse,
     50 when dense.  ``num_clones = 0`` is always allowed as the
-    clone-free baseline.
+    clone-free baseline.  Construction fills these defaults and checks
+    every constraint, raising ``ConfigError`` that names all violations.
+    A derived value is then a field like any other, so
+    ``dataclasses.replace`` keeps it: replacing ``num_devices`` or
+    ``environment`` does not re-derive ``num_provers`` or ``num_clones``.
     """
 
     num_devices: int = 100
-    num_provers: int | None = None
+    num_provers: int | None = None  # None: derived at construction
     num_verifiers: int = 30
-    num_clones: int | None = None
+    num_clones: int | None = None  # None: derived at construction
     environment: str = "sparse"
     area_side: float = 256.0
     rwp_speed_min: float = 1.0
@@ -70,69 +74,58 @@ class NetworkConfig:
     batch_size: int = 25
     latency_ms: float = 1.0
 
-    def resolve(self) -> "NetworkConfig":
-        """Fill the derived defaults; returns a fully concrete config."""
-        provers = self.num_provers
-        if provers is None:
-            provers = round(0.7 * self.num_devices)
-        clones = self.num_clones
-        if clones is None:
-            clones = 20 if self.environment == "sparse" else 50
-        return dataclasses.replace(self, num_provers=provers, num_clones=clones)
-
-    def validate(self) -> None:
-        """Check every constraint; raises ConfigError naming all violations."""
-        cfg = self.resolve()
+    def __post_init__(self) -> None:
+        if self.num_provers is None:
+            object.__setattr__(self, "num_provers", round(0.7 * self.num_devices))
+        if self.num_clones is None:
+            object.__setattr__(self, "num_clones", 20 if self.environment == "sparse" else 50)
         problems = [f"{name} ({value}) must be finite"
-                    for name, value in dataclasses.asdict(cfg).items()
+                    for name, value in dataclasses.asdict(self).items()
                     if isinstance(value, float) and not math.isfinite(value)]
-        if not 100 <= cfg.num_devices <= 500:
-            problems.append(f"num_devices ({cfg.num_devices}) must be within [100, 500]")
-        if cfg.environment not in ("sparse", "dense"):
-            problems.append(f"environment ({cfg.environment!r}) must be 'sparse' or 'dense'")
-        if cfg.num_verifiers < 1:
+        if not 100 <= self.num_devices <= 500:
+            problems.append(f"num_devices ({self.num_devices}) must be within [100, 500]")
+        if self.environment not in ("sparse", "dense"):
+            problems.append(f"environment ({self.environment!r}) must be 'sparse' or 'dense'")
+        if self.num_verifiers < 1:
             problems.append("num_verifiers must be at least 1")
-        if cfg.num_verifiers >= cfg.num_devices:
-            problems.append(f"num_verifiers ({cfg.num_verifiers}) must be smaller than "
-                            f"num_devices ({cfg.num_devices})")
-        if cfg.num_provers < 1:
+        if self.num_verifiers >= self.num_devices:
+            problems.append(f"num_verifiers ({self.num_verifiers}) must be smaller than "
+                            f"num_devices ({self.num_devices})")
+        if self.num_provers < 1:
             problems.append("num_provers must be at least 1")
-        if cfg.num_provers + cfg.num_verifiers > cfg.num_devices:
-            problems.append(f"num_provers + num_verifiers ({cfg.num_provers} + "
-                            f"{cfg.num_verifiers}) must not exceed num_devices "
-                            f"({cfg.num_devices})")
-        if cfg.num_clones != 0:
-            if cfg.environment == "sparse" and cfg.num_clones != 20:
-                problems.append(f"num_clones ({cfg.num_clones}) must be 20 in a sparse "
+        if self.num_provers + self.num_verifiers > self.num_devices:
+            problems.append(f"num_provers + num_verifiers ({self.num_provers} + "
+                            f"{self.num_verifiers}) must not exceed num_devices "
+                            f"({self.num_devices})")
+        if self.num_clones != 0:
+            if self.environment == "sparse" and self.num_clones != 20:
+                problems.append(f"num_clones ({self.num_clones}) must be 20 in a sparse "
                                 "environment (or 0 for a clone-free baseline)")
-            if cfg.environment == "dense" and not 25 <= cfg.num_clones <= 50:
-                problems.append(f"num_clones ({cfg.num_clones}) must be within [25, 50] "
+            if self.environment == "dense" and not 25 <= self.num_clones <= 50:
+                problems.append(f"num_clones ({self.num_clones}) must be within [25, 50] "
                                 "in a dense environment (or 0 for a clone-free baseline)")
-        if cfg.num_clones > cfg.num_provers:
-            problems.append(f"num_clones ({cfg.num_clones}) must not exceed num_provers "
-                            f"({cfg.num_provers}): every clone needs a distinct victim")
-        if not 1 / ctx.FIXED_POINT_SCALE <= cfg.area_side <= 256.0:
+        if self.num_clones > self.num_provers:
+            problems.append(f"num_clones ({self.num_clones}) must not exceed num_provers "
+                            f"({self.num_provers}): every clone needs a distinct victim")
+        if not 1 / ctx.FIXED_POINT_SCALE <= self.area_side <= 256.0:
             # Below one quantisation step every position shares the
             # victim's cell, and inject_clones could never place a clone.
-            problems.append(f"area_side ({cfg.area_side}) must be in "
+            problems.append(f"area_side ({self.area_side}) must be in "
                             f"[{1 / ctx.FIXED_POINT_SCALE}, 256] to span at least one "
                             "quantisation step and stay addressable by the context "
                             "fixed-point encoding")
-        if not 0.0 <= cfg.rwp_speed_min <= cfg.rwp_speed_max:
+        if not 0.0 <= self.rwp_speed_min <= self.rwp_speed_max:
             problems.append("rwp speed range must satisfy 0 <= min <= max")
-        if not 0.0 <= cfg.rwp_pause_min <= cfg.rwp_pause_max:
+        if not 0.0 <= self.rwp_pause_min <= self.rwp_pause_max:
             problems.append("rwp pause range must satisfy 0 <= min <= max")
-        if not 1 <= cfg.rounds <= ctx.TIME_MAX:
-            problems.append(f"rounds ({cfg.rounds}) must be within [1, {ctx.TIME_MAX}]")
-        if cfg.batch_size < 1:
+        if not 1 <= self.rounds <= ctx.TIME_MAX:
+            problems.append(f"rounds ({self.rounds}) must be within [1, {ctx.TIME_MAX}]")
+        if self.batch_size < 1:
             problems.append("batch_size must be at least 1")
-        if cfg.latency_ms <= 0.0:
+        if self.latency_ms <= 0.0:
             problems.append("latency_ms must be positive")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self.resolve())
 
 
 @dataclass
@@ -195,23 +188,21 @@ def init_network(config: NetworkConfig) -> SimulationState:
     context, registers its public key, and stores the record with the
     location store.
     """
-    config.validate()
-    cfg = config.resolve()
-    hub = RngHub(cfg.seed)
+    hub = RngHub(config.seed)
     place_rng = hub.stream("placement")
     key_rng = hub.stream("keys")
     mob_rng = hub.stream("mobility")
 
-    trust_state = TrustState(range(cfg.num_devices))
-    verifier_ids = set(trust_state.select(cfg.num_verifiers))
-    prover_ids = set(sorted(set(range(cfg.num_devices)) - verifier_ids)[:cfg.num_provers])
+    trust_state = TrustState(range(config.num_devices))
+    verifier_ids = set(trust_state.select(config.num_verifiers))
+    prover_ids = set(sorted(set(range(config.num_devices)) - verifier_ids)[:config.num_provers])
 
-    sink = met.MetricsSink(cfg.latency_ms)
+    sink = met.MetricsSink(config.latency_ms)
     lbs = ctx.LbsStore()
 
     nodes = []
-    keypairs = [sigmod.generate_keypair(key_rng) for _ in range(cfg.num_devices)]
-    for device_id in range(cfg.num_devices):
+    keypairs = [sigmod.generate_keypair(key_rng) for _ in range(config.num_devices)]
+    for device_id in range(config.num_devices):
         if device_id in verifier_ids:
             role = ROLE_VERIFIER
         elif device_id in prover_ids:
@@ -219,14 +210,14 @@ def init_network(config: NetworkConfig) -> SimulationState:
         else:
             role = ROLE_IDLE
         node = Node(idx=device_id, device_id=device_id, role=role,
-                    x=place_rng.uniform(0.0, cfg.area_side),
-                    y=place_rng.uniform(0.0, cfg.area_side),
+                    x=place_rng.uniform(0.0, config.area_side),
+                    y=place_rng.uniform(0.0, config.area_side),
                     activity=ACTIVITIES[device_id % len(ACTIVITIES)],
                     keypair=keypairs[device_id])
-        _sample_waypoint(node, cfg, mob_rng)
+        _sample_waypoint(node, config, mob_rng)
         nodes.append(node)
 
-    state = SimulationState(config=cfg, rngs=hub, nodes=nodes, lbs=lbs,
+    state = SimulationState(config=config, rngs=hub, nodes=nodes, lbs=lbs,
                             trust=trust_state, sink=sink)
 
     # Registration: enrol the key, then sense at tick 0 and store the record.
@@ -453,7 +444,7 @@ def run_experiment(config: NetworkConfig) -> met.SimulationReport:
     }
 
     return met.SimulationReport(
-        config=cfg.to_dict(),
+        config=dataclasses.asdict(cfg),
         seed=cfg.seed,
         detection_probability=probability,
         detections=detected,

@@ -60,7 +60,7 @@ def test_criterion_1_detection_probability(capsys):
             for seed in range(1, 31):
                 cfg = NetworkConfig(num_devices=devices, environment=env,
                                     num_clones=clones, seed=seed,
-                                    rounds=1).resolve()
+                                    rounds=1)
                 report = run_experiment(cfg)
                 assert report.detection_probability == 1.0, (env, seed)
                 assert report.false_positives == 0, (env, seed)
@@ -198,7 +198,7 @@ def test_criterion_4_storage_layout(capsys):
         assert DEVICE_STORAGE_BYTES == 81
         assert QUOTED_DEVICE_BUDGET_BYTES == 73
 
-        report = run_experiment(NetworkConfig(seed=4, rounds=1).resolve())
+        report = run_experiment(NetworkConfig(seed=4, rounds=1))
         assert report.storage_bytes["device_each"] == 81
         ref = json.loads(report.to_canonical_json())["storage_reference"]
         assert ref == {"per_device_bytes": 81, "quoted_budget_bytes": 73,
@@ -217,7 +217,7 @@ def test_criterion_5_communication_linearity(capsys):
         reports = []
         for devices in (100, 200, 300, 400, 500):
             cfg = NetworkConfig(num_devices=devices, environment="sparse",
-                                num_clones=20, seed=5, rounds=1).resolve()
+                                num_clones=20, seed=5, rounds=1)
             reports.append(run_experiment(cfg))
         per_device = {r.config["num_devices"]: r.total_messages / r.config["num_devices"]
                       for r in reports}

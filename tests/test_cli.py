@@ -43,14 +43,14 @@ _FIELD_SAMPLES = {int: ("12", 12), float: ("2.5", 2.5), str: ("dense", "dense")}
 @pytest.mark.parametrize("field", dataclasses.fields(NetworkConfig),
                          ids=lambda f: f.name)
 def test_every_config_field_parses_to_its_type(tmp_path, field):
-    # The resolved default's type: an ``int | None`` field resolves to an int.
-    kind = type(getattr(NetworkConfig().resolve(), field.name))
+    # The default config's type: an ``int | None`` field is derived as an int.
+    kind = type(getattr(NetworkConfig(), field.name))
     text, expected = _FIELD_SAMPLES[kind]
     path = tmp_path / "net.cfg"
     path.write_text(f"{field.name} = {text}\n")
     values = parse_config_file(str(path))
     assert values == {field.name: expected}
-    assert type(getattr(NetworkConfig(**values), field.name)) is kind
+    assert type(values[field.name]) is kind
     if kind is int:
         path.write_text(f"{field.name} = 0x1f\n")
         assert parse_config_file(str(path)) == {field.name: 31}
@@ -64,7 +64,7 @@ def test_readme_config_example_is_valid(tmp_path):
     path.write_text(blocks[0])
     values = parse_config_file(str(path))
     assert values
-    NetworkConfig(**values).validate()
+    NetworkConfig(**values)
 
 
 def test_parse_config_file_reports_line_numbers(tmp_path):
@@ -432,25 +432,25 @@ def test_non_positive_counts_are_exit_2(tmp_path, capsys, argv, flag):
 
 
 def test_invariants_pass_on_real_report():
-    report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=1))
     assert check_report_invariants(report) == []
 
 
 def test_invariants_catch_false_positives():
-    report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=1))
     tampered = dataclasses.replace(report, false_positives=1)
     assert any("soundness" in p for p in check_report_invariants(tampered))
 
 
 @pytest.mark.parametrize("time_ms", [0.0, float("nan")])
 def test_invariants_catch_bad_detection_time(time_ms):
-    report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=1))
     bad = dataclasses.replace(report.detections[0], detection_time_ms=time_ms)
     tampered = dataclasses.replace(report, detections=[bad] + report.detections[1:])
     assert any("timing" in p for p in check_report_invariants(tampered))
 
 
 def test_invariants_catch_missed_detection():
-    report = run_experiment(NetworkConfig(seed=7, rounds=1).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=1))
     tampered = dataclasses.replace(report, detection_probability=0.9)
     assert any("detection" in p for p in check_report_invariants(tampered))

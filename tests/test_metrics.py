@@ -66,6 +66,18 @@ def test_sink_count_tables():
                                                   "verifier": {"ci_check": 2}}
 
 
+def test_sink_count_table_is_a_copy():
+    sink = MetricsSink(1.0)
+    sink.log("prover", "proof_response")
+    table = sink.message_counts()
+    table["prover"]["proof_response"] = 10
+    table["prover"]["sense"] = 1
+    table["lbs"] = {"ack": 1}
+    assert sink.message_counts() == {"prover": {"proof_response": 1}}
+    assert sink.total_messages() == 1
+    assert sink.total_bytes() == 99
+
+
 # --- verification-tree message count ---
 
 

@@ -293,9 +293,9 @@ def test_verify_batch_flags_equal_verify_each(batch):
 def checks(monkeypatch):
     """(name, item count) of each batch_verify and verify_each call, in order.
 
-    ``verify_batch`` makes its one batch check through ``batch_verify``,
-    so the check counts once per call.  A batch with a malformed item also
-    shows the call that item stopped before any randomizer or sum.
+    ``verify_batch`` makes at most one batch check, over the well-formed
+    items, through ``batch_verify``, so the check counts once per call.
+    Each malformed item shows as its own one-item ``verify_each``.
     """
     calls = []
     for name in ("batch_verify", "verify_each"):
@@ -315,6 +315,26 @@ def test_valid_batch_costs_one_batch_check_and_its_randomizers(checks):
         assert checks == [("batch_verify", size)]
         assert batch_verify(items[:size], alone)
         assert rng.getstate() == alone.getstate()
+
+
+def test_a_malformed_item_leaves_one_batch_check_over_the_well_formed_items(checks):
+    items = _bisect_pool()[0][:6]
+    for kind in ("infinite_r", "s_zero", "s_n", "infinite_key"):
+        batch = list(items)
+        batch[2] = _invalid(2, kind)
+        checks.clear()
+        rng, alone = random.Random(6), random.Random(6)
+        assert verify_batch(batch, rng) == [i != 2 for i in range(6)]
+        assert checks == [("verify_each", 1), ("batch_verify", 5)], kind
+        assert batch_verify(items[:2] + items[3:], alone)
+        assert rng.getstate() == alone.getstate()
+    # With no well-formed item there is nothing to check as a batch.
+    checks.clear()
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert verify_batch([_invalid(i, "s_zero") for i in range(3)], rng) == [False] * 3
+    assert checks == [("verify_each", 1)] * 3
+    assert rng.getstate() == state
 
 
 def test_one_invalid_item_takes_logarithmically_many_checks(checks):

@@ -22,29 +22,27 @@ AREA_SIDE = 256.0
 
 
 def test_config_defaults_resolve():
-    cfg = NetworkConfig().resolve()
+    cfg = NetworkConfig()
     assert cfg.num_devices == 100
     assert cfg.num_provers == 70
     assert cfg.num_verifiers == 30
     assert cfg.num_clones == 20  # sparse default
-    cfg.validate()
 
 
 def test_config_dense_defaults():
-    cfg = NetworkConfig(environment="dense").resolve()
+    cfg = NetworkConfig(environment="dense")
     assert cfg.num_clones == 50
-    cfg.validate()
 
 
 def test_config_prover_fraction_scales():
     for n in (100, 200, 300, 400, 500):
-        cfg = NetworkConfig(num_devices=n).resolve()
+        cfg = NetworkConfig(num_devices=n)
         assert cfg.num_provers == round(0.7 * n)
 
 
 def test_config_validation_collects_all_problems():
     with pytest.raises(ConfigError) as exc:
-        NetworkConfig(num_devices=50, environment="urban").resolve().validate()
+        NetworkConfig(num_devices=50, environment="urban")
     text = str(exc.value)
     assert "num_devices" in text
     assert "environment" in text
@@ -73,35 +71,44 @@ def test_config_validation_collects_all_problems():
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
-        NetworkConfig(**kwargs).resolve().validate()
+        NetworkConfig(**kwargs)
 
 
 def test_config_names_every_non_finite_float():
     names = [f.name for f in dataclasses.fields(NetworkConfig) if isinstance(f.default, float)]
     with pytest.raises(ConfigError) as exc:
-        NetworkConfig(**{name: math.nan for name in names}).validate()
+        NetworkConfig(**{name: math.nan for name in names})
     for name in names:
         assert f"{name} (nan) must be finite" in str(exc.value)
 
 
 def test_config_zero_clones_is_a_valid_baseline():
-    NetworkConfig(num_clones=0).resolve().validate()
-    NetworkConfig(environment="dense", num_clones=0).resolve().validate()
+    NetworkConfig(num_clones=0)
+    NetworkConfig(environment="dense", num_clones=0)
 
 
-def test_config_to_dict_roundtrip():
-    cfg = NetworkConfig(num_devices=200, seed=9).resolve()
-    d = cfg.to_dict()
+def test_config_asdict_is_concrete_and_serializable():
+    cfg = NetworkConfig(num_devices=200, seed=9)
+    d = dataclasses.asdict(cfg)
     assert d["num_devices"] == 200
     assert d["num_provers"] == 140
     assert json.dumps(d)  # JSON-serializable
+
+
+def test_config_replace_keeps_derived_values_and_checks_them():
+    cfg = dataclasses.replace(NetworkConfig(), seed=3)
+    assert (cfg.num_provers, cfg.num_clones, cfg.seed) == (70, 20, 3)
+    # The sparse default of 20 clones is kept, not re-derived, and a dense
+    # network with 20 clones is out of range.
+    with pytest.raises(ConfigError, match=r"num_clones \(20\) must be within \[25, 50\]"):
+        dataclasses.replace(NetworkConfig(), environment="dense")
 
 
 # --- network initialization ---
 
 
 def test_init_assigns_roles_and_registers_everyone():
-    cfg = NetworkConfig(seed=2).resolve()
+    cfg = NetworkConfig(seed=2)
     state = init_network(cfg)
     assert len(state.nodes) == 100
     verifier_ids = [n.idx for n in state.verifiers()]
@@ -117,7 +124,7 @@ def test_init_assigns_roles_and_registers_everyone():
 
 
 def test_init_logs_registration_traffic():
-    cfg = NetworkConfig(seed=2).resolve()
+    cfg = NetworkConfig(seed=2)
     state = init_network(cfg)
     counts = state.sink.message_counts()
     registers = sum(per_role.get("register", 0) for per_role in counts.values())
@@ -127,9 +134,9 @@ def test_init_logs_registration_traffic():
 
 
 def test_init_is_deterministic_per_seed():
-    a = init_network(NetworkConfig(seed=5).resolve())
-    b = init_network(NetworkConfig(seed=5).resolve())
-    c = init_network(NetworkConfig(seed=6).resolve())
+    a = init_network(NetworkConfig(seed=5))
+    b = init_network(NetworkConfig(seed=5))
+    c = init_network(NetworkConfig(seed=6))
     assert [(n.x, n.y) for n in a.nodes] == [(n.x, n.y) for n in b.nodes]
     assert [(n.x, n.y) for n in a.nodes] != [(n.x, n.y) for n in c.nodes]
     assert [n.keypair.private for n in a.nodes] == [n.keypair.private for n in b.nodes]
@@ -139,7 +146,7 @@ def test_init_is_deterministic_per_seed():
 
 
 def test_mobility_stays_in_bounds():
-    state = init_network(NetworkConfig(seed=4).resolve())
+    state = init_network(NetworkConfig(seed=4))
     for _ in range(200):
         mobility_step(state)
         for node in state.nodes:
@@ -148,7 +155,7 @@ def test_mobility_stays_in_bounds():
 
 
 def test_mobility_moves_nodes():
-    state = init_network(NetworkConfig(seed=4).resolve())
+    state = init_network(NetworkConfig(seed=4))
     before = [(n.x, n.y) for n in state.nodes]
     mobility_step(state)
     after = [(n.x, n.y) for n in state.nodes]
@@ -157,7 +164,7 @@ def test_mobility_moves_nodes():
 
 
 def test_mobility_zero_speed_freezes_positions():
-    cfg = NetworkConfig(seed=4, rwp_speed_min=0.0, rwp_speed_max=0.0).resolve()
+    cfg = NetworkConfig(seed=4, rwp_speed_min=0.0, rwp_speed_max=0.0)
     state = init_network(cfg)
     before = [(n.x, n.y) for n in state.nodes]
     stream_before = state.rngs.stream("mobility").getstate()
@@ -175,7 +182,7 @@ def test_mobility_exhibits_waypoint_center_bias():
     # Empirically the statistic settles near 71-78; 90 splits the two
     # regimes with wide margin either way.
     for seed in (1, 2, 3):
-        state = init_network(NetworkConfig(seed=seed).resolve())
+        state = init_network(NetworkConfig(seed=seed))
         for _ in range(300):
             mobility_step(state)
         centre = AREA_SIDE / 2
@@ -188,7 +195,7 @@ def test_mobility_exhibits_waypoint_center_bias():
 
 
 def test_inject_clones_marks_provers_with_distinct_positions():
-    state = init_network(NetworkConfig(seed=8).resolve())
+    state = init_network(NetworkConfig(seed=8))
     clones = inject_clones(state)
     assert len(clones) == 20
     prover_idxs = {n.idx for n in state.targets()}
@@ -208,7 +215,7 @@ def test_inject_clones_marks_provers_with_distinct_positions():
 
 def test_inject_clone_count_follows_config():
     state = init_network(NetworkConfig(environment="dense", seed=8,
-                                       num_clones=30).resolve())
+                                       num_clones=30))
     assert len(inject_clones(state)) == 30
 
 
@@ -235,7 +242,7 @@ def test_clone_placement_quantizes_like_sensing(monkeypatch):
     # the top cell (65535, 65535).  The first clone draw, (256.0, 256.0),
     # clamps into the same cell, so it is no move: the clone must be
     # resampled, or round 1 confirms it.
-    state = init_network(NetworkConfig(seed=1).resolve())
+    state = init_network(NetworkConfig(seed=1))
     for node in state.targets():
         node.x = node.y = 255.999
         node.current_ci = ctx.sense_context(node.device_id, 0, node.position(), node.activity)
@@ -291,7 +298,7 @@ def test_round_verdicts_match_independent_oracle(monkeypatch):
 
     monkeypatch.setattr(ctx, "verify_proof_batch", recording)
     for seed in (3, 11):
-        state = init_network(NetworkConfig(seed=seed).resolve())
+        state = init_network(NetworkConfig(seed=seed))
         inject_clones(state)
         for _ in range(2):
             adjudicated.clear()
@@ -311,7 +318,7 @@ def test_round_verdicts_match_independent_oracle(monkeypatch):
 
 
 def test_first_round_detects_every_clone():
-    state = init_network(NetworkConfig(seed=13).resolve())
+    state = init_network(NetworkConfig(seed=13))
     clones = inject_clones(state)
     result = run_detection_round(state)
     detected = {d.clone_idx for d in result.detections}
@@ -323,13 +330,13 @@ def test_experiment_complete_and_sound_sparse_and_dense():
     for env in ("sparse", "dense"):
         for seed in (1, 2):
             report = run_experiment(NetworkConfig(environment=env, seed=seed,
-                                                  rounds=1).resolve())
+                                                  rounds=1))
             assert report.detection_probability == 1.0, (env, seed)
             assert report.false_positives == 0, (env, seed)
 
 
 def test_experiment_zero_clone_baseline_all_confirmed():
-    report = run_experiment(NetworkConfig(seed=2, num_clones=0, rounds=2).resolve())
+    report = run_experiment(NetworkConfig(seed=2, num_clones=0, rounds=2))
     assert report.detection_probability == 1.0
     assert not report.detections
     assert report.false_positives == 0
@@ -341,8 +348,8 @@ def test_experiment_zero_clone_baseline_all_confirmed():
 def test_detection_times_scale_linearly_with_latency():
     # Doubling the per-hop latency doubles every detection time exactly
     # (the values are small dyadic rationals, so == is safe).
-    base = run_experiment(NetworkConfig(seed=5, rounds=1, latency_ms=1.0).resolve())
-    slow = run_experiment(NetworkConfig(seed=5, rounds=1, latency_ms=2.0).resolve())
+    base = run_experiment(NetworkConfig(seed=5, rounds=1, latency_ms=1.0))
+    slow = run_experiment(NetworkConfig(seed=5, rounds=1, latency_ms=2.0))
     t_base = sorted(d.detection_time_ms for d in base.detections)
     t_slow = sorted(d.detection_time_ms for d in slow.detections)
     assert len(t_base) == len(t_slow) == 20
@@ -390,15 +397,15 @@ def test_more_verifiers_than_targets(monkeypatch):
 
 
 def test_experiment_reports_are_reproducible():
-    a = run_experiment(NetworkConfig(seed=21, rounds=2).resolve())
-    b = run_experiment(NetworkConfig(seed=21, rounds=2).resolve())
+    a = run_experiment(NetworkConfig(seed=21, rounds=2))
+    b = run_experiment(NetworkConfig(seed=21, rounds=2))
     assert a.to_canonical_json() == b.to_canonical_json()
-    c = run_experiment(NetworkConfig(seed=22, rounds=2).resolve())
+    c = run_experiment(NetworkConfig(seed=22, rounds=2))
     assert a.to_canonical_json() != c.to_canonical_json()
 
 
 def test_experiment_reports_verifier_confidence():
-    report = run_experiment(NetworkConfig(seed=7, rounds=2).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=2))
     assert list(report.verifier_confidence) == [str(dev) for dev in range(30)]
     for record in report.verifier_confidence.values():
         assert set(record) == {"implicit", "explicit", "total"}
@@ -412,7 +419,7 @@ def test_experiment_reports_verifier_confidence():
 
 
 def test_experiment_message_accounting_is_consistent():
-    report = run_experiment(NetworkConfig(seed=7, rounds=2).resolve())
+    report = run_experiment(NetworkConfig(seed=7, rounds=2))
     assert report.total_messages == sum(
         c for per_role in report.message_counts.values() for c in per_role.values())
     assert report.total_bytes == sum(
@@ -461,14 +468,14 @@ def test_only_checks_above_scan_size_cache_key_tables():
     # A sparse round's checks hold 2 or 3 survivors, at most SCAN_SIZE,
     # so its keys stay plain; a dense round's hold 11 or 12, so each key
     # that reaches the signature stage gets one cached table.
-    sparse = init_network(NetworkConfig(seed=1).resolve())
+    sparse = init_network(NetworkConfig(seed=1))
     inject_clones(sparse)
     run_detection_round(sparse)
     mobility_step(sparse)
     run_detection_round(sparse)
     assert sparse.lbs.key_tables == {}
 
-    dense = init_network(NetworkConfig(num_devices=500, environment="dense", seed=1).resolve())
+    dense = init_network(NetworkConfig(num_devices=500, environment="dense", seed=1))
     inject_clones(dense)
     result = run_detection_round(dense)
     confirmed = {dense.nodes[idx].device_id for idx, verdict in result.verdicts.items()

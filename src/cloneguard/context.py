@@ -192,18 +192,26 @@ class LbsStore:
 
     Next to a registered key the store keeps, once ``verification_keys``
     has been asked for it, an ``ec.PrecomputedPoint`` in ``key_tables``:
-    the key with its width-7 odd-multiple table (``ec.PrecomputedPoint``
-    says how large), which every later verification under that key
-    reuses.  ``verify_proof_batch`` asks only for the keys of a call with
-    more than ``sig.SCAN_SIZE`` survivors: a smaller check weights its
-    keys by scalars of about 161 bits, on which the table saves about 12
-    digits per use but costs about 36 affine additions and a share of
-    six inversions to build, so it pays only after about 3 checks, more
-    than a sparse network's 1-2 rounds.  The keys missing from one call
-    are built together by one ``ec.precompute`` call, whose rounds each
-    share one field inversion across all of them.  As a key never
-    changes, neither does its table.  The tables are a verifier-side
-    cache.
+    the key Q with the width-6 odd-multiple tables of Q and of 2^128 Q
+    (``ec.PrecomputedPoint`` says how large), which every later
+    verification under that key reuses.  ``verify_proof_batch`` asks
+    only for the keys of a call with more than ``sig.SCAN_SIZE``
+    survivors, whose 256-bit key scalars the two halves cut to a
+    128-step doubling chain.  A build costs 128 doublings, about 38
+    affine additions and doublings and a share of six inversions: about
+    0.8-1.2 ms per key, paid in the first round that verifies the key.
+    A dense N = 500 network builds about 350 tables in its first round.
+    Against one width-7 table per key, the split makes that round
+    0.14-0.24 s slower and each later round 15-18 ms faster, so it
+    pays only in a dense network that lives more than about 8-16
+    rounds; a 2-round one, the default, runs slower.  A check of at most
+    ``sig.SCAN_SIZE`` survivors saves about 0.2 ms per key from the
+    tables, and only once all its keys are cached (``sig.SCAN_SIZE``
+    says why), so a table it built would pay back only after about 4-6
+    checks, more than a sparse network's 1-2 rounds.  The keys missing
+    from one call are built together by one ``ec.precompute`` call,
+    whose inversions each serve all of them.  As a key never changes,
+    neither does its table.  The tables are a verifier-side cache.
     """
 
     def __init__(self) -> None:

@@ -27,24 +27,34 @@ multiplications with reduction, against eleven for a mixed addition,
 and the reduction of a 512-bit product is most of a multiplication's
 cost.  A level runs only when it has enough pairs to pay for its
 inversion, which a sum with at most one term off G (signing, key
-generation) never has, so such a sum skips the stage; a clean
-25-signature batch's sum goes from 1,166 mixed additions to 248 and 918
-affine ones.
+generation) never has.  A sum with two (a single verification) often
+has just enough, but there the level costs more than it saves, so both
+skip the stage.  A clean 25-signature batch's sum on cached keys goes
+from 1,287 mixed additions to 139 and 1,148 affine ones.
 
 There are three table widths, one per kind of base: 11 for each row of
-the generator table, 7 (``KEY_WIDTH``) for a cached registered key, and 4
-(``CALL_WIDTH``) for a base used in one check.  Every table is one flat
-tuple of ints, (x1, y1, x3, y3, ...): odd digit d reads x at index
-|d| - 1 and y at |d|.  The generator table is 26 such tables, row w the
-width-11 table of 2^(10w) G, and a scalar reaches it through a regular
-recoding into odd 10-bit-step digits with no zero digit (Joye &
-Tunstall, AFRICACRYPT 2009).  A base that recurs across calls can be
-passed as a ``PrecomputedPoint``, the point with its table, built once
-by ``precompute``: a registered public key at width 7 (P, 3P, ..., 63P;
-64 ints, about 4.4 kB per key) once a check of more than
-``sig.SCAN_SIZE`` items has verified it, and a batch check's -R_i at
-width 4, built by ``sig`` before the check and read by every sum of its
-search, so a batch check's ``multi_scalar_mul`` builds no table.  Every
+the generator table, 6 (``KEY_WIDTH``) for each of the two halves of a
+cached registered key's table, and 4 (``CALL_WIDTH``) for a base used in
+one check.  Every table is one flat tuple of ints, (x1, y1, x3, y3,
+...): odd digit d reads x at index |d| - 1 and y at |d|.  The generator
+table is 26 such tables, row w the width-11 table of 2^(10w) G, and a
+scalar reaches it through a regular recoding into odd 10-bit-step
+digits with no zero digit (Joye & Tunstall, AFRICACRYPT 2009).  A base
+that recurs across calls can be passed as a ``PrecomputedPoint``, the
+point with its table, built once by ``precompute``: a registered public
+key Q once a check of more than ``sig.SCAN_SIZE`` items has verified
+it, and a batch check's -R_i at width 4, built by ``sig`` before the
+check and read by every sum of its search, so a batch check's
+``multi_scalar_mul`` builds no table.  A key's table holds the width-6
+tables of Q and of Q' = 2^128 Q (Q, 3Q, ..., 31Q, then Q', 3Q', ...,
+31Q'; 64 ints, about 4.4 kB per key), and a key's scalar k splits at
+``KEY_SPLIT`` = 128 bits: k mod 2^128 goes on Q's half and k >> 128 on
+Q''s, the two-row fixed-base split of Lim & Lee ("More flexible
+exponentiation with precomputation", CRYPTO 1994).  A zero part adds
+no term, so a single verification's scalar below 2^128 reads Q's half
+alone.  The doubling chain of a batch check, whose R scalars have at
+most 65 bits, follows its key scalars' 128-bit parts: 128 steps, not
+256.  Every
 plain ``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call
 that uses it, whatever its scalar's length: each 256-bit scalar of a
 workload sits on G or on a cached key.  A batch randomizer's 64-bit
@@ -52,8 +62,9 @@ scalar on -R_i, like the 128-bit ones of a single verification, is too
 short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
 items weights its R_i and keys with scalars of about 161 bits instead
 (``sig._short_weight``), and its R_i stay at width 4 as well.  So do its
-keys, unless a larger check has cached them: on a 161-bit scalar a
-width-7 table pays back its build only after about 3 checks
+keys, unless a larger check has cached them, and once all are cached the
+check keeps its 64-bit weights and runs the 128-step chain: a key's
+table pays back its build only after about 4-6 such checks
 (``context.LbsStore``).
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
@@ -62,9 +73,12 @@ round i > 1 adds D = 2^(i-1)P to every odd multiple found so far and
 doubles D.  All the denominators of a round, across every table, share
 one inversion, so a width-w call takes w - 1 rounds however many points
 it gets.  No round divides by zero: the group has the prime order n, so
-no multiple of P below n is infinity and no point has order 2.  Apart
-from its merge levels, a ``multi_scalar_mul`` call makes at most four
-field inversions: three table rounds and one back to affine at the end.
+no multiple of P below n is infinity and no point has order 2.  A key's
+Q' comes from 128 Jacobian doublings, the Straus pass over Q alone at
+bit position 128, and every Q' of a ``precompute`` call reaches affine
+through one shared inversion.  Apart from its merge levels, a
+``multi_scalar_mul`` call makes at most four field inversions: three
+table rounds and one back to affine at the end.
 
 WARNING: none of this code is constant time.  Scalar multiplication,
 field inversion and the window tables all branch and index on secret
@@ -88,8 +102,12 @@ GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 H = 1
 
 _GEN_WIDTH = 10  # bits between the bases of consecutive generator table rows
-KEY_WIDTH = 7  # wNAF width of a registered key's cached table
+KEY_WIDTH = 6  # wNAF width of each half of a registered key's cached table
+KEY_SPLIT = 128  # a key's table holds Q's half, then that of 2^KEY_SPLIT Q
 CALL_WIDTH = 4  # wNAF width of the table of a base used in one check
+_CALL_INTS = 1 << (CALL_WIDTH - 1)  # ints in a width-4 table
+_HALF_INTS = 1 << (KEY_WIDTH - 1)  # ints in each half of a key's table
+_LOW_BITS = (1 << KEY_SPLIT) - 1  # the part of a key scalar on Q's half
 
 
 class InvalidPointError(ValueError):
@@ -362,8 +380,9 @@ def _odd_multiple_tables(points: list[Point], width: int) -> list[tuple[int, ...
 
     Only the positive half is stored: an odd wNAF digit d reads x at
     index |d| - 1 and y at |d|, and a negative one adds (x, p - y).
-    Each caller builds one width: 11 for a generator row, 7 or 4 for
-    ``precompute``, and 4 for ``multi_scalar_mul``'s plain bases.
+    Each caller builds one width: 11 for a generator row, 6 (the halves
+    of a key's table) or 4 for ``precompute``, and 4 for
+    ``multi_scalar_mul``'s plain bases.
 
     All the tables grow together in affine rounds.  Round 1 doubles each
     P.  Round i > 1 adds D = 2^(i-1)P to each odd multiple found so far,
@@ -415,18 +434,23 @@ class PrecomputedPoint:
 
     The point is on the curve because it is a ``Point``; the constructor
     refuses infinity, and a table that is not led by the point itself.
-    ``table`` is flat, (x1, y1, x3, y3, ...), at one of two widths, which
-    it gives by its length.  A registered key, which recurs across checks,
-    has width ``KEY_WIDTH`` = 7: P, 3P, ..., 63P, 64 ints, about 4.4 kB.
-    A base used in one check, such as a batch check's -R_i, has width
-    ``CALL_WIDTH`` = 4: P, 3P, 5P, 7P, 8 ints, the width every plain
-    ``Point`` base gets inside ``multi_scalar_mul``.  Any other length is
-    a ``ValueError``.  Build these with ``precompute``, whose affine
-    rounds (one field inversion each) serve all its points at once.
-    ``multi_scalar_mul`` accepts one anywhere it accepts a base ``Point``
-    and reads ``table`` at its width instead of building it, so a base
-    that recurs across calls, or across the sums of one batch check and
-    its search, pays for its table once.
+    ``table`` is flat, (x1, y1, x3, y3, ...), in one of two layouts,
+    which it gives by its length.  A registered key Q, which recurs
+    across checks, holds two width-``KEY_WIDTH`` (6) halves: Q, 3Q, ...,
+    31Q, then Q', 3Q', ..., 31Q' for Q' = 2^``KEY_SPLIT`` Q, 64 ints,
+    about 4.4 kB.  ``multi_scalar_mul`` puts the low ``KEY_SPLIT`` bits
+    of the key's scalar on the first half and the rest on the second
+    (the two-row fixed-base split of Lim & Lee, CRYPTO 1994), so a key
+    scalar runs a doubling chain of 128 steps, not 256.  A base used in
+    one check, such as a batch check's -R_i, has width ``CALL_WIDTH`` =
+    4: P, 3P, 5P, 7P, 8 ints, the width every plain ``Point`` base gets
+    inside ``multi_scalar_mul``.  Any other length is a ``ValueError``.
+    Build these with ``precompute``, whose affine rounds (one field
+    inversion each) serve all its points at once.  ``multi_scalar_mul``
+    accepts one anywhere it accepts a base ``Point`` and reads ``table``
+    instead of building it, so a base that recurs across calls, or
+    across the sums of one batch check and its search, pays for its
+    table once.
     """
 
     point: Point
@@ -434,31 +458,45 @@ class PrecomputedPoint:
 
     def __post_init__(self) -> None:
         _require_finite(self.point)
-        if len(self.table) not in (1 << (CALL_WIDTH - 1), 1 << (KEY_WIDTH - 1)):
-            raise ValueError(f"table must hold {1 << (CALL_WIDTH - 2)} or "
-                             f"{1 << (KEY_WIDTH - 2)} odd multiples")
+        if len(self.table) not in (_CALL_INTS, 2 * _HALF_INTS):
+            raise ValueError(f"table must hold {_CALL_INTS // 2} odd multiples, or "
+                             f"{_HALF_INTS // 2} for each of a key's two halves")
         if self.table[:2] != (self.point.x, self.point.y):
             raise ValueError("table does not start with its own point")
 
     @property
     def width(self) -> int:
-        """The table's wNAF width: 4 or 7."""
-        return len(self.table).bit_length()
+        """The table's wNAF width, 4, or 6 for each half of a key's."""
+        return CALL_WIDTH if len(self.table) == _CALL_INTS else KEY_WIDTH
 
 
 def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedPoint]:
-    """Tables for many finite points, at ``KEY_WIDTH`` or ``CALL_WIDTH``.
+    """Tables for many finite points: a key's two halves at ``KEY_WIDTH``, or ``CALL_WIDTH``.
 
     Every ``Point`` is on the curve by construction, so the one input
-    refused here is infinity, with an ``InvalidPointError``.  One
-    ``_odd_multiple_tables`` call builds them all: width - 1 field
-    inversions, however many points.
+    refused here is infinity, with an ``InvalidPointError``.  At
+    ``CALL_WIDTH`` one ``_odd_multiple_tables`` call builds them all:
+    three field inversions, however many points.  At ``KEY_WIDTH`` each
+    P first takes ``KEY_SPLIT`` Jacobian doublings to 2^KEY_SPLIT P,
+    the Straus pass over P alone at that bit position, and one
+    ``batch_inverse`` brings every such point to affine; then one
+    ``_odd_multiple_tables`` call builds the halves of every P and every
+    2^KEY_SPLIT P, which makes six inversions in all.
     """
     if width not in (CALL_WIDTH, KEY_WIDTH):
         raise ValueError(f"width must be {CALL_WIDTH} or {KEY_WIDTH}, not {width}")
     for point in points:
         _require_finite(point)
-    tables = _odd_multiple_tables(points, width)
+    if width == CALL_WIDTH:
+        tables = _odd_multiple_tables(points, CALL_WIDTH)
+    else:
+        empty = [[]] * KEY_SPLIT
+        shifted = [_straus(empty + [[(point.x, point.y)]]) for point in points]
+        inverses = batch_inverse([z for _, _, z in shifted], P)
+        shifted = [Point(x * zi * zi % P, y * zi * zi * zi % P)
+                   for (x, y, _), zi in zip(shifted, inverses)]
+        halves = _odd_multiple_tables(points + shifted, KEY_WIDTH)
+        tables = [low + high for low, high in zip(halves, halves[len(points):])]
     return [PrecomputedPoint(point, table) for point, table in zip(points, tables)]
 
 
@@ -469,18 +507,21 @@ def multi_scalar_mul(pairs) -> Point | None:
     2001), each term at its own table's width w: each base has an affine
     table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a
     negative digit adds the negation (x, p - y) of an entry.  A
-    ``PrecomputedPoint`` base brings its table, of width 7 or 4, and
-    nothing is built for it; every plain ``Point`` base gets a width-4
-    table built here, whatever its scalar's length, all of them in one
-    ``_odd_multiple_tables`` call of three affine rounds, each sharing
-    one inversion across every table.  A batch check's sum, whose bases all
-    come with their tables from ``sig``, builds none.  The
+    ``PrecomputedPoint`` base brings its table, and nothing is built for
+    it: a width-4 table takes its scalar as one term, and a key's table
+    of two width-6 halves takes k mod 2^128 on Q's half and k >> 128 on
+    2^128 Q's, as two terms, or one where a part is zero.  Every plain
+    ``Point`` base gets a width-4 table built here, whatever its
+    scalar's length, all of them in one ``_odd_multiple_tables`` call of
+    three affine rounds, each sharing one inversion across every table.
+    A batch check's sum, whose bases all come with their tables from
+    ``sig``, builds none.  The
     digits are sorted into one bucket of affine points per bit position;
     a base of ``None``, infinity, adds nothing.  Terms whose base is the
     plain ``Point`` G have their scalars summed, and that multiple's
     fixed-base entries (width-11 rows), at most 26, go at the end of
     bucket 0, which is summed after the last doubling.
-    With two or more terms off G, ``_merge_buckets`` then adds pairs of
+    With three or more terms off G, ``_merge_buckets`` then adds pairs of
     entries within each bucket in affine, one shared inversion per level,
     while a level has at least ``_MERGE_PAIRS`` pairs, and ``_straus``,
     the one loop that sums an MSM, runs the pass over what is left on
@@ -499,6 +540,14 @@ def multi_scalar_mul(pairs) -> Point | None:
         if isinstance(base, PrecomputedPoint):
             table = base.table
             width = base.width
+            if width == KEY_WIDTH:
+                # Q's half takes the low KEY_SPLIT bits, 2^KEY_SPLIT Q's the rest.
+                k %= N
+                if k & _LOW_BITS:
+                    terms.append((k & _LOW_BITS, KEY_WIDTH, table[:_HALF_INTS]))
+                if k >> KEY_SPLIT:
+                    terms.append((k >> KEY_SPLIT, KEY_WIDTH, table[_HALF_INTS:]))
+                continue
         elif base == G:
             g_scalar += k
             continue
@@ -529,7 +578,9 @@ def multi_scalar_mul(pairs) -> Point | None:
     # term off G, every bucket but 0 holds at most one entry, and bucket 0
     # at most that digit and G's 26 entries: 13 pairs, below _MERGE_PAIRS.
     # No level could run, and signing and key generation skip the scan.
-    if len(terms) > 1:
+    # With two, as in verify_star, a level runs in most sums but does not
+    # pay for its inversion (see _MERGE_PAIRS), so they skip it too.
+    if len(terms) > 2:
         adds = _merge_buckets(adds)
     return _to_affine(_straus(adds))
 
@@ -548,7 +599,9 @@ def multi_scalar_mul(pairs) -> Point | None:
 # multi_scalar_mul skips the stage for them.  A single verification has
 # two half-length terms off G (sig.verify_star): G's 26 entries plus the
 # positions where both terms have a digit reach 16 pairs in about 70% of
-# checks, and that one level costs the check about 1.5%.
+# checks, and that one level made the check 0.6-1.3% slower, on a
+# cached key and on a plain one alike (two timings of 100 checks each),
+# so a sum with two terms off G skips the stage as well.
 _MERGE_PAIRS = 16
 
 

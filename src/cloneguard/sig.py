@@ -26,7 +26,9 @@ multiplier picks, instead of (lambda, lambda u2 mod n), so its R and key
 scalars are about 161 bits long and not 64 and 256, and its doubling
 chain about 162 steps long instead of 256 (after Gallant, Lambert &
 Vanstone, CRYPTO 2001); each multiplier still gives a distinct weight,
-so the 2^-64 bound holds as it stands.
+so the 2^-64 bound holds as it stands.  A small check whose keys all
+come with cached tables keeps the multipliers: those tables already cut
+its chain to 128 steps, and its R scalars stay 64 bits.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  No
@@ -253,14 +255,14 @@ def _equation_terms(items: Sequence[BatchItem], lambdas: Sequence[int]
 
     T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies.
     The weights are the lambdas, except in a check of at most
-    ``SCAN_SIZE`` items, where item i's weight is
-    ``_short_weight(lambda_i, u2_i)``.  The R base is -R_i for a
+    ``SCAN_SIZE`` items with a plain key among them, where item i's
+    weight is ``_short_weight(lambda_i, u2_i)``.  The R base is -R_i for a
     positive weight, and R_i for a negative one, so that
     ``_combination`` multiplies it by |weight|.  The s_i are inverted
     together, with one modular inversion.  Every base comes as an
     ``ec.PrecomputedPoint``: each R base, and each key given as a plain
     ``Point``, with a width-4 table, all built in one ``precompute``
-    call, and each cached key with its own width-7 table.  Plain keys
+    call, and each cached key with its own two width-6 halves.  Plain keys
     are what a check of at most ``SCAN_SIZE`` proofs mostly gets, as
     ``context.verify_proof_batch`` caches a key's table only for larger
     checks, so their tables cost no inversion of their own.  Every sum
@@ -270,10 +272,10 @@ def _equation_terms(items: Sequence[BatchItem], lambdas: Sequence[int]
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
     scalars = [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N)
                for (message, sig, _), w in zip(items, inverses)]
-    weights = ([_short_weight(lam, u2) for lam, (_, u2) in zip(lambdas, scalars)]
-               if len(items) <= SCAN_SIZE else lambdas)
     keys = [public for _, _, public in items]
     plain = [i for i, key in enumerate(keys) if not isinstance(key, PrecomputedPoint)]
+    weights = ([_short_weight(lam, u2) for lam, (_, u2) in zip(lambdas, scalars)]
+               if plain and len(items) <= SCAN_SIZE else lambdas)
     r_bases = [point_neg(sig.R) if weight > 0 else sig.R
                for (_, sig, _), weight in zip(items, weights)]
     tables = precompute(r_bases + [keys[i] for i in plain], CALL_WIDTH)
@@ -295,10 +297,11 @@ def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPo
     are (rather than n - weight_i multiplying R_i), so a short weight
     saves digits: a 64-bit weight recodes into about 13 wNAF digits on a
     width-4 table, n - weight_i into about 29.  Under the lambdas the
-    256-bit key scalars lambda_i * u2_i mod n set the doubling chain;
-    under ``_short_weight``'s weights every scalar off G is about 161
-    bits, and so is the chain.  The u1 parts are summed into a single G
-    term for the fixed-base table.
+    256-bit key scalars lambda_i * u2_i mod n set the doubling chain: 256
+    steps on plain keys, and 128 on cached ones, whose tables split each
+    scalar at 2^128.  Under ``_short_weight``'s weights every scalar off
+    G is about 161 bits, and so is the chain.  The u1 parts are summed
+    into a single G term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0
@@ -320,8 +323,8 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
 
     Each item i gets a fresh multiplier lambda_i drawn from
     [1, 2^RANDOMIZER_BITS], and a weight w_i: lambda_i itself, or in a
-    check of at most ``SCAN_SIZE`` items ``_short_weight(lambda_i,
-    u2_i)``.  The batch is accepted iff
+    check of at most ``SCAN_SIZE`` items with a plain key among them
+    ``_short_weight(lambda_i, u2_i)``.  The batch is accepted iff
 
         sum(w_i * R_i) == (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
 
@@ -332,15 +335,19 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
 
     Under the lambdas, every R term carries a scalar of at most 65 bits,
     so it adds about 13 wNAF digits on its width-4 table, and the key
-    scalars lambda_i * u2_i mod n are 256 bits long, which sets a
-    256-step doubling chain.  A small check's short weights make every R
-    and key scalar about 161 bits long, so its chain is about 162 steps,
-    at about 19 more R digits and 12 fewer key digits per item; a sparse
-    round's checks hold 2 or 3 items.  Larger checks keep the lambdas,
-    whose 64-bit R scalars cost the fewest additions there.  The key
-    terms use their cached width-7 tables when the keys come as
-    ``PrecomputedPoint``, and the G term goes through the fixed-base
-    table.  If the batch holds an invalid signature, it passes with
+    scalars lambda_i * u2_i mod n are 256 bits long.  On plain keys they
+    set a 256-step doubling chain; a cached key's table splits its
+    scalar at 2^128 into two parts on two width-6 halves, so a check on
+    cached keys runs a chain of 128 steps.  A small check's short
+    weights make every R and key scalar about 161 bits long, so its
+    chain is about 162 steps, at about 19 more R digits and 19 fewer key
+    digits per plain key; a sparse round's checks hold 2 or 3 items, on
+    plain keys.  Larger checks keep the lambdas, whose 64-bit R scalars
+    cost the fewest additions there, and ``context.verify_proof_batch``
+    gives them cached keys; so does a small check on cached keys alone,
+    whose chain under the lambdas, 128 steps, is shorter than the short
+    weights' 162.  The G term goes through the fixed-base table.  If the
+    batch holds an invalid signature, it passes with
     probability at most 2^-64 over the lambdas (which assumes ``rng`` is
     unpredictable to the signer): with the other weights fixed, the sum
     is infinity for at most one w_i mod n, as the group has the prime
@@ -381,13 +388,20 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 # 150 random placements of three and of four, still has its lowest worst
 # case for every k at 4 (or 5, a size no set of 25 splits into), and its
 # lowest mean for every k there too.  At most 6, so one invalid item among
-# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.  A check of at
-# most this many items weights them with ``_short_weight``: if it fails,
-# its items are checked one by one, so no search sums under those weights.
-# ``context.verify_proof_batch`` caches a key's width-7 table only for a
-# check of more items: on a short weight's 161-bit key scalar the table
-# saves about 12 digits per use and costs about 36 affine additions and a
-# share of six inversions, so it pays back only after about 3 checks.
+# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.  Those ratios
+# predate the split key tables, whose 128-step chain makes a sum cheaper:
+# measured in one process on a 2-CPU host, sums over 2, 4 and 6 items went
+# from 1.50, 1.95 and 2.35 to 1.12, 1.56 and 1.98 times a ``verify_star``,
+# and the model has not been re-run on them.  A check of at
+# most this many items with a plain key among them weights its items with
+# ``_short_weight``: if it fails, its items are checked one by one, so no
+# search sums under those weights.  ``context.verify_proof_batch`` caches
+# a key's table only for a check of more items.  The table, two width-6
+# halves, costs 128 doublings, about 38 affine additions and doublings
+# and a share of six inversions, about 0.8-1.2 ms per key (3-key builds,
+# 2 CPUs, CPython 3.11).  A small check whose keys are all cached runs on
+# the lambdas and takes about 0.18-0.22 ms less per key than on plain keys
+# under short weights, so a table pays back only after about 4-6 checks.
 SCAN_SIZE = 4
 
 
@@ -447,9 +461,10 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     at most ``SCAN_SIZE`` valid ones costs 1.  No sum builds a table:
     ``_equation_terms`` builds the -R_i tables, and those of plain keys,
     once, before the check, and S2 and every half sum read them.  In
-    time the calls differ: on cached keys a ``verify_star``, a
-    half-length sum, took 0.75 ms, a sum over 2 items 1.55 times that
-    and one over 25 about 6 times (2 CPUs, CPython 3.11).
+    time the calls differ: on cached keys, whose split tables give every
+    sum a 128-step chain, a sum over 2 items took 1.13 times a
+    ``verify_star`` (a half-length sum, about 1.1 ms) and one over 25
+    about 5.5 times (2 CPUs, CPython 3.11).
 
     Soundness: every ``False`` is an individual check that failed, so no
     valid item is ever flagged.  The lambda_i are drawn once, by the check,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloneguard import ec
-from cloneguard.ec import (_GEN_WIDTH, A, B, CALL_WIDTH, G, INFINITY, KEY_WIDTH, N, P, P256,
+from cloneguard.ec import (_GEN_WIDTH, A, B, CALL_WIDTH, G, INFINITY, KEY_SPLIT, KEY_WIDTH, N,
+                           P, P256,
                            DomainParams, InvalidPointError, Point, PrecomputedPoint, _gen_table,
                            _odd_multiple_tables, _wnaf, batch_inverse, is_on_curve,
                            multi_scalar_mul, point_add, point_neg, precompute, scalar_mul,
@@ -390,17 +391,20 @@ def test_multi_scalar_mul_matches_fold():
         [(0, pre_q), (N - 1, pre_q2), (N, pre_q), (N + k, pre_q2), (2 ** 300 + 7, pre_q)],
         [(0, pre_q), (0, pre_g)],
     ]
-    # Cached width-7 keys next to width-4 fresh terms on one point, with
-    # short scalars (up to 128 bits, like a batch randomizer's) and long
-    # ones (129 bits and more), small odd scalars around each width's
-    # largest digit (7 at width 4; 65 recodes to -63 at width 7), and G.
+    # Cached keys, split into two width-6 halves at 2^128, next to
+    # width-4 fresh terms on one point, with short scalars (up to 128
+    # bits, like a batch randomizer's, on the first half alone) and long
+    # ones (129 bits and more, on both), small odd scalars around each
+    # width's largest digit (7 at width 4; 33 recodes to -31 at width 6),
+    # the same around 2^128, and G.
     short, long = 2 ** 128 - 1, 2 ** 128 + 2 ** 127 + 7
     cases += [
         [(k, pre_q), (short, q3), (long, q3), (rng.randrange(0, N), G)],
         [(rng.randrange(1, 2 ** 128), q3), (rng.randrange(2 ** 128, 2 ** 129), q3),
          (rng.randrange(0, N), pre_q2), (rng.randrange(0, N), G), (k, pre_q)],
         [(7, q3), (15, q3), (31, pre_q), (2 ** 128 - 7, q3), (2 ** 128 + 15, q3)],
-        [(63, pre_q), (65, pre_q2), (15, q3), (2 ** 128 + 15, q3)],
+        [(33, pre_q), (63, pre_q2), (15, q3), (2 ** 128 + 15, q3)],
+        [(31 << 128, pre_q), (33 << 128 | 33, pre_q2), (2 ** 128 + 33, q3)],
         [(short, pre_q), (N - short, q), (long, q2), (N - long, pre_q2)],
     ]
     for pairs in cases:
@@ -470,7 +474,10 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
     points = [random_point(rng), random_point(rng), G]
     precomputed = precompute(points)
     assert [pre.point for pre in precomputed] == points
-    assert [pre.table for pre in precomputed] == _odd_multiple_tables(points, 7)
+    shifted = [oracle_mul(2 ** KEY_SPLIT, point) for point in points]
+    assert [pre.table for pre in precomputed] == [
+        low + high for low, high in zip(_odd_multiple_tables(points, KEY_WIDTH),
+                                        _odd_multiple_tables(shifted, KEY_WIDTH))]
     with pytest.raises(InvalidPointError):
         Point(G.x, (G.y + 1) % P)
     with pytest.raises(InvalidPointError):
@@ -479,21 +486,27 @@ def test_precompute_holds_the_tables_and_refuses_unusable_points():
         PrecomputedPoint(INFINITY, precomputed[0].table)
     with pytest.raises(ValueError):
         PrecomputedPoint(G, precomputed[2].table[:-2])
-    # A width-5 table of the right point is too short for a cached key.
+    # One width-6 half of the right point is too short for a cached key.
     with pytest.raises(ValueError):
-        PrecomputedPoint(G, _odd_multiple_tables([G], 5)[0])
+        PrecomputedPoint(G, _odd_multiple_tables([G], KEY_WIDTH)[0])
 
 
 def test_precomputed_point_takes_its_width_from_its_table(monkeypatch):
     rng = random.Random(53)
     points = [random_point(rng), G]
+    shifted = [oracle_mul(2 ** KEY_SPLIT, point) for point in points]
     for width in (CALL_WIDTH, KEY_WIDTH):
         tables = _odd_multiple_tables(points, width)
+        if width == KEY_WIDTH:
+            tables = [low + high for low, high in zip(tables, _odd_multiple_tables(shifted, width))]
         for pre, point, table in zip(precompute(points, width), points, tables, strict=True):
             assert (pre.point, pre.table, pre.width) == (point, table, width)
+    # A single table of any width but 4 has the wrong length; a width-7
+    # one has a key table's 64 ints, but precompute builds no width-7 table.
     for width in (2, 3, 5, 6, 8):
         with pytest.raises(ValueError):
             PrecomputedPoint(G, _odd_multiple_tables([G], width)[0])
+    for width in (2, 3, 5, 7, 8):
         with pytest.raises(ValueError):
             precompute([G], width)
     # A width-4 base is read at width 4 with no table built, and sums like
@@ -523,6 +536,58 @@ def test_precomputed_point_refuses_another_points_table():
     assert PrecomputedPoint(q.point, q.table) == q
 
 
+def test_a_key_tables_second_half_holds_the_odd_multiples_of_its_shift():
+    # Q's half, Q, 3Q, ..., 31Q, then that of 2^128 Q, from the public
+    # scalar_mul, for keys built in one call and alone.
+    rng = random.Random(59)
+    points = [random_point(rng) for _ in range(3)] + [G]
+    half = 2 ** (KEY_WIDTH - 1)
+    for pre in precompute(points) + precompute(points[:1]):
+        low, high = pre.table[:half], pre.table[half:]
+        shifted = scalar_mul(2 ** KEY_SPLIT, pre.point)
+        for d in range(1, half, 2):
+            assert (low[d - 1], low[d]) == dataclasses.astuple(oracle_mul(d, pre.point)), d
+            assert (high[d - 1], high[d]) == dataclasses.astuple(scalar_mul(d, shifted)), d
+
+
+def test_multi_scalar_mul_on_a_cached_key_across_the_seam(monkeypatch):
+    # A cached key's scalar splits at 2^128: the low bits on Q's half,
+    # the rest on 2^128 Q's, and a zero part adds no term.  Each sum
+    # equals the affine reference, alone and beside a plain term.
+    rng = random.Random(61)
+    q, other = random_point(rng), random_point(rng)
+    (pre_q,) = precompute([q])
+    recoded = []
+    wnaf = ec._wnaf
+
+    def counting_wnaf(k, width):
+        recoded.append(k)
+        return wnaf(k, width)
+
+    monkeypatch.setattr(ec, "_wnaf", counting_wnaf)
+    high = rng.randrange(1, 2 ** 127)
+    seam = {0: [], 1: [1], 2 ** 128 - 1: [2 ** 128 - 1], 2 ** 128: [1], 2 ** 128 + 1: [1, 1],
+            N - 1: [(N - 1) % 2 ** 128, (N - 1) >> 128], high << 128: [high],
+            N + 5: [5], 2 * N - 1: [(N - 1) % 2 ** 128, (N - 1) >> 128]}
+    for k, parts in seam.items():
+        recoded.clear()
+        assert multi_scalar_mul([(k, pre_q)]) == oracle_mul(k % N, q), k
+        assert recoded == parts, k
+        assert (multi_scalar_mul([(k, pre_q), (3, other)])
+                == point_add(oracle_mul(k % N, q), oracle_mul(3, other))), k
+    # A full-length key scalar is two terms off G, as in verify_star, and
+    # skips the merge stage; a third term goes through it.
+    merged = []
+    merge = ec._merge_buckets
+    monkeypatch.setattr(ec, "_merge_buckets", lambda adds: merged.append(adds) or merge(adds))
+    k = N - 1
+    assert multi_scalar_mul([(k, pre_q), (k, G)]) == point_add(oracle_mul(k, q), oracle_mul(k, G))
+    assert merged == []
+    assert (multi_scalar_mul([(k, pre_q), (5, other), (k, G)])
+            == point_add(point_add(oracle_mul(k, q), oracle_mul(5, other)), oracle_mul(k, G)))
+    assert len(merged) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=N - 1))
 def test_wnaf_recoding(k):
@@ -547,10 +612,10 @@ def test_wnaf_recoding_every_width(k, width):
 
 def test_table_widths_follow_the_base_alone(monkeypatch):
     # Counts, not timings: which width each term's recoding and table
-    # get.  A cached key is recoded at width 7 with no table built; every
-    # fresh term at width 4, whatever its scalar's length (64, 128, 129
-    # and 256 bits here), with one width-4 table each; G takes neither
-    # path.
+    # get.  A cached key's scalar is recoded in two parts at width 6, its
+    # low 128 bits and the rest, with no table built; every fresh term at
+    # width 4, whatever its scalar's length (64, 128, 129 and 256 bits
+    # here), with one width-4 table each; G takes neither path.
     rng = random.Random(43)
     q, r = random_point(rng), random_point(rng)
     (pre_q,) = precompute([q])
@@ -571,11 +636,11 @@ def test_table_widths_follow_the_base_alone(monkeypatch):
     u2 = (1 << 255) + 12345
     multi_scalar_mul([(2 ** 64, r), (2 ** 128 - 1, r), (2 ** 128, r), (u2, pre_q),
                       (u2, q), (u2, G)])
-    assert recoded == [(65, 4), (128, 4), (129, 4), (256, 7), (256, 4)]
+    assert recoded == [(65, 4), (128, 4), (129, 4), (14, 6), (128, 6), (256, 4)]
     assert built == [8, 8, 8, 8]
     # batch_verify's randomizer terms above SCAN_SIZE items are 64-bit, on
-    # fresh -R_i: width 4.  Its key terms on cached tables: width 7,
-    # nothing built for them.
+    # fresh -R_i: width 4.  Its 256-bit key scalars on cached tables: two
+    # parts of at most 128 bits each at width 6, nothing built for them.
     items = []
     for i in range(SCAN_SIZE + 1):
         pair = generate_keypair(rng)
@@ -585,8 +650,9 @@ def test_table_widths_follow_the_base_alone(monkeypatch):
     recoded.clear()
     built.clear()
     assert batch_verify([(m, s, key) for (m, s, _), key in zip(items, keys)], rng)
-    assert sorted(width for _, width in recoded) == [4] * len(items) + [7] * len(items)
+    assert sorted(width for _, width in recoded) == [4] * len(items) + [6] * (2 * len(items))
     assert all(bits <= 65 for bits, width in recoded if width == 4)
+    assert all(bits <= 128 for bits, width in recoded if width == 6)
     assert built == [8] * len(items)
 
 

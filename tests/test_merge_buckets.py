@@ -7,7 +7,8 @@ reach the branches that random scalars almost never do: an entry twice,
 an entry beside its negation, a bucket whose every pair collides, odd
 and empty buckets, and a level one pair short of the threshold.  A sum
 with at most one term off G never reaches the stage, since it could not
-merge anything.
+merge anything, and neither does one with two, where a level would not
+pay for its inversion.
 """
 
 from unittest import mock
@@ -140,7 +141,11 @@ CACHED_KEY = precompute([KEY])[0]
        st.booleans())
 def test_a_sum_with_one_term_off_g_skips_a_stage_that_could_not_merge(k, g, cached):
     # An odd k puts a digit in bucket 0, and g >= 2^255 takes all 26 of
-    # G's rows there: the fullest bucket 0 such a sum can have.
+    # G's rows there: the fullest bucket 0 such a sum can have.  A cached
+    # key's scalar of 2^128 or more is two terms, one per half of its
+    # table, so the cached key takes k's low 128 bits, still odd.
+    if cached:
+        k %= 2 ** 128
     expected = point_add(scalar_mul(k, KEY), scalar_mul(g, G))
     handed, merged = [], []
 
@@ -159,6 +164,8 @@ def test_a_sum_with_one_term_off_g_skips_a_stage_that_could_not_merge(k, g, cach
         assert len(adds[0]) == 27 and all(len(bucket) <= 1 for bucket in adds[1:])
         # The skipped stage would have handed the buckets back unchanged.
         assert _merge_buckets(adds) == adds
-        # A second term off G goes through the stage.
+        # A second term off G skips the stage too, and a third goes through it.
         ec.multi_scalar_mul([(k, KEY), (3, scalar_mul(7, G)), (g, G)])
+        assert merged == []
+        ec.multi_scalar_mul([(k, KEY), (3, scalar_mul(7, G)), (5, scalar_mul(9, G)), (g, G)])
         assert len(merged) == 1

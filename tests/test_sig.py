@@ -628,6 +628,30 @@ def test_only_checks_of_at_most_scan_size_items_take_short_weights(size):
         assert weights == lambdas
 
 
+def test_a_small_check_on_cached_keys_alone_keeps_the_lambdas():
+    # Split key tables give a check on cached keys a 128-step chain under
+    # the lambdas, shorter than the short weights' 162 steps, so a small
+    # check takes short weights only while a plain key is among its items.
+    items = _bisect_pool()[0][:sigmod.SCAN_SIZE]
+    keys = precompute([public for _, _, public in items])
+    cached = [(m, star, key) for (m, star, _), key in zip(items, keys)]
+    lambdas = sigmod._randomizers(len(items), random.Random(5))
+    check = []
+    assert batch_verify(cached, random.Random(5), _check=check)
+    assert check[1] == lambdas
+    mixed = cached[:-1] + list(items[-1:])
+    check = []
+    assert batch_verify(mixed, random.Random(5), _check=check)
+    terms, weights, _ = check
+    assert weights == [sigmod._short_weight(lam, u2) for lam, (_, u2, _, _)
+                       in zip(lambdas, terms)]
+    for index in range(len(items)):
+        batch = list(cached)
+        batch[index] = _invalid(index, "other_key")[:2] + (keys[index],)
+        expected = [i != index for i in range(len(items))]
+        assert not batch_verify(batch, random.Random(index))
+        assert verify_batch(batch, random.Random(index)) == expected
+
 def _tampered(star):
     """The signature, then copies with one bit of s or of R flipped."""
     yield star

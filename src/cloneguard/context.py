@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import sig as sigmod
-from .ec import Point, PrecomputedPoint, precompute, validate_public_key
+from .ec import Point, PrecomputedPoint, precompute
 
 CI_WIRE_BYTES = 16
 PROOF_WIRE_BYTES = 2 + 32 + sigmod.SIGNATURE_BYTES  # 99
@@ -199,16 +199,18 @@ class LbsStore:
     survivors, whose 256-bit key scalars the two halves cut to a
     128-step doubling chain.  A build costs 128 doublings, about 38
     affine additions and doublings and a share of six inversions: about
-    0.8-1.2 ms per key, paid in the first round that verifies the key.
+    0.8-1.2 ms per key (3-key builds, 2 CPUs, CPython 3.11), paid in the
+    first round that verifies the key.
     A dense N = 500 network builds about 350 tables in its first round.
     Against one width-7 table per key, the split makes that round
     0.14-0.24 s slower and each later round 15-18 ms faster, so it
     pays only in a dense network that lives more than about 8-16
     rounds; a 2-round one, the default, runs slower.  A check of at most
-    ``sig.SCAN_SIZE`` survivors saves about 0.2 ms per key from the
-    tables, and only once all its keys are cached (``sig.SCAN_SIZE``
-    says why), so a table it built would pay back only after about 4-6
-    checks, more than a sparse network's 1-2 rounds.  The keys missing
+    ``sig.SCAN_SIZE`` survivors saves about 0.18-0.22 ms per key from
+    the tables, and only once all its keys are cached (on a plain key it
+    takes short weights instead; ``sig.batch_verify`` says why), so a
+    table it built would pay back only after about 4-6 checks, more than
+    a sparse network's 1-2 rounds.  The keys missing
     from one call are built together by one ``ec.precompute`` call,
     whose inversions each serve all of them.  As a key never changes,
     neither does its table.  The tables are a verifier-side cache.
@@ -223,15 +225,16 @@ class LbsStore:
         """Register ``device_id``'s key, for good.
 
         Raises ``ValueError``, naming the id and leaving the store as it
-        was, if the id already has a key or the key is not a point: infinity
-        (``None``) or anything else that ``ec.validate_public_key``
-        refuses.  A key off the curve cannot get here, as every
-        ``ec.Point`` is on the curve by construction.
+        was, if the id already has a key or the key is not an ``ec.Point``:
+        infinity (``None``), an ``ec.PrecomputedPoint`` (``verification_keys``
+        builds a key's table from the plain point), or anything else.  A key
+        off the curve cannot get here, as every ``ec.Point`` is on the
+        curve by construction.
         """
         if device_id in self.public_keys:
             raise ValueError(f"device {device_id} already has a registered key")
-        if not validate_public_key(public):
-            raise ValueError(f"device {device_id}: the key is not a finite curve point")
+        if not isinstance(public, Point):
+            raise ValueError(f"device {device_id}: the key is not an ec.Point")
         self.public_keys[device_id] = public
 
     def verification_keys(self, device_ids: Sequence[int]) -> list[PrecomputedPoint]:

@@ -63,9 +63,8 @@ short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
 items weights its R_i and keys with scalars of about 161 bits instead
 (``sig._short_weight``), and its R_i stay at width 4 as well.  So do its
 keys, unless a larger check has cached them, and once all are cached the
-check keeps its 64-bit weights and runs the 128-step chain: a key's
-table pays back its build only after about 4-6 such checks
-(``context.LbsStore``).
+check keeps its 64-bit weights and runs the 128-step chain
+(``context.LbsStore`` says when a key's table pays back its build).
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
 builds one width per call, in affine rounds: round 1 doubles each P, and

@@ -4,7 +4,10 @@ ECDSA* is the batch-friendly variant: the signer transmits the full
 nonce point R instead of its reduced x-coordinate r.  A classic (r, s)
 signature can always be projected out of a star signature, so the two
 schemes sign identically and differ only in what the verifier gets to
-work with.  Messages are hashed with SHA-256 throughout.
+work with.  Messages are hashed with SHA-256 throughout.  Every ECDSA*
+check, single or batch, and every sum of a search is one weighted sum of
+the same per-item equation, built by ``_equation_terms`` and summed by
+``_combination``.
 
 Batch verification uses small-exponent randomization: each signature is
 weighted by a fresh random multiplier before the combined equation is
@@ -18,17 +21,18 @@ one invalid item b, the second sum is b + 1 times the first, so one
 forgery costs the failed check, the second sum and one individual check
 wherever it sits.  Otherwise the search bisects, taking a right half's
 sums as the parent's minus the left half's.  A single ``verify_star``
-tests its equation on scalars of half the length (Antipa et al., SAC
-2005), which halves its doubling chain.  A batch check of at most
-``SCAN_SIZE`` items, the size of a sparse round's checks, weights each
-item by a short vector (w, q) of the lattice q = w u2 (mod n) that its
-multiplier picks, instead of (lambda, lambda u2 mod n), so its R and key
-scalars are about 161 bits long and not 64 and 256, and its doubling
-chain about 162 steps long instead of 256 (after Gallant, Lambert &
-Vanstone, CRYPTO 2001); each multiplier still gives a distinct weight,
-so the 2^-64 bound holds as it stands.  A small check whose keys all
-come with cached tables keeps the multipliers: those tables already cut
-its chain to 128 steps, and its R scalars stay 64 bits.
+is the one-item case, weighted by a lattice vector that halves the
+length of its scalars (Antipa et al., SAC 2005) and so its doubling
+chain.  A batch check of at most ``SCAN_SIZE`` items, the size of a
+sparse round's checks, weights each item by a short vector (w, q) of
+the lattice q = w u2 (mod n) that its multiplier picks, instead of
+(lambda, lambda u2 mod n), so its R and key scalars are about 161 bits
+long and not 64 and 256, and its doubling chain about 162 steps long
+instead of 256 (after Gallant, Lambert & Vanstone, CRYPTO 2001); each
+multiplier still gives a distinct weight, so the 2^-64 bound holds as it
+stands.  A small check whose keys all come with cached tables keeps the
+multipliers: those tables already cut its chain to 128 steps, and its R
+scalars stay 64 bits.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  No
@@ -175,50 +179,8 @@ def _reduced_basis(u2: int) -> tuple[int, int, int, int]:
     return t1, r1, t0, r0
 
 
-def _half_length(u2: int) -> tuple[int, int]:
-    """(v, a) with a = v * u2 (mod n), 0 < v < 2^128 and |a| < 2^128, for 0 < u2 < n.
-
-    The first vector of ``_reduced_basis``, negated if need be so that v
-    is positive; a takes the sign.
-    """
-    v, a, _, _ = _reduced_basis(u2)
-    return (v, a) if v > 0 else (-v, -a)
-
-
-def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
-    """ECDSA* verification: whether u1 G + u2 Q == R, on half-length scalars.
-
-    Strictly stronger than the classic check — full point equality
-    instead of reduced-x equality — which is what makes signatures
-    batchable without opening the x-coordinate malleability door.
-
-    With w = s^-1, u1 = e w and u2 = r w mod n, ``_half_length`` gives
-    a = v * u2 (mod n) with 0 < v < 2^128 and |a| < 2^128 (Antipa, Brown,
-    Gallant, Lambert, Struik & Vanstone, "Accelerated verification of
-    ECDSA signatures", SAC 2005).  As v is invertible modulo the prime n,
-    u1 G + u2 Q == R holds iff v times it does:
-
-        c G + a Q - v R == infinity,    c = v u1 mod n,
-
-    one ``multi_scalar_mul``, negated when a < 0 so that every scalar is
-    non-negative: (n - c) G + |a| Q + v R.  c goes through G's fixed-base
-    table, so the doubling chain follows a and v, about 128 steps against
-    the 256 of u2 Q, and R costs a width-4 table.  The sum is compared
-    with infinity, so it needs no conversion to affine.
-    """
-    if not _well_formed(sig, public):
-        return False
-    w = pow(sig.s, -1, N)
-    v, a = _half_length(sig.R.x % N * w % N)
-    c = hash_to_scalar(message) * w % N * v % N
-    if a >= 0:
-        pairs = [(c, G), (a, public), (v, point_neg(sig.R))]
-    else:
-        pairs = [(-c % N, G), (-a, public), (v, sig.R)]
-    return multi_scalar_mul(pairs) is INFINITY
-
-
 BatchItem = tuple[bytes, StarSignature, PublicKey]
+Term = tuple[int, int, PrecomputedPoint, PrecomputedPoint]  # (u1, u2, -+R, Q)
 
 
 def _short_weight(lam: int, u2: int) -> int:
@@ -248,45 +210,40 @@ def _short_weight(lam: int, u2: int) -> int:
     return (lam >> half) * w1 + (lam & ((1 << half) - 1)) * w2
 
 
-def _equation_terms(items: Sequence[BatchItem], lambdas: Sequence[int]
-                    ) -> tuple[list[tuple[int, int, PrecomputedPoint, PrecomputedPoint]],
-                               list[int]]:
-    """The terms (u1_i, u2_i, -+R_i, Q_i) per well-formed item, and their weights.
+def _scalars(items: Sequence[BatchItem]) -> list[tuple[int, int]]:
+    """(u1_i, u2_i) = (e_i w_i, r_i w_i) mod n with w_i = s_i^-1, per item.
 
-    T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies.
-    The weights are the lambdas, except in a check of at most
-    ``SCAN_SIZE`` items with a plain key among them, where item i's
-    weight is ``_short_weight(lambda_i, u2_i)``.  The R base is -R_i for a
-    positive weight, and R_i for a negative one, so that
-    ``_combination`` multiplies it by |weight|.  The s_i are inverted
-    together, with one modular inversion.  Every base comes as an
-    ``ec.PrecomputedPoint``: each R base, and each key given as a plain
-    ``Point``, with a width-4 table, all built in one ``precompute``
-    call, and each cached key with its own two width-6 halves.  Plain keys
-    are what a check of at most ``SCAN_SIZE`` proofs mostly gets, as
-    ``context.verify_proof_batch`` caches a key's table only for larger
-    checks, so their tables cost no inversion of their own.  Every sum
-    over these terms reads the tables: the check, and every sum of a
-    search.
+    The s_i are inverted together, with one modular inversion.
     """
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
-    scalars = [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N)
-               for (message, sig, _), w in zip(items, inverses)]
+    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N)
+            for (message, sig, _), w in zip(items, inverses)]
+
+
+def _equation_terms(items: Sequence[BatchItem], scalars: Sequence[tuple[int, int]],
+                    weights: Sequence[int]) -> list[Term]:
+    """The terms (u1_i, u2_i, -+R_i, Q_i) of well-formed items, for the weights given.
+
+    T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies.
+    The R base is -R_i for a positive weight, and R_i for a negative
+    one, so that ``_combination`` multiplies it by |weight|; the caller
+    picks the weights.  Every base comes as an ``ec.PrecomputedPoint``:
+    each R base, and each key given as a plain ``Point``, with a width-4
+    table, all built in one ``precompute`` call, and each cached key
+    with its own two width-6 halves.  Every sum over these terms reads
+    the tables: the check, and every sum of a search.
+    """
     keys = [public for _, _, public in items]
     plain = [i for i, key in enumerate(keys) if not isinstance(key, PrecomputedPoint)]
-    weights = ([_short_weight(lam, u2) for lam, (_, u2) in zip(lambdas, scalars)]
-               if plain and len(items) <= SCAN_SIZE else lambdas)
     r_bases = [point_neg(sig.R) if weight > 0 else sig.R
                for (_, sig, _), weight in zip(items, weights)]
     tables = precompute(r_bases + [keys[i] for i in plain], CALL_WIDTH)
     for i, table in zip(plain, tables[len(items):]):
         keys[i] = table
-    terms = [(u1, u2, r_base, key) for (u1, u2), r_base, key in zip(scalars, tables, keys)]
-    return terms, weights
+    return [(u1, u2, r_base, key) for (u1, u2), r_base, key in zip(scalars, tables, keys)]
 
 
-def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPoint]],
-                 weights: Sequence[int]) -> Point | None:
+def _combination(terms: Sequence[Term], weights: Sequence[int]) -> Point | None:
     """sum(weight_i * T_i) over ``_equation_terms``, as one ``multi_scalar_mul``.
 
     Each weight has the sign of the weight its term was built for, so
@@ -300,8 +257,9 @@ def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPo
     256-bit key scalars lambda_i * u2_i mod n set the doubling chain: 256
     steps on plain keys, and 128 on cached ones, whose tables split each
     scalar at 2^128.  Under ``_short_weight``'s weights every scalar off
-    G is about 161 bits, and so is the chain.  The u1 parts are summed
-    into a single G term for the fixed-base table.
+    G is about 161 bits, and so is the chain, and under ``verify_star``'s
+    one weight both are below 2^128.  The u1 parts are summed into a
+    single G term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0
@@ -311,6 +269,34 @@ def _combination(terms: Sequence[tuple[int, int, PrecomputedPoint, PrecomputedPo
         pairs.append((weight * u2 % N, public))
     pairs.append((u1_sum, G))
     return multi_scalar_mul(pairs)
+
+
+def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
+    """ECDSA* verification: whether u1 G + u2 Q == R, on half-length scalars.
+
+    Strictly stronger than the classic check — full point equality
+    instead of reduced-x equality — which is what makes signatures
+    batchable without opening the x-coordinate malleability door.
+
+    The one-item case of ``batch_verify``'s equation, under one weight:
+    the first vector (w1, q1) of ``_reduced_basis(u2)``, with
+    q1 = w1 * u2 (mod n), |w1| < 2^128 and 0 < q1 < 2^128 (Antipa,
+    Brown, Gallant, Lambert, Struik & Vanstone, "Accelerated
+    verification of ECDSA signatures", SAC 2005).  As w1 is invertible
+    modulo the prime n, T = u1 G + u2 Q - R is infinity iff w1 T is,
+    and ``_combination`` sums w1 T as c G + q1 Q + |w1| (-+R), with
+    c = w1 u1 mod n and the R base -R for w1 > 0 and R for w1 < 0.  c
+    goes through G's fixed-base table, so the doubling chain follows q1
+    and |w1|, about 128 steps against the 256 of u2 Q, and R costs a
+    width-4 table.  The sum is compared with infinity, so it needs no
+    conversion to affine.
+    """
+    if not _well_formed(sig, public):
+        return False
+    item = [(message, sig, public)]
+    scalars = _scalars(item)
+    weights = [_reduced_basis(scalars[0][1])[0]]
+    return _combination(_equation_terms(item, scalars, weights), weights) is INFINITY
 
 
 def _randomizers(count: int, rng: random.Random) -> list[int]:
@@ -352,10 +338,13 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     unpredictable to the signer): with the other weights fixed, the sum
     is infinity for at most one w_i mod n, as the group has the prime
     order n, and each w_i mod n comes from one lambda_i at most (see
-    ``_short_weight``).  The s_i are inverted together, with one modular
-    inversion per batch.  An item that is not ``_well_formed`` rejects
-    the batch before any lambda is drawn; otherwise exactly one lambda
-    is drawn per item.
+    ``_short_weight``).  The choice between lambdas and short weights is
+    made here alone: ``_scalars`` gives the (u1_i, u2_i), with one
+    modular inversion per batch, ``_equation_terms`` builds the terms
+    for the weights chosen, and ``_combination`` sums them, the path
+    ``verify_star`` takes for its one item.  An item that is not
+    ``_well_formed`` rejects the batch before any lambda is drawn;
+    otherwise exactly one lambda is drawn per item.
 
     Returns a single accept/reject for the whole batch; callers that
     need to locate an offender use ``verify_batch``, which passes a list
@@ -368,7 +357,12 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
         raise ValueError("batch must contain at least one signature")
     if not all(_well_formed(sig, public) for _, sig, public in items):
         return False
-    terms, weights = _equation_terms(items, _randomizers(len(items), rng))
+    weights = _randomizers(len(items), rng)
+    scalars = _scalars(items)
+    if len(items) <= SCAN_SIZE and not all(isinstance(public, PrecomputedPoint)
+                                           for _, _, public in items):
+        weights = [_short_weight(lam, u2) for lam, (_, u2) in zip(weights, scalars)]
+    terms = _equation_terms(items, scalars, weights)
     total = _combination(terms, weights)
     if _check is not None:
         _check += terms, weights, total
@@ -392,16 +386,13 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 # predate the split key tables, whose 128-step chain makes a sum cheaper:
 # measured in one process on a 2-CPU host, sums over 2, 4 and 6 items went
 # from 1.50, 1.95 and 2.35 to 1.12, 1.56 and 1.98 times a ``verify_star``,
-# and the model has not been re-run on them.  A check of at
-# most this many items with a plain key among them weights its items with
+# and the model has not been re-run on them.  A check of at most this many
+# items with a plain key among them weights its items with
 # ``_short_weight``: if it fails, its items are checked one by one, so no
 # search sums under those weights.  ``context.verify_proof_batch`` caches
-# a key's table only for a check of more items.  The table, two width-6
-# halves, costs 128 doublings, about 38 affine additions and doublings
-# and a share of six inversions, about 0.8-1.2 ms per key (3-key builds,
-# 2 CPUs, CPython 3.11).  A small check whose keys are all cached runs on
-# the lambdas and takes about 0.18-0.22 ms less per key than on plain keys
-# under short weights, so a table pays back only after about 4-6 checks.
+# a key's table only for a check of more items, as a table would not pay
+# back its build in a sparse network's checks (``context.LbsStore`` gives
+# the costs).
 SCAN_SIZE = 4
 
 

@@ -498,6 +498,7 @@ def test_an_unusable_key_or_a_taken_id_is_refused():
         Point(public.x, (public.y + 1) % P)  # an off-curve key cannot be built
     for device_id, key in ((count, None),  # infinity
                            (count, (public.x, public.y)),  # not a point
+                           (count, world.lbs.key_tables[0]),  # a table, not a Point
                            (1, generate_keypair(world.rng).public)):  # a taken id
         with pytest.raises(ValueError, match=f"device {device_id}"):
             world.lbs.register_public_key(device_id, key)

@@ -20,6 +20,8 @@ LEDGER = {
                             "batch_inverse": 130, "to_affine": 90, "affine_additions": 1814},
     "sparse_seed1_round2": {"mixed_additions": 5716, "doublings": 4813,
                             "batch_inverse": 130, "to_affine": 90, "affine_additions": 1807},
+    "dense_seed1_round1": {"mixed_additions": 14130, "doublings": 48640,
+                           "batch_inverse": 362, "to_affine": 400, "affine_additions": 14328},
     "dense_seed1_round2": {"mixed_additions": 14108, "doublings": 3840,
                            "batch_inverse": 181, "to_affine": 400, "affine_additions": 14383},
     "proof_batch_clean": {"mixed_additions": 139, "doublings": 128,

@@ -105,17 +105,19 @@ HALF = 2 ** 128
 
 
 def _assert_half_length(u2):
-    v, a = sigmod._half_length(u2)
-    assert (a - v * u2) % N == 0
-    assert 0 < v < HALF and 0 < abs(a) < HALF
-    return a
+    # verify_star's weight w1 and key scalar q1: the first vector of the basis.
+    w1, q1, _, _ = sigmod._reduced_basis(u2)
+    assert (q1 - w1 * u2) % N == 0
+    assert 0 < abs(w1) < HALF and 0 < q1 < HALF
+    return w1
 
 
 @pytest.mark.parametrize("u2, positive", [(1, True), (HALF - 1, True), (HALF, False),
                                           (N - 1, False)])
 def test_half_length_reduction_at_its_edges(u2, positive):
     # 1 and 2^128 - 1 are short already; 2^128 takes one step to
-    # n mod 2^128 with v = n // 2^128, and n - 1 one step to a = -1.
+    # q1 = n mod 2^128 with w1 = -(n // 2^128), and n - 1 one step to
+    # q1 = 1 with w1 = -1.
     assert (_assert_half_length(u2) > 0) == positive
 
 
@@ -144,18 +146,25 @@ def test_half_length_verify_star_agrees_with_the_full_length_equation(private, m
 
 
 def test_verify_star_takes_both_signs_of_a(monkeypatch):
-    signs = []
+    # verify_star's weight w1 takes either sign, and its R base is -R
+    # for a positive one and R for a negative one.
+    calls = []
 
-    def recording(u2, _original=sigmod._half_length):
-        v, a = _original(u2)
-        signs.append(a > 0)
-        return v, a
+    def recording(terms, weights, _original=sigmod._combination):
+        ((_, _, r_base, _),), (weight,) = terms, weights
+        calls.append((weight, r_base.point))
+        return _original(terms, weights)
 
-    monkeypatch.setattr(sigmod, "_half_length", recording)
+    monkeypatch.setattr(sigmod, "_combination", recording)
+    signs = set()
     for message, star, public in make_items(random.Random(12), 12):
         assert verify_star(message, star, public)
         assert not verify_star(message + b"!", star, public)
-    assert set(signs) == {True, False}
+        for weight, r_base in calls:
+            assert r_base == (ec.point_neg(star.R) if weight > 0 else star.R)
+            signs.add(weight > 0)
+        calls.clear()
+    assert signs == {True, False}
 
 
 def test_batch_singleton_agrees_with_individual():
@@ -438,15 +447,19 @@ def test_a_failed_batch_is_searched_under_the_checks_own_randomizers(monkeypatch
     assert size > sigmod.SCAN_SIZE
     items = [_invalid(i, "bumped_s") if i in bad else item
              for i, item in enumerate(_bisect_pool()[0][:size])]
-    calls = {"_equation_terms": 0, "_randomizers": 0}
+    # Sizes of the item lists each function was called on.  Besides the
+    # check's, _equation_terms builds only each verify_star's one term.
+    calls = {"_equation_terms": [], "_randomizers": []}
     for name in calls:
-        def counted(*args, _name=name, _original=getattr(sigmod, name)):
-            calls[_name] += 1
-            return _original(*args)
+        def counted(first, *args, _name=name, _original=getattr(sigmod, name)):
+            calls[_name].append(first if isinstance(first, int) else len(first))
+            return _original(first, *args)
         monkeypatch.setattr(sigmod, name, counted)
     rng, alone = random.Random(3), random.Random(3)
     assert verify_batch(items, rng) == [i not in bad for i in range(size)]
-    assert calls == {"_equation_terms": 1, "_randomizers": 1}
+    assert calls["_randomizers"] == [size]
+    check, *singles = calls["_equation_terms"]
+    assert check == size and singles and set(singles) == {1}
     # Exactly n randomizers were drawn: the check's, and no fresh ones.
     sigmod._randomizers(size, alone)
     assert rng.getstate() == alone.getstate()

@@ -452,6 +452,30 @@ def test_decisions_are_pinned(config, expected):
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
 
 
+# The whole canonical report of six fixed runs, as a SHA-256: the
+# decisions above and every other key, ``config``, ``verifier_confidence``
+# and ``storage_reference`` among them.  A change that is meant to keep
+# every report byte-identical keeps these.
+@pytest.mark.parametrize("config, expected", [
+    (NetworkConfig(environment="sparse", seed=1, rounds=2),
+     "e803dac50d7ca36adcd1f1bd37879174624859bd8edb8ae62b98c2b6220dde97"),
+    (NetworkConfig(environment="sparse", seed=2, rounds=2),
+     "6202c98527403668f1e8d48dd81350e92aabdaaaa28b973c4841855875b36493"),
+    (NetworkConfig(seed=7, rounds=3, batch_size=2),
+     "af360dc51c94810ff39a6544cafe8aaf75a8dcdf4bdfe77bf00d2d7d6c227b3e"),
+    (NetworkConfig(num_devices=500, environment="dense", seed=1, rounds=1),
+     "0e5d738e6ff3d087f74873c93c9d8dd7c2af18032c297a14ea4ccd8481315eaa"),
+    (NetworkConfig(seed=7, num_clones=0, rounds=3),
+     "062310ce2b2466e75a0d1259c2bc6aabeb1a06e70d7ad0b977203addb9177bd8"),
+    (NetworkConfig(seed=3, num_provers=20, num_verifiers=60, rounds=2),
+     "3a284239f9c14335c50d6f1027474a7b9bcd131ff7e1d73eee5d92dcbc0ebc9c"),
+], ids=["sparse-seed1-2rounds", "sparse-seed2-2rounds", "seed7-batch2-3rounds",
+        "dense-seed1-1round", "seed7-no-clones-3rounds", "seed3-20provers-60verifiers"])
+def test_canonical_reports_are_pinned(config, expected):
+    blob = run_experiment(config).to_canonical_json()
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
 @pytest.mark.parametrize("config, expected", [
     (NetworkConfig(environment="sparse", seed=1, rounds=2),
      {"device_each": 81, "prover": 5670, "verifier": 3330, "clone": 1620, "idle": 0,

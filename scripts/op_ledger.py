@@ -9,10 +9,10 @@ affine and affine additions that ``cloneguard.ec`` makes.  The
 scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 rounds 1 and 2
 (round 1 builds the table of every key it verifies), one clean and one
 signature-dirty 25-item ``verify_proof_batch`` and one clean 3-item one,
-the size of a sparse round's checks, on cached key tables, the same
-3-item one on a store that holds no key table, which is what a sparse
-round's checks run, one ``verify_star`` under a cached key, and key
-generation for 100 keys.  Network set-up, the generator table and the
+the size of a sparse round's checks, on a store with cached key tables,
+the same 3-item one on a store that holds no key table (a call that
+small verifies on the registered keys, so the two cost the same), one
+``verify_star`` under a cached key, and key generation for 100 keys.  Network set-up, the generator table and the
 proof batches' key tables are built before any counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,

@@ -205,12 +205,7 @@ class LbsStore:
     Against one width-7 table per key, the split makes that round
     0.14-0.24 s slower and each later round 15-18 ms faster, so it
     pays only in a dense network that lives more than about 8-16
-    rounds; a 2-round one, the default, runs slower.  A check of at most
-    ``sig.SCAN_SIZE`` survivors saves about 0.18-0.22 ms per key from
-    the tables, and only once all its keys are cached (on a plain key it
-    takes short weights instead; ``sig.batch_verify`` says why), so a
-    table it built would pay back only after about 4-6 checks, more than
-    a sparse network's 1-2 rounds.  The keys missing
+    rounds; a 2-round one, the default, runs slower.  The keys missing
     from one call are built together by one ``ec.precompute`` call,
     whose inversions each serve all of them.  As a key never changes,
     neither does its table.  The tables are a verifier-side cache.
@@ -287,11 +282,9 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     ``lbs.verification_keys``: the first such call that verifies a key
     builds its ``ec.PrecomputedPoint`` (one pass for all of a call's new
     keys), and later calls reuse it.  A call with at most ``SCAN_SIZE``
-    survivors builds no table, which would not pay for itself (see
-    ``LbsStore``): it verifies each key on its cached table if it has
-    one, and otherwise as the plain registered ``Point``, which ``sig``
-    tabulates at width 4 with the check's -R_i.  A ``batch_size`` below
-    1 is a ``ValueError``.
+    survivors verifies every key as the plain registered ``Point``,
+    which ``sig`` tabulates at width 4 with the check's R_i, and builds
+    no key table.  A ``batch_size`` below 1 is a ``ValueError``.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.
@@ -323,7 +316,7 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     ids = [presentations[idx].proof.prover_id for idx in survivors]
     keys: list[sigmod.PublicKey] = (
         lbs.verification_keys(ids) if len(ids) > sigmod.SCAN_SIZE
-        else [lbs.key_tables.get(device_id, lbs.public_keys[device_id]) for device_id in ids])
+        else [lbs.public_keys[device_id] for device_id in ids])
     items: list[sigmod.BatchItem] = [
         (presentations[idx].proof.ci_digest, presentations[idx].proof.signature, public)
         for idx, public in zip(survivors, keys)]

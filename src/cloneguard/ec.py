@@ -3,6 +3,9 @@
 The public interface works on affine points (``Point``) plus a ``None``
 sentinel for the point at infinity.  Internally every scalar
 multiplication is one multi-scalar multiplication, summed by one loop.
+A scalar is any integer: it is reduced mod n with its sign kept, and a
+negative one recodes into the digits of its negation, each negated, so
+-k on P reads the same entries as k on -P.
 A term off the generator G recodes into wNAF digits, each naming an
 entry of its base's affine table of odd multiples P, 3P, ...,
 (2^(w-1) - 1)P, or the entry's negation (x, p - y); the G terms recode
@@ -43,7 +46,7 @@ digits with no zero digit (Joye & Tunstall, AFRICACRYPT 2009).  A base
 that recurs across calls can be passed as a ``PrecomputedPoint``, the
 point with its table, built once by ``precompute``: a registered public
 key Q once a check of more than ``sig.SCAN_SIZE`` items has verified
-it, and a batch check's -R_i at width 4, built by ``sig`` before the
+it, and a batch check's R_i at width 4, built by ``sig`` before the
 check and read by every sum of its search, so a batch check's
 ``multi_scalar_mul`` builds no table.  A key's table holds the width-6
 tables of Q and of Q' = 2^128 Q (Q, 3Q, ..., 31Q, then Q', 3Q', ...,
@@ -57,13 +60,11 @@ most 65 bits, follows its key scalars' 128-bit parts: 128 steps, not
 256.  Every
 plain ``Point`` base gets a width-4 table (P, 3P, 5P, 7P) in the call
 that uses it, whatever its scalar's length: each 256-bit scalar of a
-workload sits on G or on a cached key.  A batch randomizer's 64-bit
-scalar on -R_i, like the 128-bit ones of a single verification, is too
-short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
+workload sits on G or on a cached key.  A batch randomizer's negated
+64-bit scalar on R_i, like the 128-bit ones of a single verification, is
+too short for a wider table to pay; a check of at most ``sig.SCAN_SIZE``
 items weights its R_i and keys with scalars of about 161 bits instead
-(``sig._short_weight``), and its R_i stay at width 4 as well.  So do its
-keys, unless a larger check has cached them, and once all are cached the
-check keeps its 64-bit weights and runs the 128-step chain
+(``sig._short_weight``), and its R_i and keys stay at width 4 as well
 (``context.LbsStore`` says when a key's table pays back its build).
 
 All tables come from the one builder, ``_odd_multiple_tables``, which
@@ -323,7 +324,7 @@ def _fixed_base_mul(k: int) -> list[tuple[int, int]]:
 
 
 def scalar_mul(k: int, point: Point | None) -> Point | None:
-    """Compute k * point.  Requires k >= 0; k is reduced mod n.
+    """Compute k * point for any integer k, reduced mod n with its sign kept.
 
     Reducing the scalar is exact for every valid public input: the group
     order is the prime n with cofactor 1, so all finite curve points have
@@ -335,11 +336,13 @@ def scalar_mul(k: int, point: Point | None) -> Point | None:
 
 
 def _wnaf(k: int, width: int):
-    """Width-``width`` NAF of k >= 0: yield (position, digit) for each nonzero digit.
+    """Width-``width`` NAF of any integer k: yield (position, digit) for each nonzero digit.
 
     Positions ascend and are at least ``width`` apart, every digit is odd
     with |digit| < 2^(width - 1), and sum(digit << position) == k.  The
-    highest position is at most k.bit_length().
+    highest position is at most k.bit_length().  The digits of -k are
+    those of k, each negated: each digit is k's residue mod 2^width in a
+    range symmetric about 0.
     """
     half = 1 << (width - 1)
     position = 0
@@ -441,7 +444,7 @@ class PrecomputedPoint:
     of the key's scalar on the first half and the rest on the second
     (the two-row fixed-base split of Lim & Lee, CRYPTO 1994), so a key
     scalar runs a doubling chain of 128 steps, not 256.  A base used in
-    one check, such as a batch check's -R_i, has width ``CALL_WIDTH`` =
+    one check, such as a batch check's R_i, has width ``CALL_WIDTH`` =
     4: P, 3P, 5P, 7P, 8 ints, the width every plain ``Point`` base gets
     inside ``multi_scalar_mul``.  Any other length is a ``ValueError``.
     Build these with ``precompute``, whose affine rounds (one field
@@ -500,16 +503,19 @@ def precompute(points: list[Point], width: int = KEY_WIDTH) -> list[PrecomputedP
 
 
 def multi_scalar_mul(pairs) -> Point | None:
-    """Compute sum(k_i * P_i) exactly.  Every k_i >= 0; an empty input is infinity.
+    """Compute sum(k_i * P_i) exactly, for any integers k_i; an empty input is infinity.
 
     Terms off G share one Straus pass over wNAF digits (Moeller, SAC
     2001), each term at its own table's width w: each base has an affine
     table of its odd multiples P, 3P, ..., (2^(w-1) - 1)P, and a
-    negative digit adds the negation (x, p - y) of an entry.  A
-    ``PrecomputedPoint`` base brings its table, and nothing is built for
-    it: a width-4 table takes its scalar as one term, and a key's table
-    of two width-6 halves takes k mod 2^128 on Q's half and k >> 128 on
-    2^128 Q's, as two terms, or one where a part is zero.  Every plain
+    negative digit adds the negation (x, p - y) of an entry.  Each k_i
+    is reduced to |k_i| mod n with k_i's sign, so on a width-4 table a
+    negative one adds the digits of |k_i| negated, and its doubling chain
+    stays as long as |k_i|.  A ``PrecomputedPoint`` base brings its table, and nothing is
+    built for it: a width-4 table takes its scalar as one term, and a
+    key's table of two width-6 halves takes k mod 2^128 on Q's half and
+    k >> 128 (a floor shift, negative for a negative k) on 2^128 Q's, as
+    two terms, or one where a part is zero.  Every plain
     ``Point`` base gets a width-4 table built here, whatever its
     scalar's length, all of them in one ``_odd_multiple_tables`` call of
     three affine rounds, each sharing one inversion across every table.
@@ -534,14 +540,12 @@ def multi_scalar_mul(pairs) -> Point | None:
     terms = []
     fresh = []
     for k, base in pairs:
-        if k < 0:
-            raise ValueError("scalar must be non-negative")
+        k = k % N if k >= 0 else -(-k % N)
         if isinstance(base, PrecomputedPoint):
             table = base.table
             width = base.width
             if width == KEY_WIDTH:
                 # Q's half takes the low KEY_SPLIT bits, 2^KEY_SPLIT Q's the rest.
-                k %= N
                 if k & _LOW_BITS:
                     terms.append((k & _LOW_BITS, KEY_WIDTH, table[:_HALF_INTS]))
                 if k >> KEY_SPLIT:
@@ -555,7 +559,6 @@ def multi_scalar_mul(pairs) -> Point | None:
         else:
             table = None
             width = CALL_WIDTH
-        k %= N
         if not k:
             continue
         if table is None:

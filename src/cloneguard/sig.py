@@ -30,9 +30,7 @@ the lattice q = w u2 (mod n) that its multiplier picks, instead of
 long and not 64 and 256, and its doubling chain about 162 steps long
 instead of 256 (after Gallant, Lambert & Vanstone, CRYPTO 2001); each
 multiplier still gives a distinct weight, so the 2^-64 bound holds as it
-stands.  A small check whose keys all come with cached tables keeps the
-multipliers: those tables already cut its chain to 128 steps, and its R
-scalars stay 64 bits.
+stands.  Larger checks keep the multipliers.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  No
@@ -180,7 +178,7 @@ def _reduced_basis(u2: int) -> tuple[int, int, int, int]:
 
 
 BatchItem = tuple[bytes, StarSignature, PublicKey]
-Term = tuple[int, int, PrecomputedPoint, PrecomputedPoint]  # (u1, u2, -+R, Q)
+Term = tuple[int, int, PrecomputedPoint, PrecomputedPoint]  # (u1, u2, R, Q)
 
 
 def _short_weight(lam: int, u2: int) -> int:
@@ -210,62 +208,50 @@ def _short_weight(lam: int, u2: int) -> int:
     return (lam >> half) * w1 + (lam & ((1 << half) - 1)) * w2
 
 
-def _scalars(items: Sequence[BatchItem]) -> list[tuple[int, int]]:
-    """(u1_i, u2_i) = (e_i w_i, r_i w_i) mod n with w_i = s_i^-1, per item.
+def _equation_terms(items: Sequence[BatchItem]) -> list[Term]:
+    """The terms (u1_i, u2_i, R_i, Q_i) of well-formed items.
 
-    The s_i are inverted together, with one modular inversion.
+    T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies,
+    with u1_i = e_i s_i^-1 and u2_i = r_i s_i^-1 mod n; the s_i are
+    inverted together, with one modular inversion.  Every base comes as
+    an ``ec.PrecomputedPoint``: each R_i, and each key given as a plain
+    ``Point``, with a width-4 table, all built in one ``precompute``
+    call, and each cached key with its own two width-6 halves.  Every
+    sum over these terms reads the tables, under any weights: the check,
+    and every sum of a search.
     """
     inverses = batch_inverse([sig.s for _, sig, _ in items], N)
-    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N)
-            for (message, sig, _), w in zip(items, inverses)]
-
-
-def _equation_terms(items: Sequence[BatchItem], scalars: Sequence[tuple[int, int]],
-                    weights: Sequence[int]) -> list[Term]:
-    """The terms (u1_i, u2_i, -+R_i, Q_i) of well-formed items, for the weights given.
-
-    T_i = u1_i * G + u2_i * Q_i - R_i is infinity iff item i verifies.
-    The R base is -R_i for a positive weight, and R_i for a negative
-    one, so that ``_combination`` multiplies it by |weight|; the caller
-    picks the weights.  Every base comes as an ``ec.PrecomputedPoint``:
-    each R base, and each key given as a plain ``Point``, with a width-4
-    table, all built in one ``precompute`` call, and each cached key
-    with its own two width-6 halves.  Every sum over these terms reads
-    the tables: the check, and every sum of a search.
-    """
     keys = [public for _, _, public in items]
     plain = [i for i, key in enumerate(keys) if not isinstance(key, PrecomputedPoint)]
-    r_bases = [point_neg(sig.R) if weight > 0 else sig.R
-               for (_, sig, _), weight in zip(items, weights)]
-    tables = precompute(r_bases + [keys[i] for i in plain], CALL_WIDTH)
+    tables = precompute([sig.R for _, sig, _ in items] + [keys[i] for i in plain], CALL_WIDTH)
     for i, table in zip(plain, tables[len(items):]):
         keys[i] = table
-    return [(u1, u2, r_base, key) for (u1, u2), r_base, key in zip(scalars, tables, keys)]
+    return [(hash_to_scalar(message) * w % N, sig.R.x % N * w % N, r_table, key)
+            for (message, sig, _), w, r_table, key in zip(items, inverses, tables, keys)]
 
 
 def _combination(terms: Sequence[Term], weights: Sequence[int]) -> Point | None:
     """sum(weight_i * T_i) over ``_equation_terms``, as one ``multi_scalar_mul``.
 
-    Each weight has the sign of the weight its term was built for, so
-    |weight_i| multiplies the term's R base, -R_i or R_i, and
-    weight_i * u2_i mod n its key.  Every base comes with the table
+    -weight_i multiplies R_i's table, whatever the weight's sign, and
+    weight_i * u2_i mod n the key.  Every base comes with the table
     ``_equation_terms`` gave it, so the sum builds no table, and a
-    search's sums rebuild none.  The weights multiply the R bases as they
-    are (rather than n - weight_i multiplying R_i), so a short weight
-    saves digits: a 64-bit weight recodes into about 13 wNAF digits on a
-    width-4 table, n - weight_i into about 29.  Under the lambdas the
-    256-bit key scalars lambda_i * u2_i mod n set the doubling chain: 256
-    steps on plain keys, and 128 on cached ones, whose tables split each
-    scalar at 2^128.  Under ``_short_weight``'s weights every scalar off
-    G is about 161 bits, and so is the chain, and under ``verify_star``'s
-    one weight both are below 2^128.  The u1 parts are summed into a
-    single G term for the fixed-base table.
+    search's sums rebuild none.  ``multi_scalar_mul`` recodes -weight_i
+    as the digits of weight_i negated, rather than n - weight_i, so a
+    short weight saves digits: a 64-bit weight recodes into about 13
+    wNAF digits on a width-4 table, n - weight_i into about 29.  Under
+    the lambdas the 256-bit key scalars lambda_i * u2_i mod n set the
+    doubling chain: 256 steps on plain keys, and 128 on cached ones,
+    whose tables split each scalar at 2^128.  Under ``_short_weight``'s
+    weights every scalar off G is about 161 bits, and so is the chain,
+    and under ``verify_star``'s one weight both are below 2^128.  The u1
+    parts are summed into a single G term for the fixed-base table.
     """
     pairs = []
     u1_sum = 0
-    for (u1, u2, r_base, public), weight in zip(terms, weights):
+    for (u1, u2, r_table, public), weight in zip(terms, weights):
         u1_sum = (u1_sum + weight * u1) % N
-        pairs.append((abs(weight), r_base))
+        pairs.append((-weight, r_table))
         pairs.append((weight * u2 % N, public))
     pairs.append((u1_sum, G))
     return multi_scalar_mul(pairs)
@@ -284,19 +270,16 @@ def verify_star(message: bytes, sig: StarSignature, public: PublicKey) -> bool:
     Brown, Gallant, Lambert, Struik & Vanstone, "Accelerated
     verification of ECDSA signatures", SAC 2005).  As w1 is invertible
     modulo the prime n, T = u1 G + u2 Q - R is infinity iff w1 T is,
-    and ``_combination`` sums w1 T as c G + q1 Q + |w1| (-+R), with
-    c = w1 u1 mod n and the R base -R for w1 > 0 and R for w1 < 0.  c
-    goes through G's fixed-base table, so the doubling chain follows q1
-    and |w1|, about 128 steps against the 256 of u2 Q, and R costs a
-    width-4 table.  The sum is compared with infinity, so it needs no
-    conversion to affine.
+    and ``_combination`` sums w1 T as c G + q1 Q + (-w1) R, with
+    c = w1 u1 mod n.  c goes through G's fixed-base table, so the
+    doubling chain follows q1 and |w1|, about 128 steps against the 256
+    of u2 Q, and R costs a width-4 table.  The sum is compared with
+    infinity, so it needs no conversion to affine.
     """
     if not _well_formed(sig, public):
         return False
-    item = [(message, sig, public)]
-    scalars = _scalars(item)
-    weights = [_reduced_basis(scalars[0][1])[0]]
-    return _combination(_equation_terms(item, scalars, weights), weights) is INFINITY
+    terms = _equation_terms([(message, sig, public)])
+    return _combination(terms, [_reduced_basis(terms[0][1])[0]]) is INFINITY
 
 
 def _randomizers(count: int, rng: random.Random) -> list[int]:
@@ -308,16 +291,16 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     """Verify a batch of ECDSA* signatures with one combined equation.
 
     Each item i gets a fresh multiplier lambda_i drawn from
-    [1, 2^RANDOMIZER_BITS], and a weight w_i: lambda_i itself, or in a
-    check of at most ``SCAN_SIZE`` items with a plain key among them
-    ``_short_weight(lambda_i, u2_i)``.  The batch is accepted iff
+    [1, 2^RANDOMIZER_BITS], and a weight w_i: in a check of at most
+    ``SCAN_SIZE`` items ``_short_weight(lambda_i, u2_i)``, and otherwise
+    lambda_i itself.  The batch is accepted iff
 
         sum(w_i * R_i) == (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
 
     evaluated by ``_combination`` as one multi-scalar multiplication that
     must give the point at infinity:
 
-        sum(w_i * (-R_i)) + (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
+        sum((-w_i) * R_i) + (sum(w_i * u1_i) mod n) * G + sum(w_i * u2_i mod n) * Q_i
 
     Under the lambdas, every R term carries a scalar of at most 65 bits,
     so it adds about 13 wNAF digits on its width-4 table, and the key
@@ -328,20 +311,19 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     weights make every R and key scalar about 161 bits long, so its
     chain is about 162 steps, at about 19 more R digits and 19 fewer key
     digits per plain key; a sparse round's checks hold 2 or 3 items, on
-    plain keys.  Larger checks keep the lambdas, whose 64-bit R scalars
-    cost the fewest additions there, and ``context.verify_proof_batch``
-    gives them cached keys; so does a small check on cached keys alone,
-    whose chain under the lambdas, 128 steps, is shorter than the short
-    weights' 162.  The G term goes through the fixed-base table.  If the
+    plain keys, as does every small check ``context.verify_proof_batch``
+    makes.  Larger checks keep the lambdas, whose 64-bit R scalars cost
+    the fewest additions there, and ``context.verify_proof_batch`` gives
+    them cached keys.  The G term goes through the fixed-base table.  If the
     batch holds an invalid signature, it passes with
     probability at most 2^-64 over the lambdas (which assumes ``rng`` is
     unpredictable to the signer): with the other weights fixed, the sum
     is infinity for at most one w_i mod n, as the group has the prime
     order n, and each w_i mod n comes from one lambda_i at most (see
     ``_short_weight``).  The choice between lambdas and short weights is
-    made here alone: ``_scalars`` gives the (u1_i, u2_i), with one
-    modular inversion per batch, ``_equation_terms`` builds the terms
-    for the weights chosen, and ``_combination`` sums them, the path
+    made here alone, from the check's size: ``_equation_terms`` builds
+    the terms, with one modular inversion per batch, and
+    ``_combination`` sums them under the weights chosen, the path
     ``verify_star`` takes for its one item.  An item that is not
     ``_well_formed`` rejects the batch before any lambda is drawn;
     otherwise exactly one lambda is drawn per item.
@@ -358,11 +340,9 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     if not all(_well_formed(sig, public) for _, sig, public in items):
         return False
     weights = _randomizers(len(items), rng)
-    scalars = _scalars(items)
-    if len(items) <= SCAN_SIZE and not all(isinstance(public, PrecomputedPoint)
-                                           for _, _, public in items):
-        weights = [_short_weight(lam, u2) for lam, (_, u2) in zip(weights, scalars)]
-    terms = _equation_terms(items, scalars, weights)
+    terms = _equation_terms(items)
+    if len(items) <= SCAN_SIZE:
+        weights = [_short_weight(lam, u2) for lam, (_, u2, _, _) in zip(weights, terms)]
     total = _combination(terms, weights)
     if _check is not None:
         _check += terms, weights, total
@@ -387,12 +367,12 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 # measured in one process on a 2-CPU host, sums over 2, 4 and 6 items went
 # from 1.50, 1.95 and 2.35 to 1.12, 1.56 and 1.98 times a ``verify_star``,
 # and the model has not been re-run on them.  A check of at most this many
-# items with a plain key among them weights its items with
-# ``_short_weight``: if it fails, its items are checked one by one, so no
-# search sums under those weights.  ``context.verify_proof_batch`` caches
-# a key's table only for a check of more items, as a table would not pay
-# back its build in a sparse network's checks (``context.LbsStore`` gives
-# the costs).
+# items weights its items with ``_short_weight``: if it fails, its items
+# are checked one by one, so no search sums under those weights.
+# ``context.verify_proof_batch`` caches a key's table only for a check of
+# more items, and gives a smaller one the plain keys, as a table would not
+# pay back its build in a sparse network's checks (``context.LbsStore``
+# gives the costs).
 SCAN_SIZE = 4
 
 
@@ -450,7 +430,7 @@ def verify_batch(items: Sequence[BatchItem], rng: random.Random) -> list[bool]:
     multiplication of its own: the check runs over the well-formed items
     alone, and the search only if it fails, so one malformed item beside
     at most ``SCAN_SIZE`` valid ones costs 1.  No sum builds a table:
-    ``_equation_terms`` builds the -R_i tables, and those of plain keys,
+    ``_equation_terms`` builds the R_i tables, and those of plain keys,
     once, before the check, and S2 and every half sum read them.  In
     time the calls differ: on cached keys, whose split tables give every
     sum a 128-step chain, a sum over 2 items took 1.13 times a

@@ -439,8 +439,8 @@ def test_calls_of_at_most_scan_size_survivors_build_no_table(monkeypatch):
             assert world.lbs.key_tables == {}
 
     # Once a call above SCAN_SIZE has cached a key's table, a small call
-    # verifies on that very table, and on the plain key where none is
-    # cached, and builds nothing.
+    # still builds nothing and verifies on the plain registered key,
+    # whether or not that key has a cached table.
     verify_proof_batch([presentations[i] for i in honest[:SCAN_SIZE + 1]], world.lbs,
                        random.Random(7))
     tables = dict(world.lbs.key_tables)
@@ -460,9 +460,9 @@ def test_calls_of_at_most_scan_size_survivors_build_no_table(monkeypatch):
     assert all(world.lbs.key_tables[d] is table for d, table in tables.items())
     (items,) = seen
     ids = [presentations[i].proof.prover_id for i in small]
-    assert 0 < len(set(ids) & set(tables)) < len(ids)  # cached and plain keys alike
+    assert 0 < len(set(ids) & set(tables)) < len(ids)  # ids with a cached table and without
     for device_id, (_, _, key) in zip(ids, items):
-        assert key is tables.get(device_id, world.lbs.public_keys[device_id])
+        assert key is world.lbs.public_keys[device_id]
 
 
 def test_a_registered_key_cannot_be_replaced():

@@ -161,8 +161,7 @@ def test_scalar_mul_edge_scalars():
     assert scalar_mul(N, G) is INFINITY
     assert scalar_mul(0, INFINITY) is INFINITY
     assert scalar_mul(5, INFINITY) is INFINITY
-    with pytest.raises(ValueError):
-        scalar_mul(-1, G)
+    assert scalar_mul(-1, G) == point_neg(G)
 
 
 def test_scalar_mul_reduces_mod_group_order():
@@ -407,12 +406,34 @@ def test_multi_scalar_mul_matches_fold():
         [(31 << 128, pre_q), (33 << 128 | 33, pre_q2), (2 ** 128 + 33, q3)],
         [(short, pre_q), (N - short, q), (long, q2), (N - long, pre_q2)],
     ]
+    # Negative scalars on every kind of base: a plain point, a width-4
+    # table, a key's table (on both halves, and across the seam), G and
+    # infinity; -N and a negative scalar of more than 256 bits; k and -k
+    # on one base, whose sum is infinity; and a batch check's shape,
+    # -lambda on a width-4 table next to a 256-bit key scalar.
+    (pre_r,) = precompute([q3], CALL_WIDTH)
+    cases += [
+        [(-k, q), (-rng.randrange(1, N), pre_r), (-rng.randrange(1, N), pre_q),
+         (-rng.randrange(1, N), G), (-5, INFINITY)],
+        [(-N, q), (-N, pre_r), (-N, pre_q), (-N, G)],
+        [(-(2 ** 300 + 7), q), (-(2 ** 300 + 7), pre_r), (-(2 ** 300 + 7), pre_q2),
+         (-(2 ** 300 + 7), G)],
+        [(k, q), (-k, q)],
+        [(k, pre_r), (-k, pre_r)],
+        [(k, pre_q), (-k, pre_q)],
+        [(k, G), (-k, G)],
+        [(-1, q), (-7, pre_r), (-9, pre_r), (-33, pre_q), (-(2 ** 128), pre_q2),
+         (-(2 ** 128 - 1), pre_q), (-(2 ** 128 + 1), pre_q2)],
+        [(-(2 ** 64), pre_r), (rng.randrange(0, N), pre_q), (-(2 ** 64 - 1), q2),
+         (rng.randrange(0, N), G)],
+    ]
     for pairs in cases:
         folded = None
         for k, pt in pairs:
             if isinstance(pt, PrecomputedPoint):
                 pt = pt.point
-            folded = point_add(folded, oracle_mul(k % N, pt))
+            if pt is not INFINITY:
+                folded = point_add(folded, oracle_mul(k % N, pt))
         assert multi_scalar_mul(pairs) == folded
 
 
@@ -610,6 +631,20 @@ def test_wnaf_recoding_every_width(k, width):
     assert not positions or positions[-1] <= k.bit_length()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-(N - 1), max_value=-1), st.sampled_from([4, 6, 11]))
+def test_wnaf_recoding_of_a_negative_scalar_negates_each_digit(k, width):
+    # multi_scalar_mul recodes a negative scalar as it is: its digits are
+    # those of -k, negated, so -k on P reads the entries k reads on -P.
+    digits = list(_wnaf(k, width))
+    assert sum(d << i for i, d in digits) == k
+    assert all(d % 2 == 1 and abs(d) < 2 ** (width - 1) for _, d in digits)
+    positions = [i for i, _ in digits]
+    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+    assert not positions or positions[-1] <= k.bit_length()
+    assert [(i, -d) for i, d in _wnaf(-k, width)] == digits
+
+
 def test_table_widths_follow_the_base_alone(monkeypatch):
     # Counts, not timings: which width each term's recoding and table
     # get.  A cached key's scalar is recoded in two parts at width 6, its
@@ -638,9 +673,10 @@ def test_table_widths_follow_the_base_alone(monkeypatch):
                       (u2, q), (u2, G)])
     assert recoded == [(65, 4), (128, 4), (129, 4), (14, 6), (128, 6), (256, 4)]
     assert built == [8, 8, 8, 8]
-    # batch_verify's randomizer terms above SCAN_SIZE items are 64-bit, on
-    # fresh -R_i: width 4.  Its 256-bit key scalars on cached tables: two
-    # parts of at most 128 bits each at width 6, nothing built for them.
+    # batch_verify's randomizer terms above SCAN_SIZE items are negated
+    # 64-bit scalars, on fresh R_i: width 4.  Its 256-bit key scalars on
+    # cached tables: two parts of at most 128 bits each at width 6,
+    # nothing built for them.
     items = []
     for i in range(SCAN_SIZE + 1):
         pair = generate_keypair(rng)

@@ -28,8 +28,8 @@ LEDGER = {
                           "batch_inverse": 7, "to_affine": 0, "affine_additions": 1148},
     "proof_batch_forged": {"mixed_additions": 356, "doublings": 385,
                            "batch_inverse": 14, "to_affine": 3, "affine_additions": 2298},
-    "proof_batch_small": {"mixed_additions": 102, "doublings": 128,
-                          "batch_inverse": 5, "to_affine": 0, "affine_additions": 75},
+    "proof_batch_small": {"mixed_additions": 116, "doublings": 160,
+                          "batch_inverse": 5, "to_affine": 0, "affine_additions": 101},
     "proof_batch_small_registered": {"mixed_additions": 116, "doublings": 160,
                                      "batch_inverse": 5, "to_affine": 0,
                                      "affine_additions": 101},
@@ -74,14 +74,15 @@ def test_large_batch_checks_run_a_half_length_chain():
 
 
 def test_small_batch_checks_run_short_chains():
-    # A check of at most SCAN_SIZE items on plain keys weights them by
-    # short lattice vectors, so its doubling chain follows scalars of about
-    # 161 bits, not the 256-bit lambda_i * u2_i.  A sparse round runs one
-    # check per verifier, 30 of them, with 2 or 3 items each; signing makes
-    # no doubling.  On cached keys alone such a check keeps the lambdas,
-    # whose key scalars the split tables cut to a 128-step chain.
+    # A check of at most SCAN_SIZE items weights them by short lattice
+    # vectors, so its doubling chain follows scalars of about 161 bits, not
+    # the 256-bit lambda_i * u2_i.  A sparse round runs one check per
+    # verifier, 30 of them, with 2 or 3 items each; signing makes no
+    # doubling.  Such a check runs on the plain registered keys, whether or
+    # not the store has cached their tables, so it costs the same on both
+    # stores.
     assert LEDGER["proof_batch_small_registered"]["doublings"] <= 170
-    assert LEDGER["proof_batch_small"]["doublings"] <= 129
+    assert LEDGER["proof_batch_small"] == LEDGER["proof_batch_small_registered"]
     for round_no in (1, 2):
         assert LEDGER[f"sparse_seed1_round{round_no}"]["doublings"] <= 30 * 170
 

@@ -146,13 +146,13 @@ def test_half_length_verify_star_agrees_with_the_full_length_equation(private, m
 
 
 def test_verify_star_takes_both_signs_of_a(monkeypatch):
-    # verify_star's weight w1 takes either sign, and its R base is -R
-    # for a positive one and R for a negative one.
+    # verify_star's weight w1 takes either sign, and its R term's table is
+    # that of R itself, the signature's own point, for both.
     calls = []
 
     def recording(terms, weights, _original=sigmod._combination):
-        ((_, _, r_base, _),), (weight,) = terms, weights
-        calls.append((weight, r_base.point))
+        ((_, _, r_table, _),), (weight,) = terms, weights
+        calls.append((weight, r_table.point))
         return _original(terms, weights)
 
     monkeypatch.setattr(sigmod, "_combination", recording)
@@ -160,8 +160,8 @@ def test_verify_star_takes_both_signs_of_a(monkeypatch):
     for message, star, public in make_items(random.Random(12), 12):
         assert verify_star(message, star, public)
         assert not verify_star(message + b"!", star, public)
-        for weight, r_base in calls:
-            assert r_base == (ec.point_neg(star.R) if weight > 0 else star.R)
+        for weight, r_point in calls:
+            assert r_point is star.R
             signs.add(weight > 0)
         calls.clear()
     assert signs == {True, False}
@@ -468,7 +468,7 @@ def test_a_failed_batch_is_searched_under_the_checks_own_randomizers(monkeypatch
 @pytest.mark.parametrize("cached", [True, False])
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_a_forged_batch_builds_its_r_tables_once(monkeypatch, count, cached):
-    # Counts, not timings: the check and its search build the -R_i
+    # Counts, not timings: the check and its search build the R_i
     # tables, and those of plain keys, in one call at width 4, however
     # many sums read them; cached keys bring their own.  verify_star
     # builds its own R's table.
@@ -629,39 +629,28 @@ def test_small_checks_refuse_every_single_invalid_item():
 
 @pytest.mark.parametrize("size", [1, sigmod.SCAN_SIZE, sigmod.SCAN_SIZE + 1, 25])
 def test_only_checks_of_at_most_scan_size_items_take_short_weights(size):
+    # The rule reads the check's size alone: plain keys, cached keys and
+    # a mix of both take the same weights.  A small check on cached keys
+    # refuses, and flags, an invalid item as one on plain keys does.
     items = _bisect_pool()[0][:size]
-    check = []
-    assert batch_verify(items, random.Random(size), _check=check)
-    terms, weights, _ = check
-    lambdas = sigmod._randomizers(size, random.Random(size))
-    if size <= sigmod.SCAN_SIZE:
-        assert weights == [sigmod._short_weight(lam, u2) for lam, (_, u2, _, _)
-                           in zip(lambdas, terms)]
-    else:
-        assert weights == lambdas
-
-
-def test_a_small_check_on_cached_keys_alone_keeps_the_lambdas():
-    # Split key tables give a check on cached keys a 128-step chain under
-    # the lambdas, shorter than the short weights' 162 steps, so a small
-    # check takes short weights only while a plain key is among its items.
-    items = _bisect_pool()[0][:sigmod.SCAN_SIZE]
     keys = precompute([public for _, _, public in items])
     cached = [(m, star, key) for (m, star, _), key in zip(items, keys)]
-    lambdas = sigmod._randomizers(len(items), random.Random(5))
-    check = []
-    assert batch_verify(cached, random.Random(5), _check=check)
-    assert check[1] == lambdas
-    mixed = cached[:-1] + list(items[-1:])
-    check = []
-    assert batch_verify(mixed, random.Random(5), _check=check)
-    terms, weights, _ = check
-    assert weights == [sigmod._short_weight(lam, u2) for lam, (_, u2, _, _)
-                       in zip(lambdas, terms)]
-    for index in range(len(items)):
+    lambdas = sigmod._randomizers(size, random.Random(size))
+    for batch in (items, cached, cached[:-1] + list(items[-1:])):
+        check = []
+        assert batch_verify(batch, random.Random(size), _check=check)
+        terms, weights, _ = check
+        if size <= sigmod.SCAN_SIZE:
+            assert weights == [sigmod._short_weight(lam, u2) for lam, (_, u2, _, _)
+                               in zip(lambdas, terms)]
+        else:
+            assert weights == lambdas
+    if size > sigmod.SCAN_SIZE:
+        return
+    for index in range(size):
         batch = list(cached)
         batch[index] = _invalid(index, "other_key")[:2] + (keys[index],)
-        expected = [i != index for i in range(len(items))]
+        expected = [i != index for i in range(size)]
         assert not batch_verify(batch, random.Random(index))
         assert verify_batch(batch, random.Random(index)) == expected
 
@@ -716,7 +705,7 @@ def test_precomputed_keys_verify_like_plain_points():
 def test_each_point_is_checked_on_the_curve_once(monkeypatch):
     # A point is checked once, when it is built, by the Point constructor:
     # the public key by key generation and R by signing.  A verifier checks
-    # no key or R it is given, cached or plain, and builds only -R_i.
+    # no key or R it is given, cached or plain, and builds no point.
     rng = random.Random(30)
     items = make_items(rng, 25)
     keys = precompute([public for _, _, public in items])
@@ -731,9 +720,9 @@ def test_each_point_is_checked_on_the_curve_once(monkeypatch):
     calls = {
         "generate_keypair": (lambda: generate_keypair(random.Random(1)), 1),
         "sign": (lambda: sign(message, 7, random.Random(1)), 1),
-        "batch_verify, cached keys": (lambda: batch_verify(cached, random.Random(2)), 25),
-        "batch_verify, plain keys": (lambda: batch_verify(items, random.Random(2)), 25),
-        "verify_star, cached key": (lambda: verify_star(message, star, keys[0]), 1),
+        "batch_verify, cached keys": (lambda: batch_verify(cached, random.Random(2)), 0),
+        "batch_verify, plain keys": (lambda: batch_verify(items, random.Random(2)), 0),
+        "verify_star, cached key": (lambda: verify_star(message, star, keys[0]), 0),
     }
     for name, (call, expected) in calls.items():
         checked.clear()

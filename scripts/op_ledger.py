@@ -7,13 +7,16 @@ Prints one JSON object: for each scenario, the mixed additions,
 doublings, ``batch_inverse`` calls, conversions of a finite point to
 affine and affine additions that ``cloneguard.ec`` makes.  The
 scenarios are sparse seed 1 rounds 1 and 2, dense seed 1 rounds 1 and 2
-(round 1 builds the table of every key it verifies), one clean and one
-signature-dirty 25-item ``verify_proof_batch`` and one clean 3-item one,
-the size of a sparse round's checks, on a store with cached key tables,
-the same 3-item one on a store that holds no key table (a call that
-small verifies on the registered keys, so the two cost the same), one
-``verify_star`` under a cached key, and key generation for 100 keys.  Network set-up, the generator table and the
-proof batches' key tables are built before any counting starts.
+(round 1 builds the table of every key it verifies), dense seed 1 round 1
+at ``batch_size`` ``sig.SCAN_SIZE`` (its checks are small, so it builds
+no key table), one clean and one signature-dirty 25-item
+``verify_proof_batch`` and one clean 3-item one, the size of a sparse
+round's checks, on a store with cached key tables, the same 3-item one on
+a store that holds no key table (a check that small verifies on the
+registered keys, so the two cost the same), one ``verify_star`` under a
+cached key, and key generation for 100 keys.  Network set-up, the
+generator table and the proof batches' key tables are built before any
+counting starts.
 
 The counts come from outside: the script wraps ``ec._jadd_affine``,
 ``ec._jdbl``, ``ec.batch_inverse``, ``ec._to_affine``, ``ec._straus``
@@ -39,6 +42,7 @@ one shows in ``tests/test_op_ledger.py``, which pins them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -166,6 +170,10 @@ def ledger() -> dict[str, dict[str, int]]:
             with counting() as counts:
                 _advance(network)
             out[f"{name}_seed1_round{round_no}"] = counts
+    network = _network(dataclasses.replace(DENSE, batch_size=sig.SCAN_SIZE))
+    with counting() as counts:
+        _advance(network)
+    out["dense_seed1_round1_small_checks"] = counts
 
     lbs, registered, clean, dirty = _proof_batches()
     for name, store, batch, expected in (
@@ -180,7 +188,7 @@ def ledger() -> dict[str, dict[str, int]]:
         out[name] = counts
 
     proof = clean[0].proof
-    (key,) = lbs.verification_keys([proof.prover_id])
+    key = lbs.key_tables[proof.prover_id]
     with counting() as counts:
         if not sig.verify_star(proof.ci_digest, proof.signature, key):
             raise AssertionError("verify_star_cached_key: a valid signature was refused")

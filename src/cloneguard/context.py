@@ -190,25 +190,23 @@ class LbsStore:
     is registered once and never changes after; it was checked on the
     curve once, when its ``ec.Point`` was built.
 
-    Next to a registered key the store keeps, once ``verification_keys``
-    has been asked for it, an ``ec.PrecomputedPoint`` in ``key_tables``:
-    the key Q with the width-6 odd-multiple tables of Q and of 2^128 Q
-    (``ec.PrecomputedPoint`` says how large), which every later
-    verification under that key reuses.  ``verify_proof_batch`` asks
-    only for the keys of a call with more than ``sig.SCAN_SIZE``
-    survivors, whose 256-bit key scalars the two halves cut to a
-    128-step doubling chain.  A build costs 128 doublings, about 38
-    affine additions and doublings and a share of six inversions: about
-    0.8-1.2 ms per key (3-key builds, 2 CPUs, CPython 3.11), paid in the
-    first round that verifies the key.
-    A dense N = 500 network builds about 350 tables in its first round.
-    Against one width-7 table per key, the split makes that round
-    0.14-0.24 s slower and each later round 15-18 ms faster, so it
-    pays only in a dense network that lives more than about 8-16
-    rounds; a 2-round one, the default, runs slower.  The keys missing
-    from one call are built together by one ``ec.precompute`` call,
-    whose inversions each serve all of them.  As a key never changes,
-    neither does its table.  The tables are a verifier-side cache.
+    ``verification_keys`` hands each check the keys its own size calls
+    for.  A check of at most ``sig.SCAN_SIZE`` items, as every check of a
+    sparse round is, verifies on the plain registered ``Point``s and
+    builds nothing: on such a check a cached table saves 5-10%, so a key
+    verified once a round would take some 10-20 rounds to pay back its
+    table.  A larger check verifies on ``ec.PrecomputedPoint``s kept in
+    ``key_tables``: the key Q with the width-6 odd-multiple tables of Q
+    and of 2^128 Q (``ec.PrecomputedPoint`` says how large), which cut the
+    check's 256-bit key scalars to a 128-step doubling chain.  A build
+    costs 128 doublings, about 38 affine additions and doublings and a
+    share of six inversions: about 0.8-1.2 ms per key (3-key builds, 2
+    CPUs, CPython 3.11), paid by the first large check that verifies the
+    key; a dense N = 500 network's first round builds about 350 at the
+    default ``batch_size``.  The keys missing from one check are built
+    together by one ``ec.precompute`` call, whose inversions each serve
+    all of them.  As a key never changes, neither does its table.  The
+    tables are a verifier-side cache.
     """
 
     def __init__(self) -> None:
@@ -232,12 +230,16 @@ class LbsStore:
             raise ValueError(f"device {device_id}: the key is not an ec.Point")
         self.public_keys[device_id] = public
 
-    def verification_keys(self, device_ids: Sequence[int]) -> list[PrecomputedPoint]:
-        """The registered keys of ``device_ids``, each with its table.
+    def verification_keys(self, device_ids: Sequence[int]) -> list[sigmod.PublicKey]:
+        """The keys that one check of ``device_ids`` verifies under.
 
-        Tables missing for these ids are built in one ``precompute`` call
-        and kept; when none is missing, nothing is built.
+        At most ``sig.SCAN_SIZE`` ids get their registered ``Point``s, and
+        nothing is built.  More ids get their tables: those missing are
+        built in one ``precompute`` call and kept, and when none is
+        missing, nothing is built.
         """
+        if len(device_ids) <= sigmod.SCAN_SIZE:
+            return [self.public_keys[device_id] for device_id in device_ids]
         missing = {device_id: self.public_keys[device_id] for device_id in device_ids
                    if device_id not in self.key_tables}
         if missing:
@@ -273,18 +275,16 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
     COMPROMISED_CONTEXT.
 
     Stage 2 (signatures): survivors are verified in chunks of
-    ``batch_size`` by ``sig.verify_batch``.  A clean chunk confirms
-    everyone in it with one batch check; in a dirty one, the failed
-    check's own sum and its index-weighted twin name a lone forgery, or a
-    bisection over such sums finds several, and the signatures that fail
-    their individual check are COMPROMISED_SIGNATURE.  A call with more
-    than ``sig.SCAN_SIZE`` survivors verifies, on either path, under
-    ``lbs.verification_keys``: the first such call that verifies a key
-    builds its ``ec.PrecomputedPoint`` (one pass for all of a call's new
-    keys), and later calls reuse it.  A call with at most ``SCAN_SIZE``
-    survivors verifies every key as the plain registered ``Point``,
-    which ``sig`` tabulates at width 4 with the check's R_i, and builds
-    no key table.  A ``batch_size`` below 1 is a ``ValueError``.
+    ``batch_size`` by ``sig.verify_batch``.  Each chunk, on either path,
+    is one check on the keys ``lbs.verification_keys`` gives its size: a
+    chunk of at most ``sig.SCAN_SIZE`` survivors verifies on the plain
+    registered keys and builds no table, a larger one on cached key
+    tables, whatever ``batch_size`` is.  A clean chunk confirms everyone
+    in it with one batch check; in a dirty one, the failed check's own
+    sum and its index-weighted twin name a lone forgery, or a bisection
+    over such sums finds several, and the signatures that fail their
+    individual check are COMPROMISED_SIGNATURE.  A ``batch_size`` below 1
+    is a ``ValueError``.
 
     Verdicts come back aligned with the input order, which is what lets
     this handle several presenters claiming the same id in one round.
@@ -313,19 +313,13 @@ def verify_proof_batch(presentations: Sequence[ProofPresentation], lbs: LbsStore
             continue
         survivors.append(idx)
 
-    ids = [presentations[idx].proof.prover_id for idx in survivors]
-    keys: list[sigmod.PublicKey] = (
-        lbs.verification_keys(ids) if len(ids) > sigmod.SCAN_SIZE
-        else [lbs.public_keys[device_id] for device_id in ids])
-    items: list[sigmod.BatchItem] = [
-        (presentations[idx].proof.ci_digest, presentations[idx].proof.signature, public)
-        for idx, public in zip(survivors, keys)]
-
     for start in range(0, len(survivors), batch_size):
-        chunk = items[start:start + batch_size]
-        flags = (sigmod.verify_batch(chunk, rng) if use_batch
-                 else sigmod.verify_each(chunk))
-        for idx, ok in zip(survivors[start:start + batch_size], flags):
+        chunk = survivors[start:start + batch_size]
+        proofs = [presentations[idx].proof for idx in chunk]
+        keys = lbs.verification_keys([proof.prover_id for proof in proofs])
+        items = [(proof.ci_digest, proof.signature, key) for proof, key in zip(proofs, keys)]
+        flags = sigmod.verify_batch(items, rng) if use_batch else sigmod.verify_each(items)
+        for idx, ok in zip(chunk, flags):
             verdicts[idx] = Verdict.CONFIRMED if ok else Verdict.COMPROMISED_SIGNATURE
 
     assert all(v is not None for v in verdicts)

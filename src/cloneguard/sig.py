@@ -30,7 +30,12 @@ the lattice q = w u2 (mod n) that its multiplier picks, instead of
 long and not 64 and 256, and its doubling chain about 162 steps long
 instead of 256 (after Gallant, Lambert & Vanstone, CRYPTO 2001); each
 multiplier still gives a distinct weight, so the 2^-64 bound holds as it
-stands.  Larger checks keep the multipliers.
+stands.  Larger checks keep the multipliers.  The size of each check
+also picks its keys and what a failure costs:
+``context.LbsStore.verification_keys`` gives a check of at most
+``SCAN_SIZE`` items the plain registered keys and a larger one their
+cached tables, and ``verify_batch`` scans a failed small check item by
+item.
 
 Every verifier takes the public key either as a plain ``Point`` or as an
 ``ec.PrecomputedPoint`` that carries the key's multi-scalar table.  No
@@ -310,21 +315,21 @@ def batch_verify(items: Sequence[BatchItem], rng: random.Random, *,
     cached keys runs a chain of 128 steps.  A small check's short
     weights make every R and key scalar about 161 bits long, so its
     chain is about 162 steps, at about 19 more R digits and 19 fewer key
-    digits per plain key; a sparse round's checks hold 2 or 3 items, on
-    plain keys, as does every small check ``context.verify_proof_batch``
-    makes.  Larger checks keep the lambdas, whose 64-bit R scalars cost
-    the fewest additions there, and ``context.verify_proof_batch`` gives
-    them cached keys.  The G term goes through the fixed-base table.  If the
-    batch holds an invalid signature, it passes with
-    probability at most 2^-64 over the lambdas (which assumes ``rng`` is
-    unpredictable to the signer): with the other weights fixed, the sum
-    is infinity for at most one w_i mod n, as the group has the prime
-    order n, and each w_i mod n comes from one lambda_i at most (see
-    ``_short_weight``).  The choice between lambdas and short weights is
-    made here alone, from the check's size: ``_equation_terms`` builds
-    the terms, with one modular inversion per batch, and
-    ``_combination`` sums them under the weights chosen, the path
-    ``verify_star`` takes for its one item.  An item that is not
+    digits per plain key.  ``context.LbsStore.verification_keys`` gives
+    such a check the plain keys, whatever the caller's ``batch_size``; a
+    sparse round's checks hold 2 or 3 items.  Larger checks keep the
+    lambdas, whose 64-bit R scalars cost the fewest additions there, on
+    the cached keys the store gives them.  The G term goes through the
+    fixed-base table.  If the batch holds an invalid signature, it passes
+    with probability at most 2^-64 over the lambdas (which assumes
+    ``rng`` is unpredictable to the signer): with the other weights
+    fixed, the sum is infinity for at most one w_i mod n, as the group
+    has the prime order n, and each w_i mod n comes from one lambda_i at
+    most (see ``_short_weight``).  The choice between lambdas and short
+    weights is made here alone, from the check's size:
+    ``_equation_terms`` builds the terms, with one modular inversion per
+    batch, and ``_combination`` sums them under the weights chosen, the
+    path ``verify_star`` takes for its one item.  An item that is not
     ``_well_formed`` rejects the batch before any lambda is drawn;
     otherwise exactly one lambda is drawn per item.
 
@@ -356,23 +361,18 @@ def verify_each(items: Sequence[BatchItem]) -> list[bool]:
 
 # A failed set of at most this many items whose index-weighted sums name
 # no lone invalid item is checked item by item rather than split.  A
-# ``verify_star`` on a cached key took 0.75 ms and a sum over 2, 4 and 6
-# items 1.55, 1.98 and 2.42 times that (2 CPUs, CPython 3.11).  A model
-# with those costs, over every placement of two forgeries among 25 and
-# 150 random placements of three and of four, still has its lowest worst
-# case for every k at 4 (or 5, a size no set of 25 splits into), and its
-# lowest mean for every k there too.  At most 6, so one invalid item among
-# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.  Those ratios
-# predate the split key tables, whose 128-step chain makes a sum cheaper:
-# measured in one process on a 2-CPU host, sums over 2, 4 and 6 items went
-# from 1.50, 1.95 and 2.35 to 1.12, 1.56 and 1.98 times a ``verify_star``,
-# and the model has not been re-run on them.  A check of at most this many
-# items weights its items with ``_short_weight``: if it fails, its items
-# are checked one by one, so no search sums under those weights.
-# ``context.verify_proof_batch`` caches a key's table only for a check of
-# more items, and gives a smaller one the plain keys, as a table would not
-# pay back its build in a sparse network's checks (``context.LbsStore``
-# gives the costs).
+# ``verify_star`` on a cached key took 1.15-1.24 ms and a sum over 2, 4 and
+# 6 items on cached keys 1.09-1.10, 1.53-1.55 and 1.99-2.00 times that (two
+# alternating timings in one process, 2 CPUs, CPython 3.11).  A model with
+# those costs, over every placement of two forgeries among 25 and 150
+# random placements of three and of four, has its lowest worst case for
+# every k at 4 (or 5, a size no set of 25 splits into), and its mean for
+# every k within 0.1% of the lowest.  At most 6, so one invalid item among
+# n <= 6 still costs at most 2 * ceil(log2 n) + 1 checks.  A check of at
+# most this many items weights its items with ``_short_weight``: if it
+# fails, its items are checked one by one, so no search sums under those
+# weights.  ``context.LbsStore.verification_keys`` gives such a check the
+# plain registered keys, and a larger one cached key tables.
 SCAN_SIZE = 4
 
 

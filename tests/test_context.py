@@ -398,7 +398,8 @@ def test_cached_key_tables_give_the_same_verdicts():
                if v in (Verdict.COMPROMISED_CONTEXT, Verdict.NOT_REGISTERED)]
     verify_proof_batch(stopped, world.lbs, random.Random(1))
     assert world.lbs.key_tables == {}
-    verify_proof_batch(presentations, world.lbs, random.Random(1), batch_size=5)
+    # One chunk of 9 survivors, more than SCAN_SIZE, caches every survivor's key.
+    verify_proof_batch(presentations, world.lbs, random.Random(1), batch_size=25)
     cached = world.lbs.key_tables
     assert set(cached) == set(range(8))
     assert all(isinstance(t, PrecomputedPoint) and t.point == world.lbs.public_keys[d]
@@ -527,7 +528,7 @@ def test_a_presenter_under_a_refused_id_is_not_registered():
 
 
 def test_verification_keys_build_only_missing_tables(monkeypatch):
-    world = World(4, seed=8)
+    world = World(2 * SCAN_SIZE + 2, seed=8)
     built = []
     precompute = context.precompute
 
@@ -536,12 +537,68 @@ def test_verification_keys_build_only_missing_tables(monkeypatch):
         return precompute(points)
 
     monkeypatch.setattr(context, "precompute", counting_precompute)
-    first = world.lbs.verification_keys([0, 1, 2])
-    assert built == [[world.lbs.public_keys[d] for d in (0, 1, 2)]]
+    head = list(range(SCAN_SIZE + 1))
+    first = world.lbs.verification_keys(head)
+    assert built == [[world.lbs.public_keys[d] for d in head]]
     # A repeat call has nothing to build and must not call precompute; a
-    # call with one new key builds that key's table alone.
-    assert world.lbs.verification_keys([0, 1, 2]) == first
+    # call with one cached key builds the others' tables alone.
+    assert world.lbs.verification_keys(head) == first
     assert len(built) == 1
-    second = world.lbs.verification_keys([2, 3])
-    assert second[0] is first[2]
-    assert built[1:] == [[world.lbs.public_keys[3]]]
+    tail = list(range(SCAN_SIZE, 2 * SCAN_SIZE + 1))
+    second = world.lbs.verification_keys(tail)
+    assert second[0] is first[SCAN_SIZE]
+    assert built[1:] == [[world.lbs.public_keys[d] for d in tail[1:]]]
+    # At most SCAN_SIZE ids get their registered Points, whether or not
+    # they have cached tables, and nothing is built.
+    tables = dict(world.lbs.key_tables)
+    uncached = 2 * SCAN_SIZE + 1
+    for ids in ([0], head[:SCAN_SIZE], [uncached], [uncached, SCAN_SIZE, 0]):
+        keys = world.lbs.verification_keys(ids)
+        assert len(keys) == len(ids)
+        assert all(key is world.lbs.public_keys[d] for d, key in zip(ids, keys))
+    assert len(built) == 2
+    assert world.lbs.key_tables == tables
+
+
+@pytest.mark.parametrize("use_batch", [True, False])
+def test_each_chunk_gets_the_keys_its_own_size_calls_for(monkeypatch, use_batch):
+    # One call with more than SCAN_SIZE survivors, all honest, so each
+    # chunk is exactly one call of the path under test.  Whatever the
+    # batch_size, a chunk of at most SCAN_SIZE items verifies on the
+    # registered Points and builds nothing.
+    count = 2 * SCAN_SIZE + 1
+    world = World(count, seed=10, tick=10)
+    presentations = [world.honest_presentation(i) for i in range(count)]
+    ghost_ci = sense_context(99, world.tick, (30.0, 30.0), "sensing")
+    ghost = generate_proof(ghost_ci, world.keypairs[0].private, world.rng, request_pending=True)
+    presentations.insert(3, ProofPresentation(ghost, ghost_ci))
+    expected = [Verdict.CONFIRMED] * (count + 1)
+    expected[3] = Verdict.NOT_REGISTERED
+    checks = []
+    name = "verify_batch" if use_batch else "verify_each"
+    original = getattr(context.sigmod, name)
+    monkeypatch.setattr(context.sigmod, name,
+                        lambda items, *rng: checks.append(items) or original(items, *rng))
+
+    def keys(items):
+        return [key for _, _, key in items]
+
+    for batch_size in (1, SCAN_SIZE):
+        checks.clear()
+        assert verify_proof_batch(presentations, world.lbs, random.Random(batch_size),
+                                  batch_size=batch_size, use_batch=use_batch) == expected
+        assert [len(items) for items in checks] == [
+            min(batch_size, count - start) for start in range(0, count, batch_size)]
+        handed = [key for items in checks for key in keys(items)]
+        assert all(key is world.lbs.public_keys[d] for d, key in enumerate(handed))
+        assert world.lbs.key_tables == {}
+
+    checks.clear()
+    assert verify_proof_batch(presentations, world.lbs, random.Random(0),
+                              batch_size=SCAN_SIZE + 1, use_batch=use_batch) == expected
+    head, tail = checks
+    assert (len(head), len(tail)) == (SCAN_SIZE + 1, SCAN_SIZE)
+    assert sorted(world.lbs.key_tables) == list(range(SCAN_SIZE + 1))
+    assert all(key is world.lbs.key_tables[d] for d, key in enumerate(keys(head)))
+    assert all(key is world.lbs.public_keys[d]
+               for d, key in enumerate(keys(tail), SCAN_SIZE + 1))

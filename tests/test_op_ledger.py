@@ -24,6 +24,9 @@ LEDGER = {
                            "batch_inverse": 362, "to_affine": 400, "affine_additions": 14328},
     "dense_seed1_round2": {"mixed_additions": 14108, "doublings": 3840,
                            "batch_inverse": 181, "to_affine": 400, "affine_additions": 14383},
+    "dense_seed1_round1_small_checks": {"mixed_additions": 22529, "doublings": 14441,
+                                        "batch_inverse": 450, "to_affine": 400,
+                                        "affine_additions": 12472},
     "proof_batch_clean": {"mixed_additions": 139, "doublings": 128,
                           "batch_inverse": 7, "to_affine": 0, "affine_additions": 1148},
     "proof_batch_forged": {"mixed_additions": 356, "doublings": 385,
@@ -85,6 +88,10 @@ def test_small_batch_checks_run_short_chains():
     assert LEDGER["proof_batch_small"] == LEDGER["proof_batch_small_registered"]
     for round_no in (1, 2):
         assert LEDGER[f"sparse_seed1_round{round_no}"]["doublings"] <= 30 * 170
+    # Round 1 of a dense network at batch_size SCAN_SIZE makes 90 such
+    # checks, of 3 or 4 items, and builds no key table, which would add
+    # 128 doublings a key.
+    assert LEDGER["dense_seed1_round1_small_checks"]["doublings"] <= 90 * 170
 
 
 def test_ledger_counts_only_operations_on_a_finite_accumulator():

@@ -13,7 +13,7 @@ from cloneguard.context import ContextInformation, Verdict, ci_matches
 from cloneguard.rng import derive_seed
 from cloneguard.sim import (ConfigError, NetworkConfig, init_network, inject_clones,
                             mobility_step, run_detection_round, run_experiment)
-from cloneguard.sig import verify_star
+from cloneguard.sig import SCAN_SIZE, verify_star
 
 AREA_SIDE = 256.0
 
@@ -490,8 +490,9 @@ def test_storage_is_pinned(config, expected):
 
 def test_only_checks_above_scan_size_cache_key_tables():
     # A sparse round's checks hold 2 or 3 survivors, at most SCAN_SIZE,
-    # so its keys stay plain; a dense round's hold 11 or 12, so each key
-    # that reaches the signature stage gets one cached table.
+    # so its keys stay plain; at the default batch_size a dense round's
+    # hold 11 or 12, so each key that reaches the signature stage gets
+    # one cached table.
     sparse = init_network(NetworkConfig(seed=1))
     inject_clones(sparse)
     run_detection_round(sparse)
@@ -507,3 +508,10 @@ def test_only_checks_above_scan_size_cache_key_tables():
     assert set(dense.lbs.key_tables) == confirmed
     assert all(table.point == dense.lbs.public_keys[device_id]
                for device_id, table in dense.lbs.key_tables.items())
+
+    # At batch_size SCAN_SIZE every check of a dense round is small too.
+    small = init_network(NetworkConfig(num_devices=500, environment="dense", seed=1,
+                                       batch_size=SCAN_SIZE))
+    inject_clones(small)
+    run_detection_round(small)
+    assert small.lbs.key_tables == {}
